@@ -22,7 +22,6 @@ import (
 	"errors"
 	"math"
 	"math/rand/v2"
-	"runtime"
 	"testing"
 
 	"ldphh"
@@ -91,8 +90,10 @@ func runAccuracyRound(t *testing.T, r accuracyRound) {
 			t.Fatal(err)
 		}
 	}
-	if err := hh.AbsorbBatch(reports, runtime.GOMAXPROCS(0)); err != nil {
-		t.Fatal(err)
+	for _, rep := range reports {
+		if err := hh.Absorb(rep); err != nil {
+			t.Fatal(err)
+		}
 	}
 	est, err := hh.Identify()
 	if err != nil {

@@ -21,7 +21,6 @@ import (
 	"math"
 	"math/rand/v2"
 	"runtime"
-	"sync"
 	"testing"
 
 	"ldphh"
@@ -171,10 +170,20 @@ func BenchmarkTable1ServerTime_BassilySmith(b *testing.B) {
 // --- Ingestion scaling (server absorption throughput) ---
 
 // ingestParams keeps the per-coordinate report domain small (Y = 4 =>
-// 16384 cells per coordinate) so shard setup and merge stay cheap relative
-// to the absorb loop — the regime a high-throughput aggregator runs in.
+// 16384 cells per coordinate) so snapshot and merge stay cheap relative to
+// the absorb loop — the regime a high-throughput aggregator runs in.
 func ingestParams() core.Params {
 	return core.Params{Eps: benchEps, N: benchN, ItemBytes: 4, Y: 4, Seed: 42}
+}
+
+// absorbAll folds reports into p one by one (the in-process ingest path).
+func absorbAll(b *testing.B, p *core.Protocol, reports []core.Report) {
+	b.Helper()
+	for _, rep := range reports {
+		if err := p.Absorb(rep); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // ingestReports synthesizes a large report stream once per benchmark run by
@@ -196,41 +205,6 @@ func ingestReports(b *testing.B, total int) []core.Report {
 		}
 	}
 	return reports
-}
-
-// BenchmarkAbsorbParallel measures batch ingestion across shard counts.
-// shards=1 is the single-mutex path every report serialized through before
-// this subsystem existed; higher counts absorb into per-worker accumulators
-// merged once per chunk. With GOMAXPROCS >= 4 the sharded path wins because
-// the absorb loop parallelizes while the merge cost is a fixed
-// O(shards·state); on a single-core runner sharding can only lose (no
-// parallelism to buy), which the Mreports_per_s metric makes visible either
-// way.
-func BenchmarkAbsorbParallel(b *testing.B) {
-	const total = 1 << 18
-	reports := ingestReports(b, total)
-	counts := []int{1, 4, runtime.GOMAXPROCS(0)}
-	seen := map[int]bool{}
-	for _, shards := range counts {
-		if shards < 1 || seen[shards] {
-			continue
-		}
-		seen[shards] = true
-		b.Run(fmt.Sprintf("shards_%d", shards), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				p, err := core.New(ingestParams())
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				if err := p.AbsorbBatch(reports, shards); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(total)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mreports_per_s")
-		})
-	}
 }
 
 // BenchmarkIdentify measures the server-side reconstruction (Algorithm 1
@@ -272,9 +246,7 @@ func BenchmarkIdentify(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if err := p.AbsorbBatch(reports, runtime.GOMAXPROCS(0)); err != nil {
-					b.Fatal(err)
-				}
+				absorbAll(b, p, reports)
 				b.StartTimer()
 				if _, err := p.Identify(); err != nil {
 					b.Fatal(err)
@@ -287,9 +259,8 @@ func BenchmarkIdentify(b *testing.B) {
 
 // BenchmarkMerge measures the root side of a two-tier aggregation tree:
 // absorbing k leaf snapshots (decode + validate + one locked accumulator
-// fold each) that together carry the same 2^18 reports
-// BenchmarkAbsorbParallel ingests directly — so Mreports_per_s here is the
-// fan-in cost per report, directly comparable against the ingestion rows.
+// fold each) that together carry 2^18 reports — so Mreports_per_s here is
+// the fan-in cost per report.
 func BenchmarkMerge(b *testing.B) {
 	const total = 1 << 18
 	reports := ingestReports(b, total)
@@ -304,9 +275,7 @@ func BenchmarkMerge(b *testing.B) {
 				chunk := (total + leafCount - 1) / leafCount
 				lo := l * chunk
 				hi := min(lo+chunk, total)
-				if err := leaf.AbsorbBatch(reports[lo:hi], runtime.GOMAXPROCS(0)); err != nil {
-					b.Fatal(err)
-				}
+				absorbAll(b, leaf, reports[lo:hi])
 				if snaps[l], err = leaf.Snapshot(); err != nil {
 					b.Fatal(err)
 				}
@@ -340,9 +309,7 @@ func BenchmarkSnapshotRoundTrip(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := p.AbsorbBatch(reports, runtime.GOMAXPROCS(0)); err != nil {
-		b.Fatal(err)
-	}
+	absorbAll(b, p, reports)
 	fresh, err := core.New(ingestParams())
 	if err != nil {
 		b.Fatal(err)
@@ -361,43 +328,6 @@ func BenchmarkSnapshotRoundTrip(b *testing.B) {
 	}
 	b.ReportMetric(float64(snapBytes), "snapshot_bytes")
 	b.ReportMetric(float64(snapBytes)*float64(b.N)/b.Elapsed().Seconds()/1e6, "MB_per_s")
-}
-
-// BenchmarkAbsorbContended is the adversarial reference: GOMAXPROCS
-// goroutines hammering Protocol.Absorb directly, all contending on the one
-// protocol mutex with its cache-line ping-pong — exactly what the TCP
-// server did per frame before per-connection shards. Compare against
-// BenchmarkAbsorbParallel/shards_N.
-func BenchmarkAbsorbContended(b *testing.B) {
-	const total = 1 << 18
-	reports := ingestReports(b, total)
-	workers := runtime.GOMAXPROCS(0)
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		p, err := core.New(ingestParams())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		var wg sync.WaitGroup
-		chunk := (total + workers - 1) / workers
-		for w := 0; w < workers; w++ {
-			lo := w * chunk
-			hi := min(lo+chunk, total)
-			wg.Add(1)
-			go func(batch []core.Report) {
-				defer wg.Done()
-				for _, rep := range batch {
-					if err := p.Absorb(rep); err != nil {
-						b.Error(err)
-						return
-					}
-				}
-			}(reports[lo:hi])
-		}
-		wg.Wait()
-	}
-	b.ReportMetric(float64(total)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mreports_per_s")
 }
 
 // --- User time and user memory (Table 1 rows 2 and 4) ---

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"ldphh"
-	"ldphh/internal/protocol"
 	"ldphh/internal/workload"
 )
 
@@ -29,11 +28,10 @@ type benchConfig struct {
 	Support   int
 	Seed      uint64
 	Y         int // per-coordinate hash range (pes)
-	Workers   int    // Identify worker-pool size (pes; 0 = GOMAXPROCS)
-	Fleets    int    // concurrent sender connections in tcp transport; 0 = 4
-	Wire      string // tcp framing: batch (pipelined mega-batches) | stream (legacy per-frame); "" = batch
-	Windows   int    // streaming per-user budget split (streamhg; 0 = facade default)
-	TopK      int    // streaming answer size (streamhg; 0 = facade default)
+	Workers   int // Identify worker-pool size (pes; 0 = GOMAXPROCS)
+	Fleets    int // concurrent sender connections in tcp transport; 0 = 4
+	Windows   int // streaming per-user budget split (streamhg; 0 = facade default)
+	TopK      int // streaming answer size (streamhg; 0 = facade default)
 }
 
 // topRow is one of the leading output estimates with its ground truth.
@@ -47,7 +45,6 @@ type topRow struct {
 type benchResult struct {
 	Protocol      string   `json:"protocol"`
 	Transport     string   `json:"transport"`
-	Wire          string   `json:"wire,omitempty"`
 	N             int      `json:"n"`
 	Eps           float64  `json:"eps"`
 	ItemBytes     int      `json:"item_bytes"`
@@ -211,14 +208,6 @@ func runBench(cfg benchConfig) (*benchResult, error) {
 			return nil, err
 		}
 		defer srv.Close()
-		send := ldphh.SendWireReports
-		switch cfg.Wire {
-		case "", "batch":
-		case "stream":
-			send = protocol.SendWire
-		default:
-			return nil, fmt.Errorf("unknown wire %q (batch | stream)", cfg.Wire)
-		}
 		var wg sync.WaitGroup
 		sendErrs := make([]error, cfg.Fleets)
 		for f := 0; f < cfg.Fleets; f++ {
@@ -229,7 +218,7 @@ func runBench(cfg benchConfig) (*benchResult, error) {
 			wg.Add(1)
 			go func(f int, batch []ldphh.WireReport) {
 				defer wg.Done()
-				sendErrs[f] = send(ctx, srv.Addr(), batch)
+				sendErrs[f] = ldphh.SendWireReports(ctx, srv.Addr(), batch)
 			}(f, batch)
 		}
 		wg.Wait()
@@ -275,14 +264,8 @@ func runBench(cfg benchConfig) (*benchResult, error) {
 			}
 		}
 	}
-	wire := ""
-	if cfg.Transport == "tcp" {
-		if wire = cfg.Wire; wire == "" {
-			wire = "batch"
-		}
-	}
 	res := &benchResult{
-		Protocol: cfg.Protocol, Transport: cfg.Transport, Wire: wire,
+		Protocol: cfg.Protocol, Transport: cfg.Transport,
 		N: cfg.N, Eps: cfg.Eps, ItemBytes: cfg.ItemBytes,
 		Workload: cfg.Workload, Threshold: threshold, Promised: len(heavy),
 		Recalled: recalled, OutputSize: len(est), MaxError: maxErr,

@@ -38,7 +38,6 @@ var (
 	y         = flag.Int("y", 64, "per-coordinate hash range (pes)")
 	workers   = flag.Int("workers", 0, "Identify worker-pool size (pes; 0 = GOMAXPROCS)")
 	fleets    = flag.Int("fleets", 4, "concurrent sender connections (tcp transport)")
-	wire      = flag.String("wire", "batch", "tcp wire framing: batch (pipelined mega-batches) | stream (legacy per-frame)")
 	windows   = flag.Int("windows", 0, "per-user budget split w (streamhg; 0 = facade default)")
 	topk      = flag.Int("topk", 0, "answer size: streaming top-k (streamhg) or discovery target k (pem/fedtrie, -opendomain; 0 = default)")
 	openDom   = flag.Bool("opendomain", false, "sweep the open-domain discovery comparison (pem, fedtrie, treehist, pes) with no candidate list")
@@ -65,7 +64,6 @@ func main() {
 		Y:         *y,
 		Workers:   *workers,
 		Fleets:    *fleets,
-		Wire:      *wire,
 		Windows:   *windows,
 		TopK:      *topk,
 	}

@@ -109,25 +109,6 @@ func TestRunBenchTCPTransport(t *testing.T) {
 	if res.BytesPerRep != 5 {
 		t.Fatalf("smalldomain bytes/report = %d, want 5", res.BytesPerRep)
 	}
-	if res.Wire != "batch" {
-		t.Fatalf("default tcp wire = %q, want batch", res.Wire)
-	}
-	// The -wire stream legacy framing carries the identical round to the
-	// identical outcome.
-	stream, err := runBench(benchConfig{
-		N: 8000, Eps: 4, ItemBytes: 2, Protocol: "smalldomain", Transport: "tcp",
-		Workload: "zipf", ZipfS: 1.4, Support: 100, Seed: 1, Fleets: 3, Wire: "stream",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stream.Wire != "stream" {
-		t.Fatalf("wire = %q", stream.Wire)
-	}
-	if stream.Recalled != res.Recalled || stream.OutputSize != res.OutputSize || stream.MaxError != res.MaxError {
-		t.Fatalf("stream wire outcome (recalled %d, out %d, err %v) differs from batch (recalled %d, out %d, err %v)",
-			stream.Recalled, stream.OutputSize, stream.MaxError, res.Recalled, res.OutputSize, res.MaxError)
-	}
 }
 
 // TestRunBenchStreamHG drives the streaming kind through the identical

@@ -175,9 +175,6 @@ func runCrashScenario(cfg loadConfig, killAfter int) (*crashResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Wire != "batch" {
-		return nil, fmt.Errorf("hhload: the crash scenario uses the batch wire (ack-coupled durability), got %q", cfg.Wire)
-	}
 	// One lane: the scenario is about durability, not sender concurrency,
 	// and a single acknowledged sequence makes "the unacked window" exact.
 	cfg.Conns = 1

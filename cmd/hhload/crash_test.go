@@ -23,8 +23,7 @@ func TestCrashScenarioKillRestart(t *testing.T) {
 		t.Skip("subprocess kill/restart scenario skipped in -short mode")
 	}
 	cfg := loadConfig{
-		Protocol: "pes", Wire: "batch",
-		Devices: 20000, Conns: 1, Batch: 4000,
+		Protocol: "pes", Devices: 20000, Conns: 1, Batch: 4000,
 		Eps: 4, ItemBytes: 4, ZipfS: 1.1, Support: 1000,
 		Seed: 7, Y: 16,
 	}

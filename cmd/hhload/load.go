@@ -13,7 +13,6 @@ import (
 	"ldphh"
 	"ldphh/internal/dist"
 	"ldphh/internal/freqoracle"
-	"ldphh/internal/protocol"
 )
 
 // loadConfig parameterizes one open-loop ingest run; it mirrors the
@@ -21,10 +20,9 @@ import (
 // subprocess.
 type loadConfig struct {
 	Protocol  string
-	Wire      string  // "batch" (cmdReportBatch over a reused IngestConn) | "stream" (legacy cmdReport, one dial per call)
 	Devices   int     // total simulated devices; one report each
-	Conns     int     // concurrent sender connections
-	Batch     int     // reports per send call (mega-batch size, or stream length per dial)
+	Conns     int     // concurrent sender connections, one IngestConn each
+	Batch     int     // reports per mega-batch send
 	Rate      float64 // target arrival rate in reports/sec; 0 opens the throttle
 	Eps       float64
 	ItemBytes int
@@ -40,7 +38,6 @@ type loadConfig struct {
 // — an upper bound on the server decode path's allocation rate.
 type loadResult struct {
 	Protocol        string  `json:"protocol"`
-	Wire            string  `json:"wire"`
 	Devices         int     `json:"devices"`
 	Conns           int     `json:"conns"`
 	Batch           int     `json:"batch"`
@@ -85,13 +82,11 @@ func newLoadProtocol(cfg loadConfig, kind ldphh.Kind) (ldphh.Protocol, error) {
 }
 
 // senderLane is one connection's worth of pre-generated traffic: the
-// devices' reports as a contiguous frame slab, plus per-chunk views for
-// the stream wire. Generation happens before the clock starts — hhload
-// measures ingest, not report synthesis.
+// devices' reports as a contiguous frame slab. Generation happens before
+// the clock starts — hhload measures ingest, not report synthesis.
 type senderLane struct {
 	slab     []byte
 	frameLen int
-	views    [][]ldphh.WireReport // per chunk, stream wire only
 }
 
 // generateLanes synthesizes every device's report in parallel, one lane
@@ -133,18 +128,6 @@ func generateLanes(cfg loadConfig, kind ldphh.Kind) ([]*senderLane, error) {
 				}
 				lane.slab = append(lane.slab, wr...)
 			}
-			if cfg.Wire == "stream" {
-				for lo := 0; lo < len(lane.slab); lo += cfg.Batch * lane.frameLen {
-					hi := min(lo+cfg.Batch*lane.frameLen, len(lane.slab))
-					n := (hi - lo) / lane.frameLen
-					chunk := make([]ldphh.WireReport, n)
-					for i := range chunk {
-						at := lo + i*lane.frameLen
-						chunk[i] = ldphh.WireReport(lane.slab[at : at+lane.frameLen])
-					}
-					lane.views = append(lane.views, chunk)
-				}
-			}
 			lanes[w] = lane
 		}(w, lo, hi)
 	}
@@ -169,9 +152,6 @@ func runLoad(cfg loadConfig) (*loadResult, error) {
 	}
 	if cfg.Conns <= 0 || cfg.Batch <= 0 || cfg.Devices <= 0 {
 		return nil, fmt.Errorf("hhload: devices, conns and batch must be positive")
-	}
-	if cfg.Wire != "batch" && cfg.Wire != "stream" {
-		return nil, fmt.Errorf("hhload: unknown wire %q (batch | stream)", cfg.Wire)
 	}
 
 	agg, err := newLoadProtocol(cfg, kind)
@@ -209,13 +189,12 @@ func runLoad(cfg loadConfig) (*loadResult, error) {
 		wg.Add(1)
 		go func(w int, lane *senderLane) {
 			defer wg.Done()
-			var conn *ldphh.IngestConn
-			if cfg.Wire == "batch" {
-				if conn, errs[w] = ldphh.DialIngest(ctx, srv.Addr(), kind); errs[w] != nil {
-					return
-				}
-				defer conn.Close()
+			conn, err := ldphh.DialIngest(ctx, srv.Addr(), kind)
+			if err != nil {
+				errs[w] = err
+				return
 			}
+			defer conn.Close()
 			chunkBytes := cfg.Batch * lane.frameLen
 			chunks := (len(lane.slab) + chunkBytes - 1) / chunkBytes
 			for c := 0; c < chunks; c++ {
@@ -227,13 +206,8 @@ func runLoad(cfg loadConfig) (*loadResult, error) {
 					}
 					sent = sched // open loop: latency from the arrival slot
 				}
-				if cfg.Wire == "batch" {
-					hi := min((c+1)*chunkBytes, len(lane.slab))
-					errs[w] = conn.SendEncoded(ctx, lane.slab[c*chunkBytes:hi])
-				} else {
-					errs[w] = protocol.SendWire(ctx, srv.Addr(), lane.views[c])
-				}
-				if errs[w] != nil {
+				hi := min((c+1)*chunkBytes, len(lane.slab))
+				if errs[w] = conn.SendEncoded(ctx, lane.slab[c*chunkBytes:hi]); errs[w] != nil {
 					return
 				}
 				lats[w] = append(lats[w], float64(time.Since(sent))/float64(time.Millisecond))
@@ -259,8 +233,7 @@ func runLoad(cfg loadConfig) (*loadResult, error) {
 		all = append(all, l...)
 	}
 	return &loadResult{
-		Protocol: cfg.Protocol, Wire: cfg.Wire,
-		Devices: cfg.Devices, Conns: cfg.Conns, Batch: cfg.Batch,
+		Protocol: cfg.Protocol, Devices: cfg.Devices, Conns: cfg.Conns, Batch: cfg.Batch,
 		RateTarget:      cfg.Rate,
 		ElapsedMS:       elapsed.Milliseconds(),
 		ReportsPerSec:   float64(cfg.Devices) / elapsed.Seconds(),
@@ -282,7 +255,7 @@ func writeResults(w io.Writer, res []*loadResult) error {
 
 // writeTextResult emits one human-readable summary line.
 func writeTextResult(w io.Writer, r *loadResult) {
-	fmt.Fprintf(w, "%-12s wire=%-6s  %d devices / %d conns / batch %d: %8.0f reports/s  p50 %.2fms  p99 %.2fms  %.3f allocs/report\n",
-		r.Protocol, r.Wire, r.Devices, r.Conns, r.Batch,
+	fmt.Fprintf(w, "%-12s %d devices / %d conns / batch %d: %8.0f reports/s  p50 %.2fms  p99 %.2fms  %.3f allocs/report\n",
+		r.Protocol, r.Devices, r.Conns, r.Batch,
 		r.ReportsPerSec, r.P50IngestMS, r.P99IngestMS, r.AllocsPerReport)
 }

@@ -5,19 +5,13 @@
 //
 // Each simulated device contributes one ε-LDP report (items zipf-drawn
 // over a configurable support). Reports are pre-generated, then -conns
-// concurrent senders deliver them in -batch sized calls over the selected
-// wire framing:
-//
-//	batch    cmdReportBatch mega-batches over a persistent IngestConn —
-//	         one dial per connection for the whole run (the saturation
-//	         path)
-//	stream   the legacy per-frame cmdReport framing, one dial per send
-//	         call (the pre-mega-batch status quo, kept as the baseline)
+// concurrent senders deliver them as -batch sized mega-batches, each over
+// one persistent IngestConn — one dial per connection for the whole run.
 //
 // With -rate > 0 the run is open loop: send slots fire on the global
 // arrival clock whether or not earlier sends finished, so p99 shows
 // queueing once the server falls behind. The default writes the
-// BENCH_ingest.json artifact comparing both wires for PES and Hashtogram:
+// BENCH_ingest.json artifact for PES and Hashtogram:
 //
 //	hhload -devices 1000000 -out BENCH_ingest.json
 package main
@@ -34,11 +28,9 @@ import (
 
 var (
 	protocols = flag.String("protocols", "pes,hashtogram", "comma-separated registered protocol names")
-	wires     = flag.String("wires", "batch,stream", "comma-separated wire framings to run (batch | stream)")
 	devices   = flag.Int("devices", 1_000_000, "simulated devices (one report each)")
 	conns     = flag.Int("conns", 8, "concurrent sender connections")
-	batch     = flag.Int("batch", 4096, "reports per mega-batch send (batch wire)")
-	strBatch  = flag.Int("stream-batch", 16, "reports per dial on the legacy stream wire")
+	batch     = flag.Int("batch", 4096, "reports per mega-batch send")
 	rate      = flag.Float64("rate", 0, "target arrival rate in reports/sec; 0 opens the throttle")
 	eps       = flag.Float64("eps", 4, "privacy budget per device")
 	itemBytes = flag.Int("itembytes", 4, "item width in bytes")
@@ -69,32 +61,26 @@ func main() {
 	}
 	var results []*loadResult
 	for _, proto := range strings.Split(*protocols, ",") {
-		for _, wire := range strings.Split(*wires, ",") {
-			cfg := loadConfig{
-				Protocol:  strings.TrimSpace(proto),
-				Wire:      strings.TrimSpace(wire),
-				Devices:   *devices,
-				Conns:     *conns,
-				Batch:     *batch,
-				Rate:      *rate,
-				Eps:       *eps,
-				ItemBytes: *itemBytes,
-				ZipfS:     *zipfS,
-				Support:   *support,
-				Seed:      *seed,
-				Y:         *y,
-			}
-			if cfg.Wire == "stream" {
-				cfg.Batch = *strBatch
-			}
-			res, err := runLoad(cfg)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "hhload: %s/%s: %v\n", cfg.Protocol, cfg.Wire, err)
-				os.Exit(1)
-			}
-			writeTextResult(os.Stdout, res)
-			results = append(results, res)
+		cfg := loadConfig{
+			Protocol:  strings.TrimSpace(proto),
+			Devices:   *devices,
+			Conns:     *conns,
+			Batch:     *batch,
+			Rate:      *rate,
+			Eps:       *eps,
+			ItemBytes: *itemBytes,
+			ZipfS:     *zipfS,
+			Support:   *support,
+			Seed:      *seed,
+			Y:         *y,
 		}
+		res, err := runLoad(cfg)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "hhload: %s: %v\n", cfg.Protocol, err)
+			os.Exit(1)
+		}
+		writeTextResult(os.Stdout, res)
+		results = append(results, res)
 	}
 	if err := stopProf(); err != nil {
 		fmt.Fprintf(os.Stderr, "hhload: %v\n", err)
@@ -119,7 +105,7 @@ func main() {
 }
 
 // runScenario dispatches the non-sweep exercises. The crash scenario runs
-// over the first listed protocol on the batch wire.
+// over the first listed protocol.
 func runScenario() {
 	if *scenario != "crash" {
 		fmt.Fprintf(os.Stderr, "hhload: unknown scenario %q (crash)\n", *scenario)
@@ -127,7 +113,6 @@ func runScenario() {
 	}
 	cfg := loadConfig{
 		Protocol:  strings.TrimSpace(strings.Split(*protocols, ",")[0]),
-		Wire:      "batch",
 		Devices:   *devices,
 		Conns:     1,
 		Batch:     *batch,

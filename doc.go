@@ -34,27 +34,29 @@
 //     arXiv:1708.06674) and KindFedTrie (federated trie, Zhu et al.
 //     arXiv:1902.08534) discover heavy strings with no candidate list:
 //     the server grows a candidate-prefix set over interactive rounds
-//     (RoundState/SetRoundState/AdvanceRound, with RequestRound and
-//     AdvanceRound network clients over the same TCP preamble), users
+//     (RoundState/SetRoundState/AdvanceRound, with RequestRoundContext
+//     and AdvanceRoundContext network clients over the same TCP
+//     preamble), users
 //     partition into per-round groups so each reports exactly once at
 //     full ε, and RoundRand gives every (round, user) pair its own
 //     deterministic sub-stream. See DESIGN.md §10 and examples/opendomain.
 //   - Transport — one generic TCP aggregation server any Aggregator plugs
-//     into, negotiating the protocol ID at connection time, with sharded
-//     concurrent ingestion: each connection absorbs through windowed
-//     batches (for PrivateExpanderSketch, a private accumulator shard
-//     merged once per window), so heavy fleets never serialize behind a
-//     per-report lock. Servers also speak a snapshot/merge protocol
-//     (RequestSnapshot/PushSnapshot) so Mergeable aggregators compose into
-//     fan-in trees: leaves ingest, the root merges their serialized state
-//     and identifies once. Every network client helper has a
-//     context.Context variant with real deadline and cancellation
+//     into (NewAggregationServer), negotiating the protocol ID at
+//     connection time. Reports arrive in one framing, the length-prefixed
+//     mega-batch (SendWireReports, or DialIngest for a persistent
+//     session); each connection absorbs its batches window by window, one
+//     lock acquisition per window, so heavy fleets never serialize behind
+//     a per-report lock. Servers also speak a snapshot/merge protocol
+//     (RequestSnapshotContext/PushSnapshotContext) so Mergeable
+//     aggregators compose into fan-in trees: leaves ingest, the root
+//     merges their serialized state and identifies once. Every network
+//     client takes a context.Context with real deadline and cancellation
 //     propagation.
 //
 // # Identify parallelism and determinism
 //
-// Both server-side halves run concurrently. Ingestion shards across
-// accumulators (above); identification fans out over a bounded pool of
+// Both server-side halves run concurrently. Ingestion runs one connection
+// per sender (above); identification fans out over a bounded pool of
 // Params.Workers goroutines (0 derives GOMAXPROCS, 1 forces the serial
 // path) through every stage of Algorithm 1's reconstruction: the
 // per-coordinate argmax/threshold scan of steps 2-3, the per-super-bucket
@@ -106,10 +108,9 @@
 //	// ... and identifies the heavy hitters with frequency estimates:
 //	est, err := hh.Identify()
 //
-// High-throughput ingestion replaces the Absorb loop with one batch call
-// that fans out across shard accumulators and merges them back exactly:
-//
-//	err = hh.AbsorbBatch(reports, runtime.GOMAXPROCS(0))
+// High-throughput ingestion goes over TCP: serve hh.Wire() with
+// NewAggregationServer and send each fleet's WireReports in mega-batches
+// with SendWireReports or a DialIngest session.
 //
 // The same round through the unified surface works for every protocol of
 // the paper's Table 1 comparison — only the Kind changes:

@@ -5,10 +5,10 @@
 //
 // The round loop runs over real TCP against the generic aggregation
 // server: the driver fetches each round's candidate-prefix broadcast
-// (RequestRound), installs it on the device fleet, the round's user group
-// reports against it — every user reports exactly once across the whole
-// discovery, so the per-user budget stays ε — and AdvanceRound commits the
-// transition server-side. At the end the discovered top-k is scored
+// (RequestRoundContext), installs it on the device fleet, the round's user
+// group reports against it — every user reports exactly once across the
+// whole discovery, so the per-user budget stays ε — and
+// AdvanceRoundContext commits the transition server-side. At the end the discovered top-k is scored
 // against the ground truth the simulated fleet kept for itself.
 //
 // Flags:
@@ -94,7 +94,7 @@ func run(cfg config) (summary, error) {
 		kind, srv.Addr(), cfg.n)
 
 	ctx := context.Background()
-	rs, err := ldphh.RequestRound(srv.Addr())
+	rs, err := ldphh.RequestRoundContext(ctx, srv.Addr())
 	if err != nil {
 		return sum, err
 	}
@@ -119,7 +119,7 @@ func run(cfg config) (summary, error) {
 		sum.reports += len(batch)
 		fmt.Fprintf(cfg.out, "round %d/%d: %4d candidate prefixes of %2d bits, group of %d reported\n",
 			rs.Round+1, rs.Rounds, len(rs.Candidates), rs.PrefixBits, len(batch))
-		if rs, err = ldphh.AdvanceRound(srv.Addr()); err != nil {
+		if rs, err = ldphh.AdvanceRoundContext(ctx, srv.Addr()); err != nil {
 			return sum, err
 		}
 		sum.rounds++

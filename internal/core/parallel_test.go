@@ -45,8 +45,10 @@ func TestIdentifyWorkerDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := p.AbsorbBatch(reports, 4); err != nil {
-			t.Fatal(err)
+		for _, rep := range reports {
+			if err := p.Absorb(rep); err != nil {
+				t.Fatal(err)
+			}
 		}
 		est, err := p.Identify()
 		if err != nil {

@@ -6,7 +6,6 @@ import (
 	"math/rand/v2"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"ldphh/internal/dist"
 	"ldphh/internal/freqoracle"
@@ -35,11 +34,10 @@ type Estimate = proto.Estimate
 // each user call Report (the client-side computation), Absorb every report,
 // then call Identify once.
 //
-// Absorb, Merge, AbsorbBatch and Identify are safe for concurrent use: a
-// single mutex guards the aggregation state. That mutex is the scalability
-// bottleneck Absorb callers contend on; high-throughput ingestion should
-// absorb into per-worker NewAccumulator shards (no locking) and Merge them,
-// or hand whole batches to AbsorbBatch.
+// Absorb, Merge and Identify are safe for concurrent use: a single mutex
+// guards the aggregation state. High-throughput ingestion hands whole wire
+// batches to PESWire.AbsorbBatch, which takes that mutex once per batch
+// instead of once per report.
 //
 // Identify itself fans out over a bounded pool of Params.Workers goroutines
 // (per-coordinate scan, per-bucket decode, per-candidate confirmation) and
@@ -157,8 +155,8 @@ func (pr *Protocol) Report(x []byte, userIdx int, rng *rand.Rand) (Report, error
 }
 
 // Absorb folds one user report into the server state. It serializes behind
-// the protocol's single mutex; for contention-free parallel ingestion use
-// NewAccumulator/Merge or AbsorbBatch.
+// the protocol's single mutex; batch ingestion goes through
+// PESWire.AbsorbBatch.
 func (pr *Protocol) Absorb(rep Report) error {
 	pr.mu.Lock()
 	defer pr.mu.Unlock()
@@ -179,14 +177,12 @@ func (pr *Protocol) Absorb(rep Report) error {
 	return nil
 }
 
-// Accumulator is shard-local absorption state: a private copy of the
-// protocol's counters sharing its (read-only) public randomness. Each
-// ingestion worker owns one shard and absorbs into it with no
-// synchronization at all; shards fold back into the protocol with
-// Protocol.Merge, or into each other with Accumulator.Merge for
-// tree-structured aggregation. Because every counter is an exact small
-// integer in float64, absorption order cannot change any estimate: sharded
-// and sequential ingestion produce bit-identical Identify output.
+// Accumulator is a private copy of the protocol's counters sharing its
+// (read-only) public randomness: the staging area a decoded snapshot is
+// validated in before Protocol.Merge folds it into the server state.
+// Because every counter is an exact small integer, fold order cannot
+// change any estimate: merged and sequential ingestion produce
+// bit-identical Identify output.
 type Accumulator struct {
 	m        int
 	direct   []*freqoracle.DirectHistogram
@@ -195,9 +191,8 @@ type Accumulator struct {
 	absorbed int
 }
 
-// NewAccumulator returns an empty shard for this protocol. Shards cost one
-// zeroed copy of the counter state, so size the shard count to the ingestion
-// worker pool, not to the report count.
+// NewAccumulator returns an empty accumulator for this protocol. It costs
+// one zeroed copy of the counter state.
 func (pr *Protocol) NewAccumulator() *Accumulator {
 	direct := make([]*freqoracle.DirectHistogram, pr.p.M)
 	for m := range direct {
@@ -211,51 +206,9 @@ func (pr *Protocol) NewAccumulator() *Accumulator {
 	}
 }
 
-// Absorb folds one user report into the shard. It performs the same
-// validation as Protocol.Absorb but takes no locks; a shard must be used by
-// one goroutine at a time.
-func (a *Accumulator) Absorb(rep Report) error {
-	if rep.M < 0 || rep.M >= a.m {
-		return fmt.Errorf("core: report group %d out of range", rep.M)
-	}
-	if err := a.direct[rep.M].Absorb(rep.Dir); err != nil {
-		return err
-	}
-	if err := a.conf.Absorb(rep.Conf); err != nil {
-		return err
-	}
-	a.groupN[rep.M]++
-	a.absorbed++
-	return nil
-}
-
-// Absorbed returns the number of reports held by the shard.
-func (a *Accumulator) Absorbed() int { return a.absorbed }
-
-// Merge folds another shard into this one (tree aggregation). Neither shard
-// may be in concurrent use.
-func (a *Accumulator) Merge(other *Accumulator) error {
-	if a.m != other.m {
-		return fmt.Errorf("core: Merge of differently-shaped accumulators")
-	}
-	for m := range a.direct {
-		if err := a.direct[m].Merge(other.direct[m]); err != nil {
-			return err
-		}
-	}
-	if err := a.conf.Merge(other.conf); err != nil {
-		return err
-	}
-	for m, n := range other.groupN {
-		a.groupN[m] += n
-	}
-	a.absorbed += other.absorbed
-	return nil
-}
-
-// Merge folds a shard into the server state under the protocol mutex: one
-// lock acquisition per batch instead of one per report. The shard is
-// logically consumed; reusing it would double-count its reports.
+// Merge folds an accumulator into the server state under the protocol
+// mutex. The accumulator is logically consumed; reusing it would
+// double-count its reports.
 func (pr *Protocol) Merge(a *Accumulator) error {
 	pr.mu.Lock()
 	defer pr.mu.Unlock()
@@ -277,70 +230,6 @@ func (pr *Protocol) Merge(a *Accumulator) error {
 		pr.groupN[m] += n
 	}
 	pr.absorbed += a.absorbed
-	return nil
-}
-
-// AbsorbBatch ingests a report batch across the given number of shards.
-// shards <= 1 is the single-mutex path (every report serializes through
-// Absorb — the baseline BenchmarkAbsorbParallel compares against); shards
-// >= 2 splits the batch into contiguous chunks absorbed by concurrent
-// workers into private accumulators, merged into the protocol as each
-// worker finishes. On an error ingestion stops promptly in every shard and
-// the first error observed is returned; exactly which reports of the batch
-// were absorbed at that point is unspecified (it depends on the shard
-// interleaving), so treat the round as poisoned and discard the protocol
-// rather than Identify after a failed batch.
-func (pr *Protocol) AbsorbBatch(reports []Report, shards int) error {
-	if shards > len(reports) {
-		shards = len(reports)
-	}
-	if shards <= 1 {
-		for _, rep := range reports {
-			if err := pr.Absorb(rep); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var wg sync.WaitGroup
-	var failed atomic.Bool
-	errs := make([]error, shards)
-	chunk := (len(reports) + shards - 1) / shards
-	for s := 0; s < shards; s++ {
-		lo := s * chunk
-		if lo >= len(reports) {
-			break // ceil division can exhaust the batch before the last shard
-		}
-		hi := lo + chunk
-		if hi > len(reports) {
-			hi = len(reports)
-		}
-		wg.Add(1)
-		go func(s int, batch []Report) {
-			defer wg.Done()
-			acc := pr.NewAccumulator()
-			for _, rep := range batch {
-				if failed.Load() {
-					return // another shard already poisoned the round
-				}
-				if err := acc.Absorb(rep); err != nil {
-					errs[s] = err
-					failed.Store(true)
-					return
-				}
-			}
-			if err := pr.Merge(acc); err != nil && errs[s] == nil {
-				errs[s] = err
-				failed.Store(true)
-			}
-		}(s, reports[lo:hi])
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
@@ -536,19 +425,20 @@ func (pr *Protocol) SketchBytes() int {
 
 // ReportPayloadBytes is the payload of one user message: group (2) +
 // direct column (4) + direct bit (1) + confirmation row (2) + confirmation
-// column (4) + confirmation bit (1). The TCP transport frames it behind a
-// 1-byte version, so protocol.FrameSize is defined as 1 + this constant —
-// one shared source of truth the wire encoder, the frame reader and the
-// Table 1 communication metric all derive from, pinned together by
-// protocol.TestFrameSizePinnedToBytesPerReport. (Historically the two were
-// written down independently and drifted.)
+// column (4) + confirmation bit (1). The wire frame puts the 2-byte
+// [protocol ID][codec version] header in front of it, so the registered
+// codec's FrameBytes is 2 + this constant — one shared source of truth the
+// wire encoder, the server's frame reader and the Table 1 communication
+// metric all derive from, pinned together by
+// TestFrameSizePinnedToBytesPerReport. (Historically the two were written
+// down independently and drifted.)
 const ReportPayloadBytes = 2 + 4 + 1 + 2 + 4 + 1
 
 // BytesPerReport returns the payload size of one user message (the Table 1
 // "communication per user" metric). Like every baseline's BytesPerReport
-// it excludes transport framing — the TCP path adds one version byte, see
-// protocol.FrameSize — so the cross-protocol comparison stays
-// apples-to-apples.
+// it excludes transport framing — the wire frame adds the 2-byte header,
+// see the registered codec's FrameBytes — so the cross-protocol comparison
+// stays apples-to-apples.
 func (pr *Protocol) BytesPerReport() int { return ReportPayloadBytes }
 
 // ConfOracleParams exposes the confirmation oracle's defaulted parameters;

@@ -109,7 +109,7 @@ func (pr *Protocol) Snapshot() ([]byte, error) {
 }
 
 // decodeSnapshot validates an LPSK snapshot end to end and materializes it
-// as a fresh Accumulator shard (sharing this protocol's public randomness,
+// as a fresh Accumulator (sharing this protocol's public randomness,
 // owning the decoded counters). It also returns the M+1 oracle blob
 // sub-slices (per-coordinate DirectHistogram snapshots, then the
 // confirmation Hashtogram snapshot) so Restore can commit through the same
@@ -229,7 +229,7 @@ func (pr *Protocol) Restore(buf []byte) error {
 	// Commit in place (the oracle pointers stay put, preserving the
 	// protocol's pointers-are-immutable invariant that unlocked
 	// NewAccumulator readers rely on). Each blob was already accepted by an
-	// identically-parameterized accumulator shard in decodeSnapshot, and the
+	// identically-parameterized accumulator in decodeSnapshot, and the
 	// oracle Restores are themselves validate-then-commit, so these cannot
 	// fail and the whole commit is atomic.
 	for m := 0; m < pr.p.M; m++ {

@@ -134,8 +134,10 @@ func TestProtocolMergeFromEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := seq.AbsorbBatch(reports, 1); err != nil {
-		t.Fatal(err)
+	for _, rep := range reports {
+		if err := seq.Absorb(rep); err != nil {
+			t.Fatal(err)
+		}
 	}
 	want := identifyAll(t, seq)
 
@@ -363,8 +365,10 @@ func TestProtocolMergeSnapshotConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := seq.AbsorbBatch(reports, 1); err != nil {
-		t.Fatal(err)
+	for _, rep := range reports {
+		if err := seq.Absorb(rep); err != nil {
+			t.Fatal(err)
+		}
 	}
 	want := identifyAll(t, seq)
 
@@ -392,7 +396,15 @@ func TestProtocolMergeSnapshotConcurrent(t *testing.T) {
 	for l := 0; l < k; l++ {
 		go func(snap []byte) { errCh <- root.MergeSnapshot(snap) }(snaps[l])
 	}
-	go func() { errCh <- root.AbsorbBatch(direct, 2) }()
+	go func() {
+		for _, rep := range direct {
+			if err := root.Absorb(rep); err != nil {
+				errCh <- err
+				return
+			}
+		}
+		errCh <- nil
+	}()
 	for i := 0; i < k+1; i++ {
 		if err := <-errCh; err != nil {
 			t.Fatal(err)

@@ -100,11 +100,9 @@ func DecodeReportWire(wr proto.WireReport) (Report, error) {
 // proto.Reporter/Aggregator/Mergeable surface. The underlying Protocol is
 // already safe for concurrent use (its own mutex), so the adapter adds no
 // locking; batch absorption takes the protocol mutex once per batch and
-// folds every report in directly — O(batch) work per call. (A private
-// Accumulator shard plus Merge would cost one full sketch copy and walk
-// per call, which at n = 10^6 dwarfs absorbing the reports themselves;
-// the Accumulator/Merge surface remains for fan-in trees, where a shard
-// amortizes over a whole subtree.)
+// folds every report in directly — O(batch) work per call. Fan-in trees
+// go through MergeSnapshot instead, whose one accumulator fold amortizes
+// over a whole subtree.
 type PESWire struct{ pr *Protocol }
 
 // NewPESWire constructs the protocol and its adapter in one step.

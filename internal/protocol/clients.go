@@ -12,40 +12,140 @@ import (
 	"strings"
 	"time"
 
-	"ldphh/internal/core"
 	"ldphh/internal/proto"
 )
 
-// Network client helpers. Every operation has a context-aware variant with
-// real deadline and cancellation propagation: the context's deadline is
-// installed as the connection deadline, and a cancellation mid-operation
-// wakes any blocked read or write immediately — a stalled or wedged server
-// can no longer block a client forever (the regression
-// TestContextClientsAgainstWedgedServer pins this). The legacy
-// context-free helpers delegate with context.Background(), preserving their
-// original wait-forever semantics for callers that want them.
+// Network clients. Every call takes a context with real deadline and
+// cancellation propagation: the context's deadline is installed as the
+// connection deadline, and a cancellation mid-call wakes any blocked read
+// or write immediately — a stalled or wedged server cannot block a client
+// forever (the regression TestContextClientsAgainstWedgedServer pins this).
+// Callers that want to wait as long as the server takes pass
+// context.Background(). Every call is one command on an IngestConn: the
+// session methods pipeline on a persistent connection, and the one-shot
+// functions run the same command on a fresh connection (oneShot).
 
-// withConn dials addr, wires ctx's deadline and cancellation to the
-// connection, and runs fn. If fn fails because ctx expired, the returned
-// error wraps ctx.Err() so callers can errors.Is against
-// context.DeadlineExceeded / context.Canceled.
-func withConn(ctx context.Context, addr string, fn func(conn net.Conn) error) error {
-	var d net.Dialer
-	conn, err := d.DialContext(ctx, "tcp", addr)
+// awaitAck reads the single acknowledgment byte, relaying a textual
+// "ERR ...\n" reply as an error.
+func awaitAck(r *bufio.Reader, op string) error {
+	first, err := r.ReadByte()
+	if err != nil {
+		return fmt.Errorf("protocol: waiting for %s ack: %w", op, err)
+	}
+	if first == ackByte {
+		return nil
+	}
+	msg, _ := r.ReadString('\n')
+	return fmt.Errorf("protocol: server rejected %s: %s", op, strings.TrimSpace(string(first)+msg))
+}
+
+// SendWireBatch delivers pre-encoded wire reports in one cmdReportBatch
+// command over one connection and waits for the acknowledgment; for
+// repeated batches prefer DialIngest, which amortizes the dial across the
+// whole session. All reports must belong to one protocol; an empty batch
+// is a no-op.
+func SendWireBatch(ctx context.Context, addr string, reports []proto.WireReport) error {
+	if len(reports) == 0 {
+		return nil
+	}
+	c, err := DialIngest(ctx, addr, reports[0].ProtocolID())
 	if err != nil {
 		return err
 	}
-	defer conn.Close()
+	defer c.Close()
+	return c.SendBatch(ctx, reports)
+}
+
+// IngestConn is a persistent ingest session: one TCP connection carrying
+// any number of cmdReportBatch commands, so the dial (and the per-frame
+// syscall overhead) amortizes across an entire device fleet's worth of
+// reports instead of being paid per batch. It is the client half of the
+// million-device ingest path — cmd/hhload drives servers to saturation
+// through it.
+//
+// An IngestConn is not safe for concurrent use; open one per sending
+// goroutine. A batch the client refuses before sending — mixed protocol
+// IDs, a wrong frame length, a slab that is not whole frames, more frames
+// than the cap — fails before its first byte is written and leaves the
+// session usable. After any other error the connection is dead: Close it
+// and dial again.
+type IngestConn struct {
+	conn     net.Conn
+	bw       *bufio.Writer
+	br       *bufio.Reader
+	id       byte
+	frameLen int
+}
+
+// DialIngest opens an ingest session to a server for the protocol with the
+// given registered ID. The context bounds the dial only; each SendBatch
+// call takes its own context.
+func DialIngest(ctx context.Context, addr string, id byte) (*IngestConn, error) {
+	codec, ok := proto.Lookup(id)
+	if !ok {
+		return nil, fmt.Errorf("protocol: protocol ID %#02x has no registered codec", id)
+	}
+	return dial(ctx, addr, id, codec.FrameBytes())
+}
+
+// dial connects a session speaking protocol id (proto.IDWildcard for
+// control commands). The ID negotiates once per connection; it flushes
+// with the first command.
+func dial(ctx context.Context, addr string, id byte, frameLen int) (*IngestConn, error) {
+	var d net.Dialer
+	conn, err := d.DialContext(ctx, "tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	c := &IngestConn{
+		conn:     conn,
+		bw:       bufio.NewWriterSize(conn, 1<<16),
+		br:       bufio.NewReader(conn),
+		id:       id,
+		frameLen: frameLen,
+	}
+	if err := c.bw.WriteByte(id); err != nil {
+		conn.Close()
+		return nil, err
+	}
+	return c, nil
+}
+
+// oneShot runs one command on a fresh wildcard connection, the context
+// bounding the dial as well: the form of every call that needs no session.
+func oneShot[T any](ctx context.Context, addr string, call func(c *IngestConn) (T, error)) (T, error) {
+	c, err := dial(ctx, addr, proto.IDWildcard, 0)
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	defer c.Close()
+	return call(c)
+}
+
+// FrameBytes returns the fixed wire frame length of the session's protocol
+// (the unit SendEncoded slabs must be a multiple of).
+func (c *IngestConn) FrameBytes() int { return c.frameLen }
+
+// Close tears the session down.
+func (c *IngestConn) Close() error { return c.conn.Close() }
+
+// runWithCtx wires ctx to one call on the connection: ctx's deadline
+// becomes the conn deadline for the call, cancellation snaps it into the
+// past, and the deadline is cleared afterwards so later calls start fresh.
+// If fn fails because ctx expired, the returned error wraps ctx.Err() so
+// callers can errors.Is against context.DeadlineExceeded /
+// context.Canceled.
+func (c *IngestConn) runWithCtx(ctx context.Context, fn func() error) error {
 	if dl, ok := ctx.Deadline(); ok {
-		if err := conn.SetDeadline(dl); err != nil {
+		if err := c.conn.SetDeadline(dl); err != nil {
 			return err
 		}
+		defer c.conn.SetDeadline(time.Time{}) //nolint:errcheck // best-effort reset
 	}
-	// Cancellation (not just deadline expiry) must interrupt blocked I/O:
-	// snap the deadline into the past the moment ctx is done.
-	stop := context.AfterFunc(ctx, func() { conn.SetDeadline(time.Now()) })
+	stop := context.AfterFunc(ctx, func() { c.conn.SetDeadline(time.Now()) })
 	defer stop()
-	if err := fn(conn); err != nil {
+	if err := fn(); err != nil {
 		if ctxErr := ctx.Err(); ctxErr != nil {
 			return fmt.Errorf("protocol: %w (%v)", ctxErr, err)
 		}
@@ -67,247 +167,52 @@ func withConn(ctx context.Context, addr string, fn func(conn net.Conn) error) er
 	return nil
 }
 
-// writePreamble opens the negotiation: the protocol ID the client speaks
-// and the command it is issuing.
-func writePreamble(w io.Writer, id, cmd byte) error {
-	_, err := w.Write([]byte{id, cmd})
-	return err
-}
-
-// awaitAck reads the single acknowledgment byte, relaying a textual
-// "ERR ...\n" reply as an error.
-func awaitAck(r *bufio.Reader, op string) error {
-	first, err := r.ReadByte()
-	if err != nil {
-		return fmt.Errorf("protocol: waiting for %s ack: %w", op, err)
-	}
-	if first == ackByte {
-		return nil
-	}
-	msg, _ := r.ReadString('\n')
-	return fmt.Errorf("protocol: server rejected %s: %s", op, strings.TrimSpace(string(first)+msg))
-}
-
-// closeWriter is the half-close capability the stream report path depends
-// on: the server only learns a cmdReport stream ended when the write side
-// closes. *net.TCPConn has it; so do *tls.Conn and the unix-socket conn.
-type closeWriter interface{ CloseWrite() error }
-
-// SendWire streams pre-encoded wire reports to the server over one
-// connection in the legacy cmdReport framing and waits for the
-// acknowledgment that every frame was absorbed. All reports must belong to
-// one protocol (the first report's ID is negotiated for the connection);
-// an empty batch is a no-op.
-//
-// The stream framing needs a connection that can half-close (the server
-// reads until EOF); SendWire fails fast with an explicit error on any
-// other connection type instead of hanging both ends. SendWireBatch and
-// IngestConn use the length-prefixed mega-batch framing, which has no EOF
-// dependence at all and also amortizes the dial over many batches.
-func SendWire(ctx context.Context, addr string, reports []proto.WireReport) error {
-	if len(reports) == 0 {
-		return nil
-	}
-	return withConn(ctx, addr, func(conn net.Conn) error {
-		return streamWire(conn, reports)
-	})
-}
-
-// streamWire writes the cmdReport preamble plus every frame, half-closes,
-// and waits for the ACK. Split from SendWire so the half-close contract is
-// testable on a non-TCP connection.
-func streamWire(conn net.Conn, reports []proto.WireReport) error {
-	cw, ok := conn.(closeWriter)
-	if !ok {
-		// Without a half-close the server never sees EOF and both sides
-		// hang: the server waiting for more frames, the client for the ACK.
-		// Fail before the first byte rather than wedge.
-		return fmt.Errorf("protocol: connection type %T cannot half-close (no CloseWrite); the cmdReport stream framing needs EOF — use the mega-batch framing (SendWireBatch/IngestConn) instead", conn)
-	}
-	id := reports[0].ProtocolID()
-	bw := bufio.NewWriter(conn)
-	if err := writePreamble(bw, id, cmdReport); err != nil {
-		return err
-	}
-	for _, wr := range reports {
-		if got := wr.ProtocolID(); got != id {
-			return fmt.Errorf("protocol: mixed protocol IDs in one batch (%#02x and %#02x)", id, got)
-		}
-		if _, err := bw.Write(wr); err != nil {
-			return err
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return err
-	}
-	// Half-close the write side so the server sees EOF, then wait for ACK.
-	if err := cw.CloseWrite(); err != nil {
-		return err
-	}
-	return awaitAck(bufio.NewReader(conn), "batch")
-}
-
-// SendWireBatch delivers pre-encoded wire reports in one cmdReportBatch
-// command over one connection and waits for the acknowledgment. The
-// length-prefixed framing needs no half-close handshake; for repeated
-// batches prefer DialIngest, which amortizes the dial across the whole
-// session. All reports must belong to one protocol; an empty batch is a
-// no-op.
-func SendWireBatch(ctx context.Context, addr string, reports []proto.WireReport) error {
-	if len(reports) == 0 {
-		return nil
-	}
-	c, err := DialIngest(ctx, addr, reports[0].ProtocolID())
-	if err != nil {
-		return err
-	}
-	defer c.Close()
-	return c.SendBatch(ctx, reports)
-}
-
-// SendReports streams PES reports to the server and waits for its
-// acknowledgment (context-free legacy form).
-func SendReports(addr string, reports []core.Report) error {
-	return SendReportsContext(context.Background(), addr, reports)
-}
-
-// SendReportsContext is SendReports with deadline/cancellation propagation.
-// Delivery rides the mega-batch framing (one length-prefixed command, no
-// EOF handshake); the absorbed state is bit-identical to the stream path.
-func SendReportsContext(ctx context.Context, addr string, reports []core.Report) error {
-	wrs := make([]proto.WireReport, len(reports))
-	for i, rep := range reports {
-		wr, err := core.EncodeReportWire(rep)
-		if err != nil {
-			return err
-		}
-		wrs[i] = wr
-	}
-	return SendWireBatch(ctx, addr, wrs)
-}
-
-// IngestConn is a persistent ingest session: one TCP connection carrying
-// any number of cmdReportBatch commands, so the dial (and the per-frame
-// syscall overhead) amortizes across an entire device fleet's worth of
-// reports instead of being paid per batch. It is the client half of the
-// million-device ingest path — cmd/hhload drives servers to saturation
-// through it.
-//
-// An IngestConn is not safe for concurrent use; open one per sending
-// goroutine. After any error the connection is dead: Close it and dial
-// again.
-type IngestConn struct {
-	conn     net.Conn
-	bw       *bufio.Writer
-	br       *bufio.Reader
-	id       byte
-	frameLen int
-}
-
-// DialIngest opens an ingest session to a server for the protocol with the
-// given registered ID. The context bounds the dial only; each SendBatch
-// call takes its own context.
-func DialIngest(ctx context.Context, addr string, id byte) (*IngestConn, error) {
-	codec, ok := proto.Lookup(id)
-	if !ok {
-		return nil, fmt.Errorf("protocol: protocol ID %#02x has no registered codec", id)
-	}
-	var d net.Dialer
-	conn, err := d.DialContext(ctx, "tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	c := &IngestConn{
-		conn:     conn,
-		bw:       bufio.NewWriterSize(conn, 1<<16),
-		br:       bufio.NewReader(conn),
-		id:       id,
-		frameLen: codec.FrameBytes(),
-	}
-	// The protocol ID negotiates once per connection; it flushes with the
-	// first batch.
-	if err := c.bw.WriteByte(id); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	return c, nil
-}
-
-// FrameBytes returns the fixed wire frame length of the session's protocol
-// (the unit SendEncoded slabs must be a multiple of).
-func (c *IngestConn) FrameBytes() int { return c.frameLen }
-
-// Close tears the session down.
-func (c *IngestConn) Close() error { return c.conn.Close() }
-
-// runWithCtx mirrors withConn's deadline/cancellation wiring for one
-// operation on the persistent connection: ctx's deadline becomes the conn
-// deadline for the call, cancellation snaps it into the past, and the
-// deadline is cleared afterwards so later calls start fresh.
-func (c *IngestConn) runWithCtx(ctx context.Context, fn func() error) error {
-	if dl, ok := ctx.Deadline(); ok {
-		if err := c.conn.SetDeadline(dl); err != nil {
-			return err
-		}
-		defer c.conn.SetDeadline(time.Time{}) //nolint:errcheck // best-effort reset
-	}
-	stop := context.AfterFunc(ctx, func() { c.conn.SetDeadline(time.Now()) })
-	defer stop()
-	if err := fn(); err != nil {
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return fmt.Errorf("protocol: %w (%v)", ctxErr, err)
-		}
-		// Same poller-skew handling as withConn: an I/O timeout at ctx's
-		// imminent deadline is the context expiring a hair early.
-		var ne net.Error
-		if errors.As(err, &ne) && ne.Timeout() {
-			if dl, ok := ctx.Deadline(); ok && time.Until(dl) < time.Second {
-				<-ctx.Done()
-				return fmt.Errorf("protocol: %w (%v)", ctx.Err(), err)
-			}
-		}
-		return err
-	}
-	return nil
-}
-
-// SendBatch delivers one mega-batch of pre-encoded reports and waits for
-// the acknowledgment that every frame was absorbed. All reports must carry
-// the session's protocol ID and the codec's exact frame length; an empty
-// batch is a no-op. The whole exchange — header, frames, ACK — stays on
-// the session's connection, so consecutive batches pay zero dials and the
-// frames ride a handful of large writes.
-func (c *IngestConn) SendBatch(ctx context.Context, reports []proto.WireReport) error {
-	if len(reports) == 0 {
-		return nil
-	}
-	if len(reports) > maxBatchFrames {
-		return fmt.Errorf("protocol: batch of %d frames exceeds the %d-frame cap; split it", len(reports), maxBatchFrames)
-	}
+// command sends one command — the command byte, then body — under ctx and
+// hands the reply to read.
+func (c *IngestConn) command(ctx context.Context, read func(br *bufio.Reader) error, cmd byte, body ...[]byte) error {
 	return c.runWithCtx(ctx, func() error {
-		if err := c.bw.WriteByte(cmdReportBatch); err != nil {
+		if err := c.bw.WriteByte(cmd); err != nil {
 			return err
 		}
-		var hdr [4]byte
-		binary.BigEndian.PutUint32(hdr[:], uint32(len(reports)))
-		if _, err := c.bw.Write(hdr[:]); err != nil {
-			return err
-		}
-		for _, wr := range reports {
-			if got := wr.ProtocolID(); got != c.id {
-				return fmt.Errorf("protocol: mixed protocol IDs in one batch (%#02x and %#02x)", c.id, got)
-			}
-			if len(wr) != c.frameLen {
-				return fmt.Errorf("protocol: report of %d bytes in a %d-byte-frame batch", len(wr), c.frameLen)
-			}
-			if _, err := c.bw.Write(wr); err != nil {
+		for _, b := range body {
+			if _, err := c.bw.Write(b); err != nil {
 				return err
 			}
 		}
 		if err := c.bw.Flush(); err != nil {
 			return err
 		}
-		return awaitAck(c.br, "batch")
+		return read(c.br)
+	})
+}
+
+// u32 encodes a command's u32 body field.
+func u32(n int) []byte { return binary.BigEndian.AppendUint32(nil, uint32(n)) }
+
+// SendBatch delivers one mega-batch of pre-encoded reports and waits for
+// the acknowledgment that every frame was absorbed. All reports must carry
+// the session's protocol ID and the codec's exact frame length; the whole
+// batch is checked before its first byte is written, so a bad report never
+// lets part of the batch into the aggregate. An empty batch is a no-op.
+// The whole exchange — header, frames, ACK — stays on the session's
+// connection, so consecutive batches pay zero dials and the frames ride a
+// handful of large writes.
+func (c *IngestConn) SendBatch(ctx context.Context, reports []proto.WireReport) error {
+	for _, wr := range reports {
+		if got := wr.ProtocolID(); got != c.id {
+			return fmt.Errorf("protocol: mixed protocol IDs in one batch (%#02x and %#02x)", c.id, got)
+		}
+		if len(wr) != c.frameLen {
+			return fmt.Errorf("protocol: report of %d bytes in a %d-byte-frame batch", len(wr), c.frameLen)
+		}
+	}
+	return c.sendBatch(ctx, len(reports), func() error {
+		for _, wr := range reports {
+			if _, err := c.bw.Write(wr); err != nil {
+				return err
+			}
+		}
+		return nil
 	})
 }
 
@@ -317,26 +222,32 @@ func (c *IngestConn) SendBatch(ctx context.Context, reports []proto.WireReport) 
 // their fleet's reports densely encoded — the slab goes to the socket as
 // one write, with no per-report slice handling at all.
 func (c *IngestConn) SendEncoded(ctx context.Context, slab []byte) error {
-	if len(slab) == 0 {
-		return nil
-	}
 	if len(slab)%c.frameLen != 0 {
 		return fmt.Errorf("protocol: slab of %d bytes is not a whole number of %d-byte frames", len(slab), c.frameLen)
 	}
-	count := len(slab) / c.frameLen
+	return c.sendBatch(ctx, len(slab)/c.frameLen, func() error {
+		_, err := c.bw.Write(slab)
+		return err
+	})
+}
+
+// sendBatch is the one write path of both batch senders: it frames count
+// already-validated frames, which writeFrames buffers, as one
+// cmdReportBatch command and waits for the acknowledgment.
+func (c *IngestConn) sendBatch(ctx context.Context, count int, writeFrames func() error) error {
+	if count == 0 {
+		return nil
+	}
 	if count > maxBatchFrames {
 		return fmt.Errorf("protocol: batch of %d frames exceeds the %d-frame cap; split it", count, maxBatchFrames)
 	}
 	return c.runWithCtx(ctx, func() error {
-		if err := c.bw.WriteByte(cmdReportBatch); err != nil {
-			return err
-		}
-		var hdr [4]byte
-		binary.BigEndian.PutUint32(hdr[:], uint32(count))
+		hdr := [5]byte{cmdReportBatch}
+		binary.BigEndian.PutUint32(hdr[1:], uint32(count))
 		if _, err := c.bw.Write(hdr[:]); err != nil {
 			return err
 		}
-		if _, err := c.bw.Write(slab); err != nil {
+		if err := writeFrames(); err != nil {
 			return err
 		}
 		if err := c.bw.Flush(); err != nil {
@@ -346,21 +257,31 @@ func (c *IngestConn) SendEncoded(ctx context.Context, slab []byte) error {
 	})
 }
 
-// readEstimates parses the identify reply: u32 count, then per estimate a
-// u16 item length, the item bytes and the count's IEEE 754 bits — so the
-// TCP path returns bit-identical float64 estimates.
-func readEstimates(br *bufio.Reader) ([]proto.Estimate, error) {
+// readReplyHeader reads the u32 count or length that opens an estimate-list
+// or blob reply, relaying the server's textual "ERR ...\n" failure line as
+// an error instead of misparsing it; the callers' caps keep the two
+// unambiguous ("ERR " decodes to ~1.16e9). op names the command in errors.
+func readReplyHeader(br *bufio.Reader, op string) (uint32, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("protocol: reading identify reply: %w", err)
+		return 0, fmt.Errorf("protocol: reading %s reply: %w", op, err)
 	}
-	// The server answers failures with a textual "ERR ...\n" line instead of
-	// an estimate count; relay its message rather than misparsing the bytes.
 	if string(hdr[:]) == "ERR " {
 		msg, _ := br.ReadString('\n')
-		return nil, fmt.Errorf("protocol: server rejected identify: %s", strings.TrimSpace(msg))
+		return 0, fmt.Errorf("protocol: server rejected %s: %s", op, strings.TrimSpace(msg))
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	return binary.BigEndian.Uint32(hdr[:]), nil
+}
+
+// readEstimates parses the estimate-list reply of identify and top-k
+// queries: u32 count, then per estimate a u16 item length, the item bytes
+// and the count's IEEE 754 bits — so the TCP path returns bit-identical
+// float64 estimates.
+func readEstimates(br *bufio.Reader, op string) ([]proto.Estimate, error) {
+	n, err := readReplyHeader(br, op)
+	if err != nil {
+		return nil, err
+	}
 	const maxItems = 1 << 24
 	if n > maxItems {
 		return nil, fmt.Errorf("protocol: implausible estimate count %d", n)
@@ -384,66 +305,60 @@ func readEstimates(br *bufio.Reader) ([]proto.Estimate, error) {
 	return out, nil
 }
 
-// RequestIdentify asks the server to run identification and returns the
-// estimates (context-free legacy form: waits as long as the server takes).
-func RequestIdentify(addr string) ([]proto.Estimate, error) {
-	return RequestIdentifyContext(context.Background(), addr)
+// readBlob parses a u32-length-prefixed blob reply (a snapshot or an
+// encoded round state).
+func readBlob(br *bufio.Reader, op string) ([]byte, error) {
+	n, err := readReplyHeader(br, op)
+	if err != nil {
+		return nil, err
+	}
+	if n > maxSnapshotBytes {
+		return nil, fmt.Errorf("protocol: implausible %s reply length %d", op, n)
+	}
+	blob := make([]byte, n)
+	if _, err := io.ReadFull(br, blob); err != nil {
+		return nil, fmt.Errorf("protocol: reading %s body: %w", op, err)
+	}
+	return blob, nil
 }
 
-// RequestIdentifyContext is RequestIdentify with deadline/cancellation
-// propagation: a wedged or slow server cannot block the caller past the
-// context's deadline.
+// estimates runs a command answered with an estimate list.
+func (c *IngestConn) estimates(ctx context.Context, op string, cmd byte, body ...[]byte) ([]proto.Estimate, error) {
+	var est []proto.Estimate
+	err := c.command(ctx, func(br *bufio.Reader) (err error) {
+		est, err = readEstimates(br, op)
+		return err
+	}, cmd, body...)
+	return est, err
+}
+
+// blob runs a command answered with a length-prefixed blob.
+func (c *IngestConn) blob(ctx context.Context, op string, cmd byte) ([]byte, error) {
+	var blob []byte
+	err := c.command(ctx, func(br *bufio.Reader) (err error) {
+		blob, err = readBlob(br, op)
+		return err
+	}, cmd)
+	return blob, err
+}
+
+// RequestIdentifyContext asks the server to run identification and
+// returns the estimates. A wedged or slow server cannot block the caller
+// past the context's deadline.
 func RequestIdentifyContext(ctx context.Context, addr string) ([]proto.Estimate, error) {
-	var est []proto.Estimate
-	err := withConn(ctx, addr, func(conn net.Conn) error {
-		if err := writePreamble(conn, proto.IDWildcard, cmdIdentify); err != nil {
-			return err
-		}
-		var err error
-		est, err = readEstimates(bufio.NewReader(conn))
-		return err
+	return oneShot(ctx, addr, func(c *IngestConn) ([]proto.Estimate, error) {
+		return c.estimates(ctx, "identify", cmdIdentify)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return est, nil
 }
 
-// QueryTopK asks a streaming aggregation server for its current top-k heavy
-// hitters without retiring the round (context-free legacy form). k <= 0
-// asks for the server's configured answer size. Servers for batch protocols
-// reject the query with an ERR reply.
-func QueryTopK(addr string, k int) ([]proto.Estimate, error) {
-	return QueryTopKContext(context.Background(), addr, k)
-}
-
-// QueryTopKContext is QueryTopK with deadline/cancellation propagation.
+// QueryTopKContext asks a streaming aggregation server for its current
+// top-k heavy hitters without retiring the round. k <= 0 asks for the
+// server's configured answer size. Servers for batch protocols reject the
+// query with an ERR reply.
 func QueryTopKContext(ctx context.Context, addr string, k int) ([]proto.Estimate, error) {
-	if k < 0 {
-		k = 0
-	}
-	var est []proto.Estimate
-	err := withConn(ctx, addr, func(conn net.Conn) error {
-		bw := bufio.NewWriter(conn)
-		if err := writePreamble(bw, proto.IDWildcard, cmdQueryTopK); err != nil {
-			return err
-		}
-		var hdr [4]byte
-		binary.BigEndian.PutUint32(hdr[:], uint32(k))
-		if _, err := bw.Write(hdr[:]); err != nil {
-			return err
-		}
-		if err := bw.Flush(); err != nil {
-			return err
-		}
-		var err error
-		est, err = readEstimates(bufio.NewReader(conn))
-		return err
+	return oneShot(ctx, addr, func(c *IngestConn) ([]proto.Estimate, error) {
+		return c.QueryTopK(ctx, k)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return est, nil
 }
 
 // QueryTopK asks the server for its current top-k over the session's
@@ -451,96 +366,23 @@ func QueryTopKContext(ctx context.Context, addr string, k int) ([]proto.Estimate
 // interleave queries with SendBatch calls without re-dialing. k <= 0 asks
 // for the server's configured answer size.
 func (c *IngestConn) QueryTopK(ctx context.Context, k int) ([]proto.Estimate, error) {
-	if k < 0 {
-		k = 0
-	}
-	var est []proto.Estimate
-	err := c.runWithCtx(ctx, func() error {
-		if err := c.bw.WriteByte(cmdQueryTopK); err != nil {
-			return err
-		}
-		var hdr [4]byte
-		binary.BigEndian.PutUint32(hdr[:], uint32(k))
-		if _, err := c.bw.Write(hdr[:]); err != nil {
-			return err
-		}
-		if err := c.bw.Flush(); err != nil {
-			return err
-		}
-		var err error
-		est, err = readEstimates(c.br)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return est, nil
+	return c.estimates(ctx, "top-k query", cmdQueryTopK, u32(max(k, 0)))
 }
 
-// readRoundState parses the round-command reply: a u32 length prefix plus
-// an encoded proto.RoundState, with the textual "ERR ...\n" failure reply
-// relayed as an error (the length cap keeps the two unambiguous).
-func readRoundState(br *bufio.Reader, op string) (proto.RoundState, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return proto.RoundState{}, fmt.Errorf("protocol: reading %s reply: %w", op, err)
-	}
-	if string(hdr[:]) == "ERR " {
-		msg, _ := br.ReadString('\n')
-		return proto.RoundState{}, fmt.Errorf("protocol: server rejected %s: %s", op, strings.TrimSpace(msg))
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > maxSnapshotBytes {
-		return proto.RoundState{}, fmt.Errorf("protocol: implausible round state length %d", n)
-	}
-	blob := make([]byte, n)
-	if _, err := io.ReadFull(br, blob); err != nil {
-		return proto.RoundState{}, fmt.Errorf("protocol: reading %s body: %w", op, err)
-	}
-	return proto.DecodeRoundState(blob)
-}
-
-// requestRound issues one round command (read or advance) over a fresh
-// connection.
-func requestRound(ctx context.Context, addr string, cmd byte, op string) (proto.RoundState, error) {
-	var rs proto.RoundState
-	err := withConn(ctx, addr, func(conn net.Conn) error {
-		if err := writePreamble(conn, proto.IDWildcard, cmd); err != nil {
-			return err
-		}
-		var err error
-		rs, err = readRoundState(bufio.NewReader(conn), op)
-		return err
-	})
-	return rs, err
-}
-
-// RequestRound asks an interactive aggregation server for the open round's
-// broadcast state — the candidate-prefix set the round's user group reports
-// against. Servers for single-round protocols reject the command with an
-// ERR reply (context-free legacy form).
-func RequestRound(addr string) (proto.RoundState, error) {
-	return RequestRoundContext(context.Background(), addr)
-}
-
-// RequestRoundContext is RequestRound with deadline/cancellation
-// propagation.
+// RequestRoundContext asks an interactive aggregation server for the open
+// round's broadcast state — the candidate-prefix set the round's user group
+// reports against. Servers for single-round protocols reject the command
+// with an ERR reply.
 func RequestRoundContext(ctx context.Context, addr string) (proto.RoundState, error) {
-	return requestRound(ctx, addr, cmdRound, "round")
+	return oneShot(ctx, addr, func(c *IngestConn) (proto.RoundState, error) { return c.Round(ctx) })
 }
 
-// AdvanceRound asks an interactive aggregation server to finalize the open
-// round and open the next one, returning the new broadcast state (Done once
-// the final round committed). When the server checkpoints, the transition
-// is durable before this reply arrives (context-free legacy form).
-func AdvanceRound(addr string) (proto.RoundState, error) {
-	return AdvanceRoundContext(context.Background(), addr)
-}
-
-// AdvanceRoundContext is AdvanceRound with deadline/cancellation
-// propagation.
+// AdvanceRoundContext asks an interactive aggregation server to finalize
+// the open round and open the next one, returning the new broadcast state
+// (Done once the final round committed). When the server checkpoints, the
+// transition is durable before this reply arrives.
 func AdvanceRoundContext(ctx context.Context, addr string) (proto.RoundState, error) {
-	return requestRound(ctx, addr, cmdAdvanceRound, "round advance")
+	return oneShot(ctx, addr, func(c *IngestConn) (proto.RoundState, error) { return c.AdvanceRound(ctx) })
 }
 
 // Round reads the open round's broadcast state over the session's
@@ -557,94 +399,36 @@ func (c *IngestConn) AdvanceRound(ctx context.Context) (proto.RoundState, error)
 }
 
 func (c *IngestConn) roundCmd(ctx context.Context, cmd byte, op string) (proto.RoundState, error) {
-	var rs proto.RoundState
-	err := c.runWithCtx(ctx, func() error {
-		if err := c.bw.WriteByte(cmd); err != nil {
-			return err
-		}
-		if err := c.bw.Flush(); err != nil {
-			return err
-		}
-		var err error
-		rs, err = readRoundState(c.br, op)
-		return err
-	})
-	return rs, err
-}
-
-// RequestSnapshot asks an aggregation server for its accumulated state and
-// returns the snapshot bytes, ready to feed a parent aggregator via
-// PushSnapshot (or Mergeable.MergeSnapshot / Restore in process).
-func RequestSnapshot(addr string) ([]byte, error) {
-	return RequestSnapshotContext(context.Background(), addr)
-}
-
-// RequestSnapshotContext is RequestSnapshot with deadline/cancellation
-// propagation.
-func RequestSnapshotContext(ctx context.Context, addr string) ([]byte, error) {
-	var snap []byte
-	err := withConn(ctx, addr, func(conn net.Conn) error {
-		if err := writePreamble(conn, proto.IDWildcard, cmdSnapshot); err != nil {
-			return err
-		}
-		br := bufio.NewReader(conn)
-		var hdr [4]byte
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			return fmt.Errorf("protocol: reading snapshot reply: %w", err)
-		}
-		// Failures arrive as a textual "ERR ...\n" line instead of a length;
-		// the cap below keeps the two unambiguous ("ERR " decodes above it).
-		if string(hdr[:]) == "ERR " {
-			msg, _ := br.ReadString('\n')
-			return fmt.Errorf("protocol: server rejected snapshot: %s", strings.TrimSpace(msg))
-		}
-		n := binary.BigEndian.Uint32(hdr[:])
-		if n > maxSnapshotBytes {
-			return fmt.Errorf("protocol: implausible snapshot length %d", n)
-		}
-		snap = make([]byte, n)
-		if _, err := io.ReadFull(br, snap); err != nil {
-			return fmt.Errorf("protocol: reading snapshot body: %w", err)
-		}
-		return nil
-	})
+	blob, err := c.blob(ctx, op, cmd)
 	if err != nil {
-		return nil, err
+		return proto.RoundState{}, err
 	}
-	return snap, nil
+	return proto.DecodeRoundState(blob)
 }
 
-// PushSnapshot ships a leaf aggregator's snapshot to a parent server, which
-// merges it into its own state, and waits for the acknowledgment. The two
-// ends must run protocols with matching parameters (for PES: equal
-// fingerprints — same Params.Seed and sketch geometry); a mismatch is
-// rejected server-side before any state changes.
-func PushSnapshot(addr string, snap []byte) error {
-	return PushSnapshotContext(context.Background(), addr, snap)
+// RequestSnapshotContext asks an aggregation server for its accumulated
+// state and returns the snapshot bytes, ready to feed a parent aggregator
+// via PushSnapshotContext (or Mergeable.MergeSnapshot / Restore in
+// process).
+func RequestSnapshotContext(ctx context.Context, addr string) ([]byte, error) {
+	return oneShot(ctx, addr, func(c *IngestConn) ([]byte, error) {
+		return c.blob(ctx, "snapshot", cmdSnapshot)
+	})
 }
 
-// PushSnapshotContext is PushSnapshot with deadline/cancellation
-// propagation.
+// PushSnapshotContext ships a leaf aggregator's snapshot to a parent
+// server, which merges it into its own state, and waits for the
+// acknowledgment. The two ends must run protocols with matching parameters
+// (for PES: equal fingerprints — same Params.Seed and sketch geometry); a
+// mismatch is rejected server-side before any state changes.
 func PushSnapshotContext(ctx context.Context, addr string, snap []byte) error {
 	if len(snap) > maxSnapshotBytes {
 		return fmt.Errorf("protocol: snapshot of %d bytes exceeds transfer cap", len(snap))
 	}
-	return withConn(ctx, addr, func(conn net.Conn) error {
-		bw := bufio.NewWriter(conn)
-		if err := writePreamble(bw, proto.IDWildcard, cmdMergeSnapshot); err != nil {
-			return err
-		}
-		var hdr [4]byte
-		binary.BigEndian.PutUint32(hdr[:], uint32(len(snap)))
-		if _, err := bw.Write(hdr[:]); err != nil {
-			return err
-		}
-		if _, err := bw.Write(snap); err != nil {
-			return err
-		}
-		if err := bw.Flush(); err != nil {
-			return err
-		}
-		return awaitAck(bufio.NewReader(conn), "snapshot merge")
+	_, err := oneShot(ctx, addr, func(c *IngestConn) (struct{}, error) {
+		return struct{}{}, c.command(ctx, func(br *bufio.Reader) error {
+			return awaitAck(br, "snapshot merge")
+		}, cmdMergeSnapshot, u32(len(snap)), snap)
 	})
+	return err
 }

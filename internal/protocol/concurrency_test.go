@@ -2,21 +2,24 @@ package protocol
 
 import (
 	"bytes"
+	"context"
+	"math"
 	"math/rand/v2"
 	"sync"
 	"testing"
 
 	"ldphh/internal/core"
+	"ldphh/internal/proto"
 	"ldphh/internal/workload"
 )
 
-// TestConcurrentIngestionMatchesSequential is the sharded-ingestion
-// correctness gate (run under -race in CI): many goroutine clients stream
-// frames to one server over concurrent connections, and the result must be
-// indistinguishable from absorbing the same reports sequentially into a
+// TestConcurrentIngestionMatchesSequential is the concurrent-ingestion
+// correctness gate (run under -race in CI): many goroutine clients send
+// batches to one server over concurrent connections, and the result must
+// be indistinguishable from absorbing the same reports sequentially into a
 // fresh protocol — same absorbed count, bit-identical identification.
-// Equality is exact, not approximate: every counter is an integer-valued
-// float64, so merge order cannot perturb any estimate.
+// Equality is exact, not approximate: every counter is an exact integer, so
+// absorption order cannot perturb any estimate.
 func TestConcurrentIngestionMatchesSequential(t *testing.T) {
 	const (
 		n       = 8000
@@ -65,21 +68,18 @@ func TestConcurrentIngestionMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Concurrent network round: every client streams its batch over its own
+	// Concurrent network round: every client sends its batch over its own
 	// connection simultaneously.
-	srv, err := NewServer(params, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	srv := pesServer(t, params)
+	ctx := context.Background()
 	var wg sync.WaitGroup
 	errs := make(chan error, clients)
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
-		go func(batch []core.Report) {
+		go func(batch []proto.WireReport) {
 			defer wg.Done()
-			errs <- SendReports(srv.Addr(), batch)
-		}(batches[c])
+			errs <- SendWireBatch(ctx, srv.Addr(), batch)
+		}(encodeReports(t, batches[c]))
 	}
 	wg.Wait()
 	close(errs)
@@ -92,7 +92,7 @@ func TestConcurrentIngestionMatchesSequential(t *testing.T) {
 	if got := srv.Absorbed(); got != n {
 		t.Fatalf("server absorbed %d of %d reports", got, n)
 	}
-	got, err := RequestIdentify(srv.Addr())
+	got, err := RequestIdentifyContext(ctx, srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,107 +104,11 @@ func TestConcurrentIngestionMatchesSequential(t *testing.T) {
 		if !bytes.Equal(got[i].Item, want[i].Item) {
 			t.Fatalf("rank %d item %x, sequential %x", i, got[i].Item, want[i].Item)
 		}
-		// The identify reply truncates counts to int64 on the wire; compare
-		// at wire granularity.
-		if int64(got[i].Count) != int64(want[i].Count) {
+		// Identify replies carry the counts' exact IEEE 754 bits.
+		if math.Float64bits(got[i].Count) != math.Float64bits(want[i].Count) {
 			t.Fatalf("rank %d count %v, sequential %v", i, got[i].Count, want[i].Count)
 		}
 	}
-}
-
-// TestAccumulatorShardEquivalence drives the shard machinery directly (no
-// network): AbsorbBatch across several shard counts and a hand-built
-// accumulator tree must all reproduce the sequential Identify output
-// exactly.
-func TestAccumulatorShardEquivalence(t *testing.T) {
-	const n = 4000
-	params := core.Params{Eps: 4, N: n, ItemBytes: 4, Y: 64, Seed: 99}
-	dom := workload.Domain{ItemBytes: 4}
-	ds, err := workload.Planted(dom, n, []float64{0.35}, rand.New(rand.NewPCG(2, 7)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	client, err := core.NewClient(params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewPCG(3, 3))
-	reports := make([]core.Report, n)
-	for i := range reports {
-		if reports[i], err = client.Report(ds.Items[i], i, rng); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	identify := func(ingest func(p *core.Protocol) error) []core.Estimate {
-		t.Helper()
-		p, err := core.New(params)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ingest(p); err != nil {
-			t.Fatal(err)
-		}
-		if got := p.TotalReports(); got != n {
-			t.Fatalf("ingested %d of %d reports", got, n)
-		}
-		est, err := p.Identify()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return est
-	}
-
-	want := identify(func(p *core.Protocol) error {
-		return p.AbsorbBatch(reports, 1)
-	})
-	for _, shards := range []int{2, 3, 8} {
-		got := identify(func(p *core.Protocol) error {
-			return p.AbsorbBatch(reports, shards)
-		})
-		assertSameEstimates(t, got, want)
-	}
-
-	// Regression: shard counts that don't divide the batch evenly. Ceil
-	// division can exhaust a small batch before the last shard (5 reports
-	// over 4 shards chunks as 2+2+1+nothing), which once sliced out of
-	// range and panicked the ingestion goroutine.
-	for _, tail := range []int{1, 2, 3, 5, 7} {
-		p, err := core.New(params)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := p.AbsorbBatch(reports[:tail], 4); err != nil {
-			t.Fatalf("AbsorbBatch(%d reports, 4 shards): %v", tail, err)
-		}
-		if got := p.TotalReports(); got != tail {
-			t.Fatalf("AbsorbBatch(%d reports, 4 shards) absorbed %d", tail, got)
-		}
-	}
-
-	// Tree aggregation: two leaf shards merged into a third, then into the
-	// protocol — the mergetree deployment shape.
-	got := identify(func(p *core.Protocol) error {
-		left, right := p.NewAccumulator(), p.NewAccumulator()
-		for i, rep := range reports[:n/2] {
-			if err := left.Absorb(rep); err != nil {
-				t.Fatal(i, err)
-			}
-		}
-		for _, rep := range reports[n/2:] {
-			if err := right.Absorb(rep); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := left.Merge(right); err != nil {
-			t.Fatal(err)
-		}
-		if left.Absorbed() != n {
-			t.Fatalf("tree root holds %d reports", left.Absorbed())
-		}
-		return p.Merge(left)
-	})
-	assertSameEstimates(t, got, want)
 }
 
 func assertSameEstimates(t *testing.T, got, want []core.Estimate) {

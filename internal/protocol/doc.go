@@ -14,10 +14,6 @@
 // different protocol than the server aggregates. ID 0x00 is the wildcard
 // for control commands that work against any server.
 //
-//	cmdReport         stream of fixed-size report frames until EOF; reply
-//	                  is one ACK byte after every frame was absorbed. The
-//	                  EOF handshake makes this command terminal: one
-//	                  stream per connection.
 //	cmdReportBatch    u32 frame count, then exactly that many contiguous
 //	                  fixed-size frames; reply is one ACK byte. The count
 //	                  makes the body self-delimiting (no half-close
@@ -26,7 +22,10 @@
 //	                  connection carries any number of mega-batches. This
 //	                  is the million-device ingest framing — one syscall
 //	                  carries thousands of reports and the dial amortizes
-//	                  across the session (DialIngest/IngestConn).
+//	                  across the session (DialIngest/IngestConn). It is
+//	                  the only report framing: one device's report is a
+//	                  batch of one. Command 0x01 (the retired EOF-terminated
+//	                  stream) stays reserved.
 //	cmdIdentify       no body; reply is u32 count, then per estimate
 //	                  u16 item length + item + f64 count (IEEE 754 bits, so
 //	                  the TCP path returns bit-identical estimates).
@@ -40,61 +39,15 @@
 //	cmdSnapshot       no body; reply is u32 length + snapshot blob
 //	                  (Mergeable aggregators only).
 //	cmdMergeSnapshot  u32 length + snapshot blob; reply is one ACK byte.
+//	cmdRound          no body; reply is u32 length + the open round's
+//	                  encoded proto.RoundState (interactive aggregators
+//	                  only). Pipelined.
+//	cmdAdvanceRound   no body; finalizes the open round and replies with
+//	                  the next round's state, framed like cmdRound.
+//	                  Pipelined.
 //
 // A report frame is a complete proto.WireReport — [ID][codec version] +
-// fixed payload — so a stream is also self-describing frame by frame and a
+// fixed payload — so a batch is also self-describing frame by frame and a
 // misrouted or corrupted report is rejected by the aggregator, not
 // misparsed.
 package protocol
-
-import (
-	"fmt"
-	"io"
-
-	"ldphh/internal/core"
-	"ldphh/internal/proto"
-)
-
-// Version is the PES wire codec version (byte 1 of every PES report frame).
-const Version = 1
-
-// FrameSize is the PES report frame: the 2-byte [protocol ID][version]
-// header plus core.ReportPayloadBytes — the constant Protocol.BytesPerReport
-// (the Table 1 communication metric) answers from — so the two cannot
-// drift apart. Other protocols' frame sizes come from their registry
-// entries (proto.Codec.FrameBytes).
-const FrameSize = 2 + core.ReportPayloadBytes
-
-// EncodeReport serializes a PES report into a fresh wire frame.
-func EncodeReport(rep core.Report) ([]byte, error) {
-	wr, err := core.EncodeReportWire(rep)
-	return []byte(wr), err
-}
-
-// DecodeReport parses and validates one PES wire frame.
-func DecodeReport(buf []byte) (core.Report, error) {
-	return core.DecodeReportWire(proto.WireReport(buf))
-}
-
-// WriteFrame writes one encoded PES report to w.
-func WriteFrame(w io.Writer, rep core.Report) error {
-	buf, err := EncodeReport(rep)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(buf)
-	return err
-}
-
-// ReadFrame reads one PES report from r. Returns io.EOF cleanly at end of
-// stream.
-func ReadFrame(r io.Reader) (core.Report, error) {
-	buf := make([]byte, FrameSize)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		if err == io.ErrUnexpectedEOF {
-			return core.Report{}, fmt.Errorf("protocol: truncated frame: %w", err)
-		}
-		return core.Report{}, err
-	}
-	return DecodeReport(buf)
-}

@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -244,7 +245,7 @@ func TestServerAllProtocols(t *testing.T) {
 				wg.Add(1)
 				go func(batch []proto.WireReport) {
 					defer wg.Done()
-					errs <- SendWire(context.Background(), srv.Addr(), batch)
+					errs <- SendWireBatch(context.Background(), srv.Addr(), batch)
 				}(batch)
 			}
 			wg.Wait()
@@ -303,26 +304,25 @@ func TestServerRejectsForeignProtocol(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := SendWire(context.Background(), srv.Addr(), []proto.WireReport{wr}); err == nil {
+	if err := SendWireBatch(context.Background(), srv.Addr(), []proto.WireReport{wr}); err == nil {
 		t.Fatal("bitstogram server accepted a pes batch")
 	}
 	if got := srv.Absorbed(); got != 0 {
 		t.Fatalf("foreign batch changed absorbed count to %d", got)
 	}
 	// A frame whose ID disagrees with the (accepted) preamble is rejected by
-	// the aggregator mid-stream: open as wildcard and smuggle the PES frame.
+	// the aggregator mid-batch: open as wildcard and smuggle the PES frame.
 	conn, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	msg := append([]byte{proto.IDWildcard, cmdReport}, wr...)
+	msg := append([]byte{proto.IDWildcard, cmdReportBatch, 0, 0, 0, 1}, wr...)
 	// Pad to the bitstogram frame length so the server reads a full frame.
 	msg = append(msg, make([]byte, 2)...)
 	if _, err := conn.Write(msg); err != nil {
 		t.Fatal(err)
 	}
-	conn.(*net.TCPConn).CloseWrite()
 	reply := make([]byte, 64)
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 	n, _ := conn.Read(reply)
@@ -351,10 +351,11 @@ func TestSnapshotUnsupportedProtocol(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	if _, err := RequestSnapshot(srv.Addr()); err == nil {
+	ctx := context.Background()
+	if _, err := RequestSnapshotContext(ctx, srv.Addr()); err == nil {
 		t.Error("snapshot of a non-mergeable protocol accepted")
 	}
-	if err := PushSnapshot(srv.Addr(), []byte("LPSKjunk")); err == nil {
+	if err := PushSnapshotContext(ctx, srv.Addr(), []byte("LPSKjunk")); err == nil {
 		t.Error("merge into a non-mergeable protocol accepted")
 	}
 }
@@ -391,20 +392,21 @@ func TestMergeableGenericServer(t *testing.T) {
 		}
 		reports = append(reports, wr)
 	}
-	if err := SendWire(context.Background(), leaf.Addr(), reports); err != nil {
+	ctx := context.Background()
+	if err := SendWireBatch(ctx, leaf.Addr(), reports); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := RequestSnapshot(leaf.Addr())
+	snap, err := RequestSnapshotContext(ctx, leaf.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := PushSnapshot(root.Addr(), snap); err != nil {
+	if err := PushSnapshotContext(ctx, root.Addr(), snap); err != nil {
 		t.Fatal(err)
 	}
 	if got := root.Absorbed(); got != 2000 {
 		t.Fatalf("root absorbed %d reports via snapshot merge, want 2000", got)
 	}
-	est, err := RequestIdentify(root.Addr())
+	est, err := RequestIdentifyContext(ctx, root.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,14 +448,15 @@ func wedgedListener(t *testing.T) net.Listener {
 }
 
 // TestContextClientsAgainstWedgedServer is the regression for the context
-// plumbing fix: the legacy clients blocked forever on a stalled server;
-// the ctx-aware variants must return promptly with the context's error
-// once the deadline passes or the caller cancels.
+// plumbing: against a stalled server every client call — one-shot and
+// session alike — must return promptly with the context's error once the
+// deadline passes or the caller cancels.
 func TestContextClientsAgainstWedgedServer(t *testing.T) {
 	ln := wedgedListener(t)
 	addr := ln.Addr().String()
 
-	expectDeadline := func(name string, f func(ctx context.Context) error) {
+	// op, when set, is the operation the error must name.
+	expectDeadline := func(name, op string, f func(ctx context.Context) error) {
 		t.Helper()
 		ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
 		defer cancel()
@@ -466,29 +469,66 @@ func TestContextClientsAgainstWedgedServer(t *testing.T) {
 		if !errors.Is(err, context.DeadlineExceeded) {
 			t.Fatalf("%s error %v does not wrap context.DeadlineExceeded", name, err)
 		}
+		if op != "" && !strings.Contains(err.Error(), op) {
+			t.Fatalf("%s error %q does not name the %s", name, err, op)
+		}
 		if elapsed > 3*time.Second {
 			t.Fatalf("%s took %v to honor a 150ms deadline", name, elapsed)
 		}
 	}
 
-	expectDeadline("RequestIdentifyContext", func(ctx context.Context) error {
+	expectDeadline("RequestIdentifyContext", "", func(ctx context.Context) error {
 		_, err := RequestIdentifyContext(ctx, addr)
 		return err
 	})
-	expectDeadline("RequestSnapshotContext", func(ctx context.Context) error {
+	expectDeadline("QueryTopKContext", "top-k query", func(ctx context.Context) error {
+		_, err := QueryTopKContext(ctx, addr, 4)
+		return err
+	})
+	expectDeadline("RequestRoundContext", "", func(ctx context.Context) error {
+		_, err := RequestRoundContext(ctx, addr)
+		return err
+	})
+	expectDeadline("AdvanceRoundContext", "", func(ctx context.Context) error {
+		_, err := AdvanceRoundContext(ctx, addr)
+		return err
+	})
+	expectDeadline("RequestSnapshotContext", "", func(ctx context.Context) error {
 		_, err := RequestSnapshotContext(ctx, addr)
 		return err
 	})
-	expectDeadline("PushSnapshotContext", func(ctx context.Context) error {
+	expectDeadline("PushSnapshotContext", "", func(ctx context.Context) error {
 		return PushSnapshotContext(ctx, addr, []byte("LPSKwedged"))
 	})
-	expectDeadline("SendReportsContext", func(ctx context.Context) error {
+	one := wireReports(t, 13, 1)
+	expectDeadline("SendWireBatch", "", func(ctx context.Context) error {
 		// A report batch: the server never reads, so the ack read blocks.
-		return SendReportsContext(ctx, addr, []core.Report{{
-			M:    0,
-			Dir:  freqoracle.DirectReport{Col: 0, Bit: 1},
-			Conf: freqoracle.HashtogramReport{Row: 0, Col: 0, Bit: 1},
-		}})
+		return SendWireBatch(ctx, addr, one)
+	})
+
+	// Session calls: each on its own session, since a timed-out call leaves
+	// the connection dead.
+	session := func() *IngestConn {
+		c, err := DialIngest(context.Background(), addr, proto.IDPrivateExpanderSketch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		return c
+	}
+	c := session()
+	expectDeadline("IngestConn.SendEncoded", "", func(ctx context.Context) error {
+		return c.SendEncoded(ctx, make([]byte, c.FrameBytes()))
+	})
+	c = session()
+	expectDeadline("IngestConn.QueryTopK", "top-k query", func(ctx context.Context) error {
+		_, err := c.QueryTopK(ctx, 4)
+		return err
+	})
+	c = session()
+	expectDeadline("IngestConn.Round", "", func(ctx context.Context) error {
+		_, err := c.Round(ctx)
+		return err
 	})
 
 	// Cancellation (no deadline) must interrupt blocked I/O too.

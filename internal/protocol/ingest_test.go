@@ -17,47 +17,44 @@ import (
 	"ldphh/internal/proto"
 )
 
-// ingestServer builds a fresh PES server plus a deterministic wire-report
-// population shared across delivery paths.
+// ingestServer builds a fresh PES server for the treeParams(seed) round;
+// wireReports is that round's deterministic wire-report population.
 func ingestServer(t testing.TB, seed uint64) *Server {
 	t.Helper()
-	srv, err := NewServer(treeParams(seed), "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	return srv
+	return pesServer(t, treeParams(seed))
 }
 
 func wireReports(t testing.TB, seed uint64, n int) []proto.WireReport {
 	t.Helper()
-	reps := treeReports(t, treeParams(seed), n)
-	wrs := make([]proto.WireReport, n)
-	for i, rep := range reps {
-		wr, err := core.EncodeReportWire(rep)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wrs[i] = wr
-	}
-	return wrs
+	return encodeReports(t, treeReports(t, treeParams(seed), n))
 }
 
-// TestMegaBatchEquivalentToStream: the same report multiset delivered over
-// the legacy cmdReport stream, one cmdReportBatch command, and a pipelined
-// IngestConn session (batches crossing both the shardAfter graduation and
-// the window boundary) must produce bit-identical aggregate state — same
+// TestMegaBatchMatchesInProcess: the same report multiset delivered as one
+// cmdReportBatch command and as a pipelined IngestConn session (batches
+// crossing the window boundary within a command and the command boundary)
+// must produce the state of absorbing the reports in process — same
 // TotalReports, bit-identical Identify estimates.
-func TestMegaBatchEquivalentToStream(t *testing.T) {
+func TestMegaBatchMatchesInProcess(t *testing.T) {
 	const n = 9000
 	const seed = 4242
 	wrs := wireReports(t, seed, n)
 	ctx := context.Background()
 
+	ref, err := core.NewPESWire(treeParams(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, wr := range wrs {
+		if err := ref.Absorb(wr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := ref.Identify(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+
 	deliver := map[string]func(addr string) error{
-		"stream": func(addr string) error {
-			return SendWire(ctx, addr, wrs)
-		},
 		"one-batch": func(addr string) error {
 			return SendWireBatch(ctx, addr, wrs)
 		},
@@ -78,40 +75,26 @@ func TestMegaBatchEquivalentToStream(t *testing.T) {
 			return nil
 		},
 	}
-
-	type outcome struct {
-		absorbed int
-		est      []proto.Estimate
-	}
-	results := map[string]outcome{}
 	for name, send := range deliver {
 		srv := ingestServer(t, seed)
 		if err := send(srv.Addr()); err != nil {
 			t.Fatalf("%s delivery: %v", name, err)
 		}
-		if got := srv.Absorbed(); got != n {
-			t.Fatalf("%s delivery absorbed %d of %d", name, got, n)
+		if got := srv.Absorbed(); got != ref.TotalReports() {
+			t.Fatalf("%s delivery absorbed %d, in process %d", name, got, ref.TotalReports())
 		}
-		est, err := RequestIdentify(srv.Addr())
+		got, err := RequestIdentifyContext(ctx, srv.Addr())
 		if err != nil {
 			t.Fatalf("%s identify: %v", name, err)
 		}
-		results[name] = outcome{srv.Absorbed(), est}
-	}
-
-	ref := results["stream"]
-	for name, got := range results {
-		if got.absorbed != ref.absorbed {
-			t.Errorf("%s absorbed %d, stream absorbed %d", name, got.absorbed, ref.absorbed)
+		if len(got) != len(want) {
+			t.Fatalf("%s identified %d items, in process %d", name, len(got), len(want))
 		}
-		if len(got.est) != len(ref.est) {
-			t.Fatalf("%s identified %d items, stream identified %d", name, len(got.est), len(ref.est))
-		}
-		for i := range got.est {
-			if !bytes.Equal(got.est[i].Item, ref.est[i].Item) ||
-				math.Float64bits(got.est[i].Count) != math.Float64bits(ref.est[i].Count) {
-				t.Errorf("%s estimate %d = (%x, %v), stream = (%x, %v)", name, i,
-					got.est[i].Item, got.est[i].Count, ref.est[i].Item, ref.est[i].Count)
+		for i := range got {
+			if !bytes.Equal(got[i].Item, want[i].Item) ||
+				math.Float64bits(got[i].Count) != math.Float64bits(want[i].Count) {
+				t.Errorf("%s estimate %d = (%x, %v), in process = (%x, %v)", name, i,
+					got[i].Item, got[i].Count, want[i].Item, want[i].Count)
 			}
 		}
 	}
@@ -139,14 +122,14 @@ func TestIngestConnPipelinesBatches(t *testing.T) {
 	if got := srv.Absorbed(); got != batches*per {
 		t.Fatalf("absorbed %d of %d across a pipelined connection", got, batches*per)
 	}
-	if _, err := RequestIdentify(srv.Addr()); err != nil {
+	if _, err := RequestIdentifyContext(ctx, srv.Addr()); err != nil {
 		t.Fatalf("identify after pipelined ingest: %v", err)
 	}
 }
 
 // TestBatchFramingNeedsNoHalfClose: the length-prefixed mega-batch framing
 // must work over a connection with no CloseWrite at all (net.Pipe) — the
-// EOF dependence of the stream framing is gone.
+// count header, not an EOF, ends each batch.
 func TestBatchFramingNeedsNoHalfClose(t *testing.T) {
 	srv := ingestServer(t, 99)
 	wrs := wireReports(t, 99, 600)
@@ -165,7 +148,7 @@ func TestBatchFramingNeedsNoHalfClose(t *testing.T) {
 		bw:       bufio.NewWriterSize(cli, 1<<16),
 		br:       bufio.NewReader(cli),
 		id:       proto.IDPrivateExpanderSketch,
-		frameLen: FrameSize,
+		frameLen: 2 + core.ReportPayloadBytes,
 	}
 	if err := c.bw.WriteByte(c.id); err != nil {
 		t.Fatal(err)
@@ -186,23 +169,6 @@ func TestBatchFramingNeedsNoHalfClose(t *testing.T) {
 	case <-handleDone:
 	case <-time.After(5 * time.Second):
 		t.Fatal("handler did not exit after the pipe closed")
-	}
-}
-
-// TestStreamRequiresCloseWrite: the legacy stream framing on a connection
-// that cannot half-close must fail fast with an explicit error instead of
-// wedging both ends waiting for an EOF that never comes.
-func TestStreamRequiresCloseWrite(t *testing.T) {
-	cli, srvConn := net.Pipe()
-	defer cli.Close()
-	defer srvConn.Close()
-	wrs := wireReports(t, 13, 1)
-	err := streamWire(cli, wrs)
-	if err == nil {
-		t.Fatal("stream framing accepted a connection with no CloseWrite")
-	}
-	if !strings.Contains(err.Error(), "half-close") {
-		t.Fatalf("error %q does not explain the missing half-close", err)
 	}
 }
 
@@ -240,44 +206,10 @@ func poisonVersion(wr proto.WireReport) proto.WireReport {
 	return bad
 }
 
-// TestStreamPoisonedFrameDrained: when Absorb fails mid-stream the server
-// must drain the rest of the stream before replying ERR. Regression: it
-// used to stop reading immediately, so a context-free client still
-// writing a multi-megabyte stream wedged against a full send buffer (or
-// died on RST) and never saw the real error.
-func TestStreamPoisonedFrameDrained(t *testing.T) {
-	srv := ingestServer(t, 31)
-	good := wireReports(t, 31, 6)
-	// ~6.5 MB of stream after the poison — far beyond the socket buffers,
-	// so an undrained server provably wedges or resets this client.
-	const tail = 400_000
-	wrs := make([]proto.WireReport, 0, 6+tail)
-	wrs = append(wrs, good[:5]...)
-	wrs = append(wrs, poisonVersion(good[5]))
-	for i := 0; i < tail; i++ {
-		wrs = append(wrs, good[5])
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	err := SendWire(ctx, srv.Addr(), wrs)
-	if err == nil {
-		t.Fatal("poisoned stream accepted")
-	}
-	if !strings.Contains(err.Error(), "rejected") {
-		t.Fatalf("client saw %q instead of the server's ERR reply (wedged or reset mid-write?)", err)
-	}
-	if got := srv.Absorbed(); got != 5 {
-		t.Fatalf("absorbed %d reports, want the 5-frame valid prefix", got)
-	}
-	// The server survived the poisoned connection.
-	if err := SendWireBatch(ctx, srv.Addr(), good[:5]); err != nil {
-		t.Fatalf("server wedged after a poisoned stream: %v", err)
-	}
-}
-
-// TestBatchPoisonedFrameDrained is the mega-batch twin: an AbsorbBatch
-// failure mid-command drains the declared remainder (its exact length is
-// known) before the ERR reply, and the valid prefix keeps counting.
+// TestBatchPoisonedFrameDrained: an AbsorbBatch failure mid-command drains
+// the declared remainder (its exact length is known) before the ERR reply,
+// so a sender still writing never wedges, and the valid prefix keeps
+// counting.
 func TestBatchPoisonedFrameDrained(t *testing.T) {
 	srv := ingestServer(t, 32)
 	good := wireReports(t, 32, 400)
@@ -306,37 +238,37 @@ func TestBatchPoisonedFrameDrained(t *testing.T) {
 	}
 }
 
-// TestWindowedAbsorbErrorValidPrefix pins the unified error semantics of
-// the windowed stream branch. Regression: an AbsorbBatch failure on a
-// full mid-stream window used to return immediately — no drain, different
-// accounting than the tail flush. Now every path counts the valid prefix
-// (every frame up to the first invalid one) and the client reads the real
-// ERR reply.
-func TestWindowedAbsorbErrorValidPrefix(t *testing.T) {
-	srv := ingestServer(t, 33)
-	const prefix = shardAfter + 100 // poison lands inside the first window
-	total := shardAfter + windowFrames + 1000
-	good := wireReports(t, 33, prefix+1)
-	wrs := make([]proto.WireReport, 0, total+1)
-	wrs = append(wrs, good[:prefix]...)
-	wrs = append(wrs, poisonVersion(good[prefix]))
-	for len(wrs) < total {
-		wrs = append(wrs, good[0])
-	}
+// TestSendBatchValidatesBeforeWriting: a batch with a bad report late in it
+// is refused before its first byte is written, so no part of it reaches the
+// aggregate and the session stays usable. Regression: SendBatch checked
+// each report while writing, so a report one byte short at index 8999
+// failed the call only after the client's 64 KiB flushes had delivered a
+// whole 4096-frame window, which a corrected resend then counted twice.
+func TestSendBatchValidatesBeforeWriting(t *testing.T) {
+	const n = 9000
+	srv := ingestServer(t, 34)
+	wrs := wireReports(t, 34, n)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	err := SendWire(ctx, srv.Addr(), wrs)
-	if err == nil {
-		t.Fatal("poisoned windowed stream accepted")
+	c, err := DialIngest(ctx, srv.Addr(), proto.IDPrivateExpanderSketch)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(err.Error(), "rejected") {
-		t.Fatalf("client saw %q instead of the server's ERR reply", err)
+	defer c.Close()
+
+	bad := append([]proto.WireReport(nil), wrs...)
+	bad[n-1] = bad[n-1][:len(bad[n-1])-1]
+	if err := c.SendBatch(ctx, bad); err == nil || !strings.Contains(err.Error(), "byte-frame batch") {
+		t.Fatalf("batch with a short report: err = %v, want the frame-length refusal", err)
 	}
-	if got := srv.Absorbed(); got != prefix {
-		t.Fatalf("TotalReports = %d, want the %d-frame valid prefix (same as the tail-flush semantics)", got, prefix)
+	if got := srv.Absorbed(); got != 0 {
+		t.Fatalf("refused batch let %d reports into the aggregate", got)
 	}
-	if err := SendWireBatch(ctx, srv.Addr(), good[:10]); err != nil {
-		t.Fatalf("server wedged after the windowed error: %v", err)
+	if err := c.SendBatch(ctx, wrs); err != nil {
+		t.Fatalf("good batch on the same session after a refused one: %v", err)
+	}
+	if got := srv.Absorbed(); got != n {
+		t.Fatalf("absorbed %d reports, want exactly the %d of the good batch", got, n)
 	}
 }
 
@@ -427,40 +359,24 @@ func TestBatchDecodeAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkIngestWire measures end-to-end delivered reports/sec of the two
-// wire framings over real TCP — the per-frame stream path against the
-// mega-batch path — so the gain shows up in `go test -bench IngestWire`.
+// BenchmarkIngestWire measures end-to-end delivered reports/sec of the
+// mega-batch wire over real TCP: 4096-frame batches pipelined on one
+// IngestConn session.
 func BenchmarkIngestWire(b *testing.B) {
-	for _, mode := range []string{"stream", "batch"} {
-		b.Run(mode, func(b *testing.B) {
-			params := treeParams(17)
-			srv, err := NewServer(params, "127.0.0.1:0")
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer srv.Close()
-			wrs := wireReports(b, 17, 4096)
-			ctx := context.Background()
-			var c *IngestConn
-			if mode == "batch" {
-				if c, err = DialIngest(ctx, srv.Addr(), proto.IDPrivateExpanderSketch); err != nil {
-					b.Fatal(err)
-				}
-				defer c.Close()
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if mode == "batch" {
-					err = c.SendBatch(ctx, wrs)
-				} else {
-					err = SendWire(ctx, srv.Addr(), wrs)
-				}
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(b.N*len(wrs))/b.Elapsed().Seconds(), "reports/s")
-		})
+	srv := ingestServer(b, 17)
+	wrs := wireReports(b, 17, 4096)
+	ctx := context.Background()
+	c, err := DialIngest(ctx, srv.Addr(), proto.IDPrivateExpanderSketch)
+	if err != nil {
+		b.Fatal(err)
 	}
+	defer c.Close()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := c.SendBatch(ctx, wrs); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.N*len(wrs))/b.Elapsed().Seconds(), "reports/s")
 }

@@ -190,7 +190,7 @@ func TestIdentifyStillWorksWithWatcher(t *testing.T) {
 	if err := SendWireBatch(context.Background(), srv.Addr(), wireReports(t, 2718, 4000)); err != nil {
 		t.Fatal(err)
 	}
-	est, err := RequestIdentify(srv.Addr())
+	est, err := RequestIdentifyContext(context.Background(), srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestCrashRecoveryEquivalence(t *testing.T) {
 		if err := SendWireBatch(ctx, srv.Addr(), wrs); err != nil {
 			t.Fatal(err)
 		}
-		est, err := RequestIdentify(srv.Addr())
+		est, err := RequestIdentifyContext(ctx, srv.Addr())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -330,7 +330,7 @@ func TestCrashRecoveryEquivalence(t *testing.T) {
 			if got := srv2.Absorbed(); got != n {
 				t.Fatalf("after replay the server holds %d reports, want %d", got, n)
 			}
-			est, err := RequestIdentify(srv2.Addr())
+			est, err := RequestIdentifyContext(ctx, srv2.Addr())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -391,7 +391,7 @@ func TestGracefulShutdownCheckpointsTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RequestIdentify(srv2.Addr())
+	got, err := RequestIdentifyContext(ctx, srv2.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -550,8 +550,8 @@ func TestMetricsEndpoints(t *testing.T) {
 // Mergeable capability (Bitstogram's ID, none of its methods needed here).
 type unsnapshottableAgg struct{}
 
-func (unsnapshottableAgg) ProtocolID() byte                  { return proto.IDBitstogram }
-func (unsnapshottableAgg) Absorb(proto.WireReport) error     { return nil }
+func (unsnapshottableAgg) ProtocolID() byte                     { return proto.IDBitstogram }
+func (unsnapshottableAgg) Absorb(proto.WireReport) error        { return nil }
 func (unsnapshottableAgg) AbsorbBatch([]proto.WireReport) error { return nil }
 func (unsnapshottableAgg) Identify(context.Context) ([]proto.Estimate, error) {
 	return nil, fmt.Errorf("not implemented")

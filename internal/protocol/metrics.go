@@ -27,7 +27,7 @@ type Metrics struct {
 
 	reportsAbsorbed atomic.Int64 // reports accepted into the aggregator via this server
 	batchesAbsorbed atomic.Int64 // mega-batch commands completed
-	absorbErrors    atomic.Int64 // absorb/decode failures (stream, batch and merge paths)
+	absorbErrors    atomic.Int64 // absorb/decode failures (batch and merge paths)
 	windowDepth     atomic.Int64 // ingest windows currently folding into the aggregator
 
 	identifies        atomic.Int64
@@ -145,7 +145,7 @@ func (m *Metrics) writeProm(w *bufio.Writer, resident int, listenerErr error, st
 	gauge("ldphh_reports_per_second", "Mean wire absorption rate over the server lifetime (use rate() on the _total for windows).",
 		float64(m.reportsAbsorbed.Load())/maxf(m.uptime(), 1e-9))
 	counter("ldphh_batches_absorbed_total", "Mega-batch commands absorbed.", m.batchesAbsorbed.Load())
-	counter("ldphh_absorb_errors_total", "Report streams, batches or snapshot merges rejected mid-absorption.", m.absorbErrors.Load())
+	counter("ldphh_absorb_errors_total", "Report batches or snapshot merges rejected mid-absorption.", m.absorbErrors.Load())
 	gauge("ldphh_ingest_window_depth", "Ingest windows currently folding into the aggregator.", float64(m.windowDepth.Load()))
 
 	counter("ldphh_identify_total", "Identify commands served.", m.identifies.Load())

@@ -2,101 +2,20 @@ package protocol
 
 import (
 	"bytes"
+	"context"
+	"encoding/binary"
 	"math"
 	"math/rand/v2"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"ldphh/internal/core"
-	"ldphh/internal/freqoracle"
 	"ldphh/internal/proto"
 	"ldphh/internal/workload"
 )
-
-func TestFrameRoundtrip(t *testing.T) {
-	reps := []core.Report{
-		{M: 0, Dir: freqoracle.DirectReport{Col: 0, Bit: 1},
-			Conf: freqoracle.HashtogramReport{Row: 0, Col: 0, Bit: -1}},
-		{M: 15, Dir: freqoracle.DirectReport{Col: 1 << 20, Bit: -1},
-			Conf: freqoracle.HashtogramReport{Row: 31, Col: 12345, Bit: 1}},
-		{M: 65535, Dir: freqoracle.DirectReport{Col: ^uint32(0), Bit: 1},
-			Conf: freqoracle.HashtogramReport{Row: 65535, Col: ^uint32(0), Bit: 1}},
-	}
-	for _, rep := range reps {
-		buf, err := EncodeReport(rep)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(buf) != FrameSize {
-			t.Fatalf("frame size %d", len(buf))
-		}
-		got, err := DecodeReport(buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != rep {
-			t.Fatalf("roundtrip mismatch: %+v != %+v", got, rep)
-		}
-	}
-}
-
-func TestFrameValidation(t *testing.T) {
-	if _, err := EncodeReport(core.Report{M: 1 << 17}); err == nil {
-		t.Error("oversized group accepted")
-	}
-	if _, err := DecodeReport(make([]byte, 3)); err == nil {
-		t.Error("short frame accepted")
-	}
-	bad := make([]byte, FrameSize)
-	bad[0] = 99
-	if _, err := DecodeReport(bad); err == nil {
-		t.Error("unknown protocol ID accepted")
-	}
-	bad[0] = proto.IDBitstogram
-	if _, err := DecodeReport(bad); err == nil {
-		t.Error("frame from another protocol accepted")
-	}
-	bad[0] = proto.IDPrivateExpanderSketch
-	bad[1] = 99
-	if _, err := DecodeReport(bad); err == nil {
-		t.Error("bad codec version accepted")
-	}
-	bad[1] = Version
-	bad[8] = 7 // the direct-report bit byte
-	if _, err := DecodeReport(bad); err == nil {
-		t.Error("bad bit byte accepted")
-	}
-}
-
-func TestFrameStreamRoundtrip(t *testing.T) {
-	var buf bytes.Buffer
-	var want []core.Report
-	for i := 0; i < 100; i++ {
-		rep := core.Report{
-			M:    i % 8,
-			Dir:  freqoracle.DirectReport{Col: uint32(i * 31), Bit: int8(1 - 2*(i%2))},
-			Conf: freqoracle.HashtogramReport{Row: i % 16, Col: uint32(i), Bit: int8(2*(i%2) - 1)},
-		}
-		want = append(want, rep)
-		if err := WriteFrame(&buf, rep); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := range want {
-		got, err := ReadFrame(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want[i] {
-			t.Fatalf("frame %d mismatch", i)
-		}
-	}
-	if _, err := ReadFrame(&buf); err == nil {
-		t.Error("expected EOF at stream end")
-	}
-}
 
 func TestEndToEndOverTCP(t *testing.T) {
 	if testing.Short() {
@@ -104,11 +23,7 @@ func TestEndToEndOverTCP(t *testing.T) {
 	}
 	const n = 30000
 	params := core.Params{Eps: 4, N: n, ItemBytes: 4, Y: 64, Seed: 777}
-	srv, err := NewServer(params, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	srv := pesServer(t, params)
 
 	dom := workload.Domain{ItemBytes: 4}
 	ds, err := workload.Planted(dom, n, []float64{0.30, 0.22}, rand.New(rand.NewPCG(1, 2)))
@@ -118,7 +33,11 @@ func TestEndToEndOverTCP(t *testing.T) {
 
 	// Simulate a fleet: 4 concurrent batches of users, each over its own
 	// connection (the paper's non-interactive single-message model).
-	pr := srv.Protocol()
+	dev, err := core.NewPESWire(params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
 	const fleets = 4
 	var wg sync.WaitGroup
 	errs := make(chan error, fleets)
@@ -127,16 +46,16 @@ func TestEndToEndOverTCP(t *testing.T) {
 		go func(f int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewPCG(uint64(f), 99))
-			var batch []core.Report
+			var batch []proto.WireReport
 			for i := f; i < n; i += fleets {
-				rep, err := pr.Report(ds.Items[i], i, rng)
+				wr, err := dev.Report(ds.Items[i], i, rng)
 				if err != nil {
 					errs <- err
 					return
 				}
-				batch = append(batch, rep)
+				batch = append(batch, wr)
 			}
-			errs <- SendReports(srv.Addr(), batch)
+			errs <- SendWireBatch(ctx, srv.Addr(), batch)
 		}(f)
 	}
 	wg.Wait()
@@ -150,7 +69,7 @@ func TestEndToEndOverTCP(t *testing.T) {
 		t.Fatalf("server absorbed %d of %d reports", got, n)
 	}
 
-	est, err := RequestIdentify(srv.Addr())
+	est, err := RequestIdentifyContext(ctx, srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,50 +89,52 @@ func TestEndToEndOverTCP(t *testing.T) {
 		}
 	}
 	// A second identify must fail: the round is closed.
-	if _, err := RequestIdentify(srv.Addr()); err == nil {
+	if _, err := RequestIdentifyContext(ctx, srv.Addr()); err == nil {
 		t.Error("second identify accepted")
 	}
 }
 
+// batchMsg frames wire reports as one cmdReportBatch command on a fresh
+// connection: the PES preamble, the declared frame count, then the frames.
+func batchMsg(count int, frames ...proto.WireReport) []byte {
+	msg := []byte{proto.IDPrivateExpanderSketch, cmdReportBatch, 0, 0, 0, 0}
+	binary.BigEndian.PutUint32(msg[2:], uint32(count))
+	for _, f := range frames {
+		msg = append(msg, f...)
+	}
+	return msg
+}
+
 func TestServerRejectsCorruptStream(t *testing.T) {
 	params := core.Params{Eps: 2, N: 1000, ItemBytes: 4, Y: 64, Seed: 5}
-	srv, err := NewServer(params, "127.0.0.1:0")
+	srv := pesServer(t, params)
+	dev, err := core.NewPESWire(params)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
+	good, err := dev.Report([]byte{0, 0, 0, 1}, 0, rand.New(rand.NewPCG(1, 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// A truncated frame must not be absorbed and must not wedge the server.
 	conn, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	preamble := []byte{proto.IDPrivateExpanderSketch, cmdReport}
-	if _, err := conn.Write(append(append([]byte(nil), preamble...), make([]byte, FrameSize/2)...)); err != nil {
+	if _, err := conn.Write(batchMsg(1, good[:len(good)/2])); err != nil {
 		t.Fatal(err)
 	}
 	conn.Close()
 
-	// A frame with an unknown protocol-ID byte must be rejected mid-stream.
-	pr := srv.Protocol()
-	rng := rand.New(rand.NewPCG(1, 1))
-	good, err := pr.Report([]byte{0, 0, 0, 1}, 0, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	frame, err := EncodeReport(good)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := append([]byte(nil), frame...)
+	// A frame with an unknown protocol-ID byte must be rejected mid-batch.
+	bad := append(proto.WireReport(nil), good...)
 	bad[0] = 99
 	conn2, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload := append(append([]byte(nil), preamble...), frame...)
-	payload = append(payload, bad...)
-	if _, err := conn2.Write(payload); err != nil {
+	if _, err := conn2.Write(batchMsg(2, good, bad)); err != nil {
 		t.Fatal(err)
 	}
 	conn2.Close()
@@ -225,46 +146,41 @@ func TestServerRejectsCorruptStream(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	if a := srv.Absorbed(); a > 1 {
-		t.Fatalf("server absorbed %d reports from corrupt streams", a)
+		t.Fatalf("server absorbed %d reports from corrupt batches", a)
 	}
 	// Server still functional: a clean batch goes through.
-	if err := SendReports(srv.Addr(), []core.Report{good}); err != nil {
-		t.Fatalf("server wedged after corrupt streams: %v", err)
+	if err := SendWireBatch(context.Background(), srv.Addr(), []proto.WireReport{good}); err != nil {
+		t.Fatalf("server wedged after corrupt batches: %v", err)
 	}
 }
 
+// TestUnknownCommandRejected: an unknown command byte — including 0x01,
+// the retired EOF-terminated report stream, which stays reserved — is
+// answered with an ERR line.
 func TestUnknownCommandRejected(t *testing.T) {
 	params := core.Params{Eps: 2, N: 100, ItemBytes: 4, Y: 64, Seed: 6}
-	srv, err := NewServer(params, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := conn.Write([]byte{proto.IDWildcard, 0xee}); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 64)
-	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	n, _ := conn.Read(buf)
-	if n == 0 || buf[0] != 'E' { // "ERR ..." reply
-		t.Fatalf("expected error reply, got %q", buf[:n])
-	}
-}
-
-func BenchmarkEncodeReport(b *testing.B) {
-	rep := core.Report{
-		M:    7,
-		Dir:  freqoracle.DirectReport{Col: 12345, Bit: 1},
-		Conf: freqoracle.HashtogramReport{Row: 3, Col: 999, Bit: -1},
-	}
-	for i := 0; i < b.N; i++ {
-		if _, err := EncodeReport(rep); err != nil {
-			b.Fatal(err)
+	srv := pesServer(t, params)
+	for _, preamble := range [][]byte{
+		{proto.IDWildcard, 0xee},
+		{proto.IDWildcard, 0x01},
+		{proto.IDPrivateExpanderSketch, 0x01},
+	} {
+		conn, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
 		}
+		if _, err := conn.Write(preamble); err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]byte, 64)
+		conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+		n, _ := conn.Read(buf)
+		conn.Close()
+		if n == 0 || !strings.HasPrefix(string(buf[:n]), "ERR ") {
+			t.Fatalf("preamble %x: expected error reply, got %q", preamble, buf[:n])
+		}
+	}
+	if got := srv.Absorbed(); got != 0 {
+		t.Fatalf("rejected commands absorbed %d reports", got)
 	}
 }

@@ -119,7 +119,7 @@ func TestRoundDrivesOverWire(t *testing.T) {
 	}
 	defer ic.Close()
 
-	rs, err := RequestRound(srv.Addr())
+	rs, err := RequestRoundContext(ctx, srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestRoundDrivesOverWire(t *testing.T) {
 		// Alternate the one-shot and pipelined clients so both reply paths
 		// stay covered.
 		if rs.Round%2 == 0 {
-			rs, err = AdvanceRound(srv.Addr())
+			rs, err = AdvanceRoundContext(ctx, srv.Addr())
 		} else {
 			rs, err = ic.AdvanceRound(ctx)
 		}
@@ -155,7 +155,7 @@ func TestRoundDrivesOverWire(t *testing.T) {
 	if n := srv.Metrics().roundsAdvanced.Load(); int(n) != advanced {
 		t.Fatalf("rounds_advanced_total = %d, want %d", n, advanced)
 	}
-	est, err := RequestIdentify(srv.Addr())
+	est, err := RequestIdentifyContext(ctx, srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,11 +170,11 @@ func TestRoundDrivesOverWire(t *testing.T) {
 // rejection.
 func TestRoundRejectsNonInteractive(t *testing.T) {
 	srv := ingestServer(t, 99)
-	if _, err := RequestRound(srv.Addr()); err == nil || !strings.Contains(err.Error(), "round") {
-		t.Fatalf("RequestRound on a tree server = %v, want a relayed ERR", err)
+	if _, err := RequestRoundContext(context.Background(), srv.Addr()); err == nil || !strings.Contains(err.Error(), "round") {
+		t.Fatalf("RequestRoundContext on a tree server = %v, want a relayed ERR", err)
 	}
-	if _, err := AdvanceRound(srv.Addr()); err == nil {
-		t.Fatal("AdvanceRound on a tree server succeeded")
+	if _, err := AdvanceRoundContext(context.Background(), srv.Addr()); err == nil {
+		t.Fatal("AdvanceRoundContext on a tree server succeeded")
 	}
 	if n := srv.Metrics().roundErrors.Load(); n != 2 {
 		t.Fatalf("round_errors_total = %d, want 2", n)
@@ -198,7 +198,7 @@ func TestRoundMetricsExposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := RequestRound(srv.Addr())
+	rs, err := RequestRoundContext(context.Background(), srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestRoundMetricsExposition(t *testing.T) {
 	if err := SendWireBatch(context.Background(), srv.Addr(), openReports(t, dev, p, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := AdvanceRound(srv.Addr()); err != nil {
+	if _, err := AdvanceRoundContext(context.Background(), srv.Addr()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -280,7 +280,7 @@ func TestRoundCrashRecoveryEquivalence(t *testing.T) {
 
 	// Round 0 end to end, then commit the transition (handleRound persists
 	// it before replying).
-	rs, err := RequestRound(srv1.Addr())
+	rs, err := RequestRoundContext(ctx, srv1.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +290,7 @@ func TestRoundCrashRecoveryEquivalence(t *testing.T) {
 	if err := SendWireBatch(ctx, srv1.Addr(), openReports(t, dev, p, 0)); err != nil {
 		t.Fatal(err)
 	}
-	rs, err = AdvanceRound(srv1.Addr())
+	rs, err = AdvanceRoundContext(ctx, srv1.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +321,7 @@ func TestRoundCrashRecoveryEquivalence(t *testing.T) {
 	}
 	defer srv2.Close()
 
-	resumed, err := RequestRound(srv2.Addr())
+	resumed, err := RequestRoundContext(ctx, srv2.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +345,7 @@ func TestRoundCrashRecoveryEquivalence(t *testing.T) {
 	if err := SendWireBatch(ctx, srv2.Addr(), round1[half:]); err != nil {
 		t.Fatal(err)
 	}
-	rs, err = AdvanceRound(srv2.Addr())
+	rs, err = AdvanceRoundContext(ctx, srv2.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,12 +356,12 @@ func TestRoundCrashRecoveryEquivalence(t *testing.T) {
 		if err := SendWireBatch(ctx, srv2.Addr(), openReports(t, dev, p, rs.Round)); err != nil {
 			t.Fatal(err)
 		}
-		rs, err = AdvanceRound(srv2.Addr())
+		rs, err = AdvanceRoundContext(ctx, srv2.Addr())
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	est, err := RequestIdentify(srv2.Addr())
+	est, err := RequestIdentifyContext(ctx, srv2.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,14 +13,14 @@ import (
 	"time"
 
 	"ldphh/internal/checkpoint"
-	"ldphh/internal/core"
 	"ldphh/internal/proto"
 )
 
 // Commands on the control byte that follows the protocol-ID byte opening
-// every connection.
+// every connection. Like protocol IDs, commands are append-only: 0x01 (the
+// retired EOF-terminated report stream) stays reserved and is rejected as
+// unknown.
 const (
-	cmdReport        = 0x01 // followed by a stream of report frames until EOF
 	cmdIdentify      = 0x02 // triggers identification; reply is the estimate list
 	cmdSnapshot      = 0x03 // stream my accumulated state out (length-prefixed blob)
 	cmdMergeSnapshot = 0x04 // absorb a child aggregator's state (length-prefixed blob)
@@ -41,14 +41,11 @@ const maxSnapshotBytes = 1 << 30
 // negotiated (verified) at connection time and revalidated on every
 // self-describing report frame.
 //
-// Ingestion is sharded: a report connection that proves to be bulk (more
-// than shardAfter frames) buffers frames into windows handed to the
-// aggregator's AbsorbBatch — one lock acquisition (for PES, one private
-// accumulator merge) per window instead of one per report, so concurrent
-// senders never contend on the aggregator per report. Short streams (a
-// device delivering its single report) skip the window entirely and take
-// the per-report Absorb path, which is cheaper than batch setup for a
-// handful of frames.
+// Reports arrive only as cmdReportBatch mega-batches (a single device
+// report is a batch of one). Each batch is read window by window and every
+// window is handed to the aggregator's AbsorbBatch — one lock acquisition
+// per window instead of one per report, so concurrent senders never contend
+// on the aggregator per report.
 //
 // The hot ingest path is allocation-free per report: frames land in pooled
 // fixed-size window buffers (one buffer per in-flight connection window,
@@ -65,7 +62,6 @@ const maxSnapshotBytes = 1 << 30
 type Server struct {
 	agg   proto.Aggregator
 	codec proto.Codec
-	pes   *core.Protocol // non-nil only for the legacy PES constructor
 
 	ln     net.Listener
 	wg     sync.WaitGroup
@@ -153,17 +149,15 @@ func WithMetricsAddr(addr string) ServerOption {
 }
 
 const (
-	// shardAfter is the stream length at which a connection graduates from
-	// per-report locked absorption to windowed batch absorption.
-	shardAfter = 256
 	// windowFrames bounds how many frames a connection buffers before
 	// folding into the aggregator: the per-connection memory ceiling and
 	// the unit of backpressure (a sender is parked by TCP flow control
-	// while its window absorbs). An aborted connection loses at most one
-	// partial window. 4Ki frames keeps a pooled window at ~64 KiB; this
-	// presumes AbsorbBatch costs O(batch) per call (PES absorbs under one
-	// mutex acquisition rather than merging a sketch-sized accumulator
-	// copy, which at n = 10^6 would dominate ingest at this granularity).
+	// while its window absorbs). A batch torn mid-flight keeps only its
+	// complete windows before the tear. 4Ki frames keeps a pooled window
+	// at ~64 KiB; this presumes AbsorbBatch costs O(batch) per call (PES
+	// absorbs under one mutex acquisition rather than merging a
+	// sketch-sized accumulator copy, which at n = 10^6 would dominate
+	// ingest at this granularity).
 	windowFrames = 4096
 	// maxBatchFrames caps the frame count one cmdReportBatch command may
 	// declare, bounding how long a single command can monopolize a
@@ -190,24 +184,6 @@ func newFrameWindow(frameLen int) *frameWindow {
 		w.wrs[i] = proto.WireReport(w.buf[i*frameLen : (i+1)*frameLen])
 	}
 	return w
-}
-
-// NewServer constructs a PrivateExpanderSketch server around a fresh
-// protocol with the given parameters and starts listening on addr (use
-// "127.0.0.1:0" for tests). params.Workers sizes the Identify worker pool;
-// the identification reply is bit-identical at any worker count, so
-// operators can tune it per deployment without coordinating clients.
-func NewServer(params core.Params, addr string, opts ...ServerOption) (*Server, error) {
-	pr, err := core.New(params)
-	if err != nil {
-		return nil, err
-	}
-	s, err := NewGenericServer(pr.Wire(), addr, opts...)
-	if err != nil {
-		return nil, err
-	}
-	s.pes = pr
-	return s, nil
 }
 
 // NewGenericServer constructs a server around any aggregator and starts
@@ -390,11 +366,6 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 // Aggregator exposes the aggregator this server feeds.
 func (s *Server) Aggregator() proto.Aggregator { return s.agg }
 
-// Protocol exposes the underlying PES protocol (public randomness for
-// clients) when the server was built with NewServer; it is nil for servers
-// around other aggregators.
-func (s *Server) Protocol() *core.Protocol { return s.pes }
-
 // Absorbed returns the number of reports accepted so far.
 func (s *Server) Absorbed() int { return s.agg.TotalReports() }
 
@@ -567,11 +538,11 @@ func (s *Server) acceptLoop() {
 }
 
 // handle negotiates the protocol ID once per connection, then serves
-// commands. cmdReportBatch is pipelined — after its ACK the connection
-// loops back for the next command byte, so one connection carries any
-// number of mega-batches (and may finish with an identify or snapshot).
-// The remaining commands keep their one-shot semantics and end the
-// connection.
+// commands. cmdReportBatch, cmdQueryTopK and the round commands are
+// pipelined — after the reply the connection loops back for the next
+// command byte, so one connection carries any number of mega-batches (and
+// may finish with an identify or snapshot). Identify, snapshot and merge
+// keep their one-shot semantics and end the connection.
 func (s *Server) handle(conn net.Conn) error {
 	br := bufio.NewReader(conn)
 	// Connection-time negotiation: the client names the protocol it speaks
@@ -595,25 +566,14 @@ func (s *Server) handle(conn net.Conn) error {
 			return err
 		}
 		switch cmd {
-		case cmdReport:
-			if err := s.handleReports(br); err != nil {
+		case cmdReportBatch:
+			if err := s.handleReportBatch(br); err != nil {
 				return err
 			}
 			// Ack-coupled durability: when WithCheckpointEvery is armed and
 			// this command crossed the threshold, the state is on disk before
 			// the acknowledgment below — a failure here is an ERR, not an ack,
 			// so the sender retries instead of retiring undurable data.
-			if err := s.maybeCheckpointSync(); err != nil {
-				return err
-			}
-			// Acknowledge so the sender knows every frame was absorbed before
-			// it returns (SendReports blocks on this byte).
-			_, err := conn.Write([]byte{ackByte})
-			return err
-		case cmdReportBatch:
-			if err := s.handleReportBatch(br); err != nil {
-				return err
-			}
 			if err := s.maybeCheckpointSync(); err != nil {
 				return err
 			}
@@ -651,85 +611,6 @@ const ackByte = 0x06
 // connection. A variable so tests can shrink it.
 var errReplyTimeout = 2 * time.Second
 
-// handleReports serves the legacy cmdReport stream: fixed-size frames until
-// EOF. Frames land in one pooled window buffer (no per-frame allocation);
-// short streams absorb per report, bulk streams per window. On any mid-
-// stream failure every frame up to the first bad one still counts (the
-// valid-prefix contract, identical on the per-report, windowed and tail
-// paths) and the remainder of the stream is drained so a sender still
-// writing never wedges on a full send buffer before it can read the ERR
-// reply.
-func (s *Server) handleReports(r io.Reader) error {
-	frameLen := s.codec.FrameBytes()
-	w := s.windows.Get().(*frameWindow)
-	defer s.windows.Put(w)
-	frames := 0   // total complete frames read
-	pending := 0  // frames buffered in the window, not yet absorbed
-	accepted := 0 // reports known absorbed (error paths undercount the valid prefix)
-	var streamErr error
-	for streamErr == nil {
-		if _, err := io.ReadFull(r, w.buf[pending*frameLen:(pending+1)*frameLen]); err != nil {
-			if err == io.ErrUnexpectedEOF {
-				streamErr = fmt.Errorf("protocol: truncated frame: %w", err)
-			} else if !errors.Is(err, io.EOF) {
-				streamErr = err
-			}
-			break
-		}
-		if frames < shardAfter {
-			// Short-stream path: per-report absorption, no window setup. The
-			// frame sits in window slot `pending` (always 0 here).
-			frames++
-			if err := s.agg.Absorb(w.wrs[pending]); err != nil {
-				streamErr = err
-			} else {
-				accepted++
-			}
-			continue
-		}
-		frames++
-		pending++
-		if pending == windowFrames {
-			// A full window folds in one AbsorbBatch; an error follows the
-			// same valid-prefix semantics as the tail flush below (the batch
-			// absorbs every report up to the first invalid one) instead of
-			// abandoning the stream with different accounting.
-			s.metrics.windowDepth.Add(1)
-			if err := s.agg.AbsorbBatch(w.wrs[:pending]); err != nil {
-				streamErr = err
-			} else {
-				accepted += pending
-			}
-			s.metrics.windowDepth.Add(-1)
-			pending = 0
-		}
-	}
-	// Absorb the valid prefix even when the stream went bad mid-flight —
-	// every frame that decoded and validated counts, exactly as under the
-	// per-report path.
-	if pending > 0 {
-		s.metrics.windowDepth.Add(1)
-		if err := s.agg.AbsorbBatch(w.wrs[:pending]); err != nil {
-			if streamErr == nil {
-				streamErr = err
-			}
-		} else {
-			accepted += pending
-		}
-		s.metrics.windowDepth.Add(-1)
-	}
-	s.metrics.reportsAbsorbed.Add(int64(accepted))
-	if streamErr != nil {
-		s.metrics.absorbErrors.Add(1)
-		// Drain whatever the client is still writing: the stream protocol
-		// has no server->client signal before the reply, so a context-free
-		// sender mid-write would otherwise wedge against a full send buffer
-		// and never reach the ERR line.
-		io.Copy(io.Discard, r) //nolint:errcheck // best-effort drain before the ERR reply
-	}
-	return streamErr
-}
-
 // handleReportBatch serves one cmdReportBatch command: a u32 frame count
 // followed by exactly that many contiguous fixed-size frames. The count
 // makes the body self-delimiting — no EOF handshake — which is what lets
@@ -737,8 +618,7 @@ func (s *Server) handleReports(r io.Reader) error {
 // window from the pooled buffer: bounded memory per connection, ~0 heap
 // allocations per report. On an absorb failure the declared remainder is
 // drained (its exact length is known) before the error reply, so the
-// sender never wedges and the valid prefix keeps the same accounting as
-// the stream path.
+// sender never wedges; every report before the first invalid one counts.
 func (s *Server) handleReportBatch(br *bufio.Reader) error {
 	var hdr [4]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
@@ -986,7 +866,7 @@ func (s *Server) handleSnapshot(conn net.Conn) error {
 
 // handleMergeSnapshot reads a length-prefixed snapshot blob from a child
 // aggregator and folds it into the server state, acknowledging with the
-// same byte report streams use so the child knows its state was absorbed
+// same byte report batches use so the child knows its state was absorbed
 // before it retires the data.
 func (s *Server) handleMergeSnapshot(conn net.Conn, br *bufio.Reader) error {
 	m, err := s.mergeable()

@@ -137,7 +137,7 @@ func TestQueryTopKUnsupportedProtocol(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	if _, err := QueryTopK(srv.Addr(), 4); err == nil {
+	if _, err := QueryTopKContext(context.Background(), srv.Addr(), 4); err == nil {
 		t.Fatal("batch protocol answered a continuous top-k query")
 	} else if !strings.Contains(err.Error(), "continuous") {
 		t.Fatalf("unexpected rejection: %v", err)

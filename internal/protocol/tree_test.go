@@ -2,9 +2,12 @@ package protocol
 
 import (
 	"bytes"
+	"context"
 	"fmt"
+	"io"
 	"math/rand/v2"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -15,6 +18,36 @@ import (
 
 func treeParams(seed uint64) core.Params {
 	return core.Params{Eps: 4, N: 20000, ItemBytes: 4, Y: 16, Seed: seed}
+}
+
+// pesServer starts a PES aggregation server for params on loopback; the
+// test's cleanup closes it.
+func pesServer(t testing.TB, params core.Params) *Server {
+	t.Helper()
+	agg, err := core.NewPESWire(params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewGenericServer(agg, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	return srv
+}
+
+// encodeReports serializes PES reports into wire frames.
+func encodeReports(t testing.TB, reps []core.Report) []proto.WireReport {
+	t.Helper()
+	wrs := make([]proto.WireReport, len(reps))
+	for i, rep := range reps {
+		wr, err := core.EncodeReportWire(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wrs[i] = wr
+	}
+	return wrs
 }
 
 // treeReports builds a deterministic planted report stream for the tree
@@ -57,17 +90,15 @@ func treeReports(t testing.TB, params core.Params, n int) []core.Report {
 func TestTreeEquivalenceTCP(t *testing.T) {
 	const n = 12000
 	params := treeParams(314)
-	reports := treeReports(t, params, n)
+	reports := encodeReports(t, treeReports(t, params, n))
+	ctx := context.Background()
 
 	// Reference: a single aggregator served the whole fleet.
-	single, err := NewServer(params, "127.0.0.1:0")
-	if err != nil {
+	single := pesServer(t, params)
+	if err := SendWireBatch(ctx, single.Addr(), reports); err != nil {
 		t.Fatal(err)
 	}
-	if err := SendReports(single.Addr(), reports); err != nil {
-		t.Fatal(err)
-	}
-	want, err := RequestIdentify(single.Addr())
+	want, err := RequestIdentifyContext(ctx, single.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,31 +109,24 @@ func TestTreeEquivalenceTCP(t *testing.T) {
 
 	for _, k := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("leaves_%d", k), func(t *testing.T) {
-			root, err := NewServer(params, "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer root.Close()
+			root := pesServer(t, params)
 			leaves := make([]*Server, k)
 			for l := range leaves {
-				if leaves[l], err = NewServer(params, "127.0.0.1:0"); err != nil {
-					t.Fatal(err)
-				}
-				defer leaves[l].Close()
+				leaves[l] = pesServer(t, params)
 			}
 			// Leaf tier: each leaf ingests its shard over concurrent
 			// connections.
 			var wg sync.WaitGroup
 			errs := make(chan error, k)
 			for l := 0; l < k; l++ {
-				var shard []core.Report
+				var shard []proto.WireReport
 				for i := l; i < n; i += k {
 					shard = append(shard, reports[i])
 				}
 				wg.Add(1)
-				go func(addr string, shard []core.Report) {
+				go func(addr string, shard []proto.WireReport) {
 					defer wg.Done()
-					errs <- SendReports(addr, shard)
+					errs <- SendWireBatch(ctx, addr, shard)
 				}(leaves[l].Addr(), shard)
 			}
 			wg.Wait()
@@ -114,18 +138,18 @@ func TestTreeEquivalenceTCP(t *testing.T) {
 			}
 			// Fan-in: pull each leaf's state and push it into the root.
 			for l := 0; l < k; l++ {
-				snap, err := RequestSnapshot(leaves[l].Addr())
+				snap, err := RequestSnapshotContext(ctx, leaves[l].Addr())
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := PushSnapshot(root.Addr(), snap); err != nil {
+				if err := PushSnapshotContext(ctx, root.Addr(), snap); err != nil {
 					t.Fatal(err)
 				}
 			}
 			if got := root.Absorbed(); got != n {
 				t.Fatalf("root absorbed %d reports, want %d", got, n)
 			}
-			got, err := RequestIdentify(root.Addr())
+			got, err := RequestIdentifyContext(ctx, root.Addr())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -148,16 +172,12 @@ func TestTreeEquivalenceTCP(t *testing.T) {
 // disturbing the server.
 func TestSnapshotCommandErrors(t *testing.T) {
 	params := treeParams(99)
-	srv, err := NewServer(params, "127.0.0.1:0")
-	if err != nil {
+	srv := pesServer(t, params)
+	ctx := context.Background()
+	if err := SendWireBatch(ctx, srv.Addr(), encodeReports(t, treeReports(t, params, 300))); err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
-	reports := treeReports(t, params, 300)
-	if err := SendReports(srv.Addr(), reports); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := RequestSnapshot(srv.Addr())
+	snap, err := RequestSnapshotContext(ctx, srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +185,7 @@ func TestSnapshotCommandErrors(t *testing.T) {
 	t.Run("merge corrupt blob", func(t *testing.T) {
 		bad := append([]byte(nil), snap...)
 		bad[0] = 'X'
-		if err := PushSnapshot(srv.Addr(), bad); err == nil {
+		if err := PushSnapshotContext(ctx, srv.Addr(), bad); err == nil {
 			t.Error("corrupt snapshot accepted")
 		}
 		if got := srv.Absorbed(); got != 300 {
@@ -173,17 +193,13 @@ func TestSnapshotCommandErrors(t *testing.T) {
 		}
 	})
 	t.Run("merge truncated blob", func(t *testing.T) {
-		if err := PushSnapshot(srv.Addr(), snap[:len(snap)/2]); err == nil {
+		if err := PushSnapshotContext(ctx, srv.Addr(), snap[:len(snap)/2]); err == nil {
 			t.Error("truncated snapshot accepted")
 		}
 	})
 	t.Run("merge across seeds", func(t *testing.T) {
-		other, err := NewServer(treeParams(100), "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer other.Close()
-		if err := PushSnapshot(other.Addr(), snap); err == nil {
+		other := pesServer(t, treeParams(100))
+		if err := PushSnapshotContext(ctx, other.Addr(), snap); err == nil {
 			t.Error("snapshot from a differently-seeded tree accepted")
 		}
 	})
@@ -191,7 +207,7 @@ func TestSnapshotCommandErrors(t *testing.T) {
 		// Merging my own snapshot is legal (fingerprints match) and, per the
 		// linear-accumulator semantics, double-counts: the operator-facing
 		// reason snapshots must be retired once pushed.
-		if err := PushSnapshot(srv.Addr(), snap); err != nil {
+		if err := PushSnapshotContext(ctx, srv.Addr(), snap); err != nil {
 			t.Fatal(err)
 		}
 		if got := srv.Absorbed(); got != 600 {
@@ -199,13 +215,13 @@ func TestSnapshotCommandErrors(t *testing.T) {
 		}
 	})
 	t.Run("snapshot after identify", func(t *testing.T) {
-		if _, err := RequestIdentify(srv.Addr()); err != nil {
+		if _, err := RequestIdentifyContext(ctx, srv.Addr()); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := RequestSnapshot(srv.Addr()); err == nil {
+		if _, err := RequestSnapshotContext(ctx, srv.Addr()); err == nil {
 			t.Error("snapshot of a closed round accepted")
 		}
-		if err := PushSnapshot(srv.Addr(), snap); err == nil {
+		if err := PushSnapshotContext(ctx, srv.Addr(), snap); err == nil {
 			t.Error("merge into a closed round accepted")
 		}
 	})
@@ -215,103 +231,80 @@ func TestSnapshotCommandErrors(t *testing.T) {
 // degenerate round — the reply is an empty estimate list, not an error, and
 // the round closes exactly like a populated one.
 func TestIdentifyEmptyRound(t *testing.T) {
-	srv, err := NewServer(treeParams(7), "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	est, err := RequestIdentify(srv.Addr())
+	srv := pesServer(t, treeParams(7))
+	ctx := context.Background()
+	est, err := RequestIdentifyContext(ctx, srv.Addr())
 	if err != nil {
 		t.Fatalf("identify on an empty round failed: %v", err)
 	}
 	if len(est) != 0 {
 		t.Fatalf("empty round identified %d items", len(est))
 	}
-	if _, err := RequestIdentify(srv.Addr()); err == nil {
+	if _, err := RequestIdentifyContext(ctx, srv.Addr()); err == nil {
 		t.Error("second identify on the closed empty round accepted")
 	}
 }
 
-// TestClientDisconnectMidFrame: a bulk connection (past the shardAfter
-// graduation point) that dies in the middle of a frame must cost the server
-// only the torn frame — every complete frame before it is merged — and the
-// server keeps serving.
+// TestClientDisconnectMidFrame: a batch torn in the middle of a frame keeps
+// exactly the complete windows read before the tear — the partial window
+// holding the torn frame is never absorbed — gets an ERR reply instead of
+// an ack, and the server keeps serving.
 func TestClientDisconnectMidFrame(t *testing.T) {
 	params := treeParams(17)
-	srv, err := NewServer(params, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	const sent = shardAfter + 100 // force the shard-accumulator path
-	reports := treeReports(t, params, sent)
+	srv := pesServer(t, params)
+	const (
+		declared = windowFrames + 904 // the header promises two windows' worth
+		tornAt   = windowFrames + 404 // the tear lands inside the second window
+	)
+	wrs := encodeReports(t, treeReports(t, params, tornAt+1))
 
 	conn, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	buf.Write([]byte{proto.IDPrivateExpanderSketch, cmdReport})
-	for _, rep := range reports {
-		if err := WriteFrame(&buf, rep); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Ship every complete frame plus half of a torn one, then vanish
-	// without the half-close handshake.
-	torn, err := EncodeReport(reports[0])
-	if err != nil {
+	defer conn.Close()
+	// Ship every complete frame plus half of a torn one, then stop sending.
+	frames := append(wrs[:tornAt:tornAt], wrs[tornAt][:len(wrs[tornAt])/2])
+	if _, err := conn.Write(batchMsg(declared, frames...)); err != nil {
 		t.Fatal(err)
 	}
-	buf.Write(torn[:FrameSize/2])
-	if _, err := conn.Write(buf.Bytes()); err != nil {
-		t.Fatal(err)
+	conn.(*net.TCPConn).CloseWrite()
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	reply, _ := io.ReadAll(conn)
+	if !strings.HasPrefix(string(reply), "ERR ") {
+		t.Fatalf("torn batch answered %q, want an ERR reply and no ack", reply)
 	}
-	conn.Close()
-
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) && srv.Absorbed() < sent {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if got := srv.Absorbed(); got != sent {
-		t.Fatalf("server absorbed %d reports, want the %d complete frames", got, sent)
+	if got := srv.Absorbed(); got != windowFrames {
+		t.Fatalf("server absorbed %d reports, want the %d-frame complete window before the tear", got, windowFrames)
 	}
 	// Server is still healthy: snapshot and identify both answer.
-	if _, err := RequestSnapshot(srv.Addr()); err != nil {
+	ctx := context.Background()
+	if _, err := RequestSnapshotContext(ctx, srv.Addr()); err != nil {
 		t.Fatalf("server wedged after torn frame: %v", err)
 	}
-	if _, err := RequestIdentify(srv.Addr()); err != nil {
+	if _, err := RequestIdentifyContext(ctx, srv.Addr()); err != nil {
 		t.Fatalf("identify failed after torn frame: %v", err)
 	}
 }
 
-// TestCloseDuringIngestion: Close racing an active bulk stream must wait
-// for the in-flight connection, keep every complete frame, and not panic or
-// deadlock (the sender closes its half, so the handler drains and exits).
+// TestCloseDuringIngestion: Close racing an active mega-batch must wait for
+// the in-flight connection, keep every frame of the batch, and not panic or
+// deadlock (the sender finishes its batch, reads the ack and hangs up, so
+// the handler exits).
 func TestCloseDuringIngestion(t *testing.T) {
 	params := treeParams(23)
-	srv, err := NewServer(params, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	const sent = shardAfter + 512
-	reports := treeReports(t, params, sent)
+	srv := pesServer(t, params)
+	const sent = windowFrames + 512
+	wrs := encodeReports(t, treeReports(t, params, sent))
 
 	conn, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := conn.Write([]byte{proto.IDPrivateExpanderSketch, cmdReport}); err != nil {
-		t.Fatal(err)
-	}
-	// First half of the stream, guaranteed in flight before Close starts.
-	var first bytes.Buffer
-	for _, rep := range reports[:sent/2] {
-		if err := WriteFrame(&first, rep); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := conn.Write(first.Bytes()); err != nil {
+	defer conn.Close()
+	// The header declares the whole batch; its first window is guaranteed
+	// in flight before Close starts.
+	if _, err := conn.Write(batchMsg(sent, wrs[:windowFrames]...)); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -322,34 +315,34 @@ func TestCloseDuringIngestion(t *testing.T) {
 	closed := make(chan error, 1)
 	go func() { closed <- srv.Close() }()
 
-	// The server is now draining us; finish the stream and disconnect so
-	// Close can complete.
-	var second bytes.Buffer
-	for _, rep := range reports[sent/2:] {
-		if err := WriteFrame(&second, rep); err != nil {
-			t.Fatal(err)
-		}
+	// The server is now draining us; finish the batch, collect the ack and
+	// disconnect so Close can complete.
+	var rest []byte
+	for _, wr := range wrs[windowFrames:] {
+		rest = append(rest, wr...)
 	}
-	if _, err := conn.Write(second.Bytes()); err != nil {
+	if _, err := conn.Write(rest); err != nil {
 		t.Fatal(err)
 	}
-	if tc, ok := conn.(*net.TCPConn); ok {
-		tc.CloseWrite()
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	var ack [1]byte
+	if _, err := io.ReadFull(conn, ack[:]); err != nil || ack[0] != ackByte {
+		t.Fatalf("batch racing Close got %q (%v), want the ack", ack[:], err)
 	}
+	conn.Close()
 	select {
 	case err := <-closed:
 		if err != nil {
 			t.Fatalf("Close failed: %v", err)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("Close deadlocked against an active ingestion stream")
+		t.Fatal("Close deadlocked against an active ingestion batch")
 	}
-	conn.Close()
 	if got := srv.Absorbed(); got != sent {
 		t.Fatalf("server absorbed %d reports across Close, want %d", got, sent)
 	}
 	// After Close the listener is gone: new rounds are refused.
-	if err := SendReports(srv.Addr(), reports[:1]); err == nil {
+	if err := SendWireBatch(context.Background(), srv.Addr(), wrs[:1]); err == nil {
 		t.Error("send succeeded after Close")
 	}
 }

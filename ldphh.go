@@ -325,37 +325,20 @@ func WithCheckpointRetain(n int) ServerOption { return protocol.WithCheckpointRe
 // for probes, /metrics for Prometheus scrapes.
 func WithMetricsAddr(addr string) ServerOption { return protocol.WithMetricsAddr(addr) }
 
-// NewServer starts a TCP aggregation server for one PrivateExpanderSketch
-// collection round.
-func NewServer(params Params, addr string, opts ...ServerOption) (*Server, error) {
-	return protocol.NewServer(params, addr, opts...)
-}
-
 // NewAggregationServer starts a TCP aggregation server around any
-// Aggregator — every protocol kind New constructs plugs into the same
-// generic server, which negotiates the protocol ID at connection time.
+// Aggregator — every protocol kind New constructs (and
+// HeavyHitters.Wire()) plugs into the same generic server, which
+// negotiates the protocol ID at connection time.
 func NewAggregationServer(agg Aggregator, addr string, opts ...ServerOption) (*Server, error) {
 	return protocol.NewGenericServer(agg, addr, opts...)
 }
 
-// SendReports streams reports to a server and waits for its acknowledgment.
-func SendReports(addr string, reports []Report) error {
-	return protocol.SendReports(addr, reports)
-}
-
-// SendReportsContext is SendReports with deadline/cancellation propagation:
-// the context's deadline bounds the whole delivery, and cancellation
-// interrupts blocked I/O immediately.
-func SendReportsContext(ctx context.Context, addr string, reports []Report) error {
-	return protocol.SendReportsContext(ctx, addr, reports)
-}
-
 // SendWireReports delivers pre-encoded wire reports of any protocol to a
-// server (all reports must carry one protocol ID). Delivery uses the
-// mega-batch wire framing — one length-prefixed command, no per-frame
-// overhead, no EOF handshake — and the absorbed state is bit-identical to
-// the legacy stream framing. For repeated sends, DialIngest amortizes the
-// connection itself.
+// server (all reports must carry one protocol ID) as one mega-batch — one
+// length-prefixed command, no per-frame overhead — and waits for the
+// acknowledgment. The context's deadline bounds the whole delivery, and
+// cancellation interrupts blocked I/O immediately. For repeated sends,
+// DialIngest amortizes the connection itself.
 func SendWireReports(ctx context.Context, addr string, reports []WireReport) error {
 	return protocol.SendWireBatch(ctx, addr, reports)
 }
@@ -372,56 +355,34 @@ func DialIngest(ctx context.Context, addr string, kind Kind) (*IngestConn, error
 	return protocol.DialIngest(ctx, addr, byte(kind))
 }
 
-// RequestIdentify asks a server to identify and returns the estimates.
-func RequestIdentify(addr string) ([]Estimate, error) {
-	return protocol.RequestIdentify(addr)
-}
-
-// RequestIdentifyContext is RequestIdentify with deadline/cancellation
-// propagation: a wedged or slow server cannot block the caller past the
+// RequestIdentifyContext asks a server to identify and returns the
+// estimates. A wedged or slow server cannot block the caller past the
 // context's deadline.
 func RequestIdentifyContext(ctx context.Context, addr string) ([]Estimate, error) {
 	return protocol.RequestIdentifyContext(ctx, addr)
 }
 
-// QueryTopK asks a streaming aggregation server (KindStreamHG) for its
-// current top-k heavy hitters without retiring the round; k <= 0 asks for
-// the server's configured answer size. Batch-protocol servers reject the
-// query.
-func QueryTopK(addr string, k int) ([]Estimate, error) {
-	return protocol.QueryTopK(addr, k)
-}
-
-// QueryTopKContext is QueryTopK with deadline/cancellation propagation.
+// QueryTopKContext asks a streaming aggregation server (KindStreamHG) for
+// its current top-k heavy hitters without retiring the round; k <= 0 asks
+// for the server's configured answer size. Batch-protocol servers reject
+// the query.
 func QueryTopKContext(ctx context.Context, addr string, k int) ([]Estimate, error) {
 	return protocol.QueryTopKContext(ctx, addr, k)
 }
 
-// RequestRound asks an interactive aggregation server (KindPEM,
+// RequestRoundContext asks an interactive aggregation server (KindPEM,
 // KindFedTrie) for the open round's broadcast state — the candidate-prefix
 // set the round's user group reports against. Single-round servers reject
 // the command.
-func RequestRound(addr string) (RoundState, error) {
-	return protocol.RequestRound(addr)
-}
-
-// RequestRoundContext is RequestRound with deadline/cancellation
-// propagation.
 func RequestRoundContext(ctx context.Context, addr string) (RoundState, error) {
 	return protocol.RequestRoundContext(ctx, addr)
 }
 
-// AdvanceRound asks an interactive aggregation server to finalize the open
-// round — prune the candidate tally, extend the survivors — and open the
-// next one, returning the new broadcast (Done once the final round
+// AdvanceRoundContext asks an interactive aggregation server to finalize
+// the open round — prune the candidate tally, extend the survivors — and
+// open the next one, returning the new broadcast (Done once the final round
 // committed). On a checkpointing server the transition is durable before
 // the reply arrives.
-func AdvanceRound(addr string) (RoundState, error) {
-	return protocol.AdvanceRound(addr)
-}
-
-// AdvanceRoundContext is AdvanceRound with deadline/cancellation
-// propagation.
 func AdvanceRoundContext(ctx context.Context, addr string) (RoundState, error) {
 	return protocol.AdvanceRoundContext(ctx, addr)
 }
@@ -435,28 +396,18 @@ func AdvanceRoundContext(ctx context.Context, addr string) (RoundState, error) {
 // only load into a protocol built from the same Params (same Seed, same
 // sketch geometry), and the merged root identifies the bit-identical
 // heavy-hitter list a single aggregator would have produced. The two
-// functions below run the same fan-in over TCP against NewServer instances.
+// functions below run the same fan-in over TCP against NewAggregationServer
+// instances.
 
-// RequestSnapshot asks an aggregation server for its serialized accumulated
-// state (a leaf checkpoint, ready for a parent's MergeSnapshot).
-func RequestSnapshot(addr string) ([]byte, error) {
-	return protocol.RequestSnapshot(addr)
-}
-
-// RequestSnapshotContext is RequestSnapshot with deadline/cancellation
-// propagation.
+// RequestSnapshotContext asks an aggregation server for its serialized
+// accumulated state (a leaf checkpoint, ready for a parent's
+// MergeSnapshot).
 func RequestSnapshotContext(ctx context.Context, addr string) ([]byte, error) {
 	return protocol.RequestSnapshotContext(ctx, addr)
 }
 
-// PushSnapshot ships a leaf snapshot to a parent aggregation server, which
-// merges it into its own state and acknowledges.
-func PushSnapshot(addr string, snap []byte) error {
-	return protocol.PushSnapshot(addr, snap)
-}
-
-// PushSnapshotContext is PushSnapshot with deadline/cancellation
-// propagation.
+// PushSnapshotContext ships a leaf snapshot to a parent aggregation
+// server, which merges it into its own state and acknowledges.
 func PushSnapshotContext(ctx context.Context, addr string, snap []byte) error {
 	return protocol.PushSnapshotContext(ctx, addr, snap)
 }

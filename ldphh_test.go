@@ -2,6 +2,7 @@ package ldphh_test
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -209,9 +210,10 @@ func TestPublicAPIZipf(t *testing.T) {
 
 // TestPublicAPIMergeTree exercises the distributed-aggregation facade: leaf
 // HeavyHitters instances snapshot their state, a root merges the bytes both
-// in process (MergeSnapshot) and over TCP (RequestSnapshot/PushSnapshot
-// against Server instances), and both roots identify bit-identically to a
-// sequential single-aggregator run.
+// in process (MergeSnapshot) and over TCP
+// (RequestSnapshotContext/PushSnapshotContext against Server instances),
+// and both roots identify bit-identically to a sequential
+// single-aggregator run.
 func TestPublicAPIMergeTree(t *testing.T) {
 	const n = 8000
 	const leaves = 3
@@ -287,37 +289,56 @@ func TestPublicAPIMergeTree(t *testing.T) {
 		}
 	}
 
-	// TCP tree through the facade.
+	// TCP tree through the facade: the same reports, encoded for the wire by
+	// a device-side instance, into PES aggregation servers.
 	if testing.Short() {
 		return
 	}
-	rootSrv, err := ldphh.NewServer(params, "127.0.0.1:0")
+	dev, err := ldphh.NewHeavyHitters(params)
 	if err != nil {
 		t.Fatal(err)
 	}
+	wireRng := rand.New(rand.NewPCG(7, 8))
+	wrs := make([]ldphh.WireReport, n)
+	for i, x := range ds.Items {
+		if wrs[i], err = dev.Wire().Report(x, i, wireRng); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx := context.Background()
+	newServer := func() *ldphh.Server {
+		t.Helper()
+		hh, err := ldphh.NewHeavyHitters(params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := ldphh.NewAggregationServer(hh.Wire(), "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return srv
+	}
+	rootSrv := newServer()
 	defer rootSrv.Close()
 	for l := 0; l < leaves; l++ {
-		leafSrv, err := ldphh.NewServer(params, "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		var shard []ldphh.Report
+		leafSrv := newServer()
+		var shard []ldphh.WireReport
 		for i := l; i < n; i += leaves {
-			shard = append(shard, reports[i])
+			shard = append(shard, wrs[i])
 		}
-		if err := ldphh.SendReports(leafSrv.Addr(), shard); err != nil {
+		if err := ldphh.SendWireReports(ctx, leafSrv.Addr(), shard); err != nil {
 			t.Fatal(err)
 		}
-		snap, err := ldphh.RequestSnapshot(leafSrv.Addr())
+		snap, err := ldphh.RequestSnapshotContext(ctx, leafSrv.Addr())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := ldphh.PushSnapshot(rootSrv.Addr(), snap); err != nil {
+		if err := ldphh.PushSnapshotContext(ctx, rootSrv.Addr(), snap); err != nil {
 			t.Fatal(err)
 		}
 		leafSrv.Close()
 	}
-	netEst, err := ldphh.RequestIdentify(rootSrv.Addr())
+	netEst, err := ldphh.RequestIdentifyContext(ctx, rootSrv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,8 +346,9 @@ func TestPublicAPIMergeTree(t *testing.T) {
 		t.Fatalf("TCP tree identified %d items, sequential %d", len(netEst), len(want))
 	}
 	for i := range netEst {
-		// The wire truncates counts to int64; compare at that granularity.
-		if !bytes.Equal(netEst[i].Item, want[i].Item) || int64(netEst[i].Count) != int64(want[i].Count) {
+		// Identify replies carry the counts' exact IEEE 754 bits.
+		if !bytes.Equal(netEst[i].Item, want[i].Item) ||
+			math.Float64bits(netEst[i].Count) != math.Float64bits(want[i].Count) {
 			t.Fatalf("TCP rank %d diverged from sequential run", i)
 		}
 	}
