@@ -5,11 +5,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"sort"
 
 	"ldphh/internal/freqoracle"
 	"ldphh/internal/hashing"
 	"ldphh/internal/ldp"
+	"ldphh/internal/proto"
 )
 
 // BassilySmithParams configures the [4]-style succinct-histogram protocol.
@@ -185,12 +185,7 @@ func (bs *BassilySmith) IdentifyContext(ctx context.Context, minCount float64) (
 			out = append(out, Estimate{Item: freqoracle.OrdinalBytes(x, bs.p.ItemBytes), Count: est})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return string(out[i].Item) < string(out[j].Item)
-	})
+	proto.SortEstimates(out)
 	return out, nil
 }
 
@@ -240,12 +235,7 @@ func (np *NonPrivate) Identify(minCount int) []Estimate {
 			out = append(out, Estimate{Item: []byte(item), Count: float64(c)})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return string(out[i].Item) < string(out[j].Item)
-	})
+	proto.SortEstimates(out)
 	return out
 }
 

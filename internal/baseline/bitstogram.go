@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"sort"
 
 	"ldphh/internal/freqoracle"
 	"ldphh/internal/hadamard"
@@ -252,12 +251,7 @@ func (b *Bitstogram) Identify(minCount float64) ([]Estimate, error) {
 			out = append(out, Estimate{Item: it, Count: c})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return string(out[i].Item) < string(out[j].Item)
-	})
+	proto.SortEstimates(out)
 	return out, nil
 }
 

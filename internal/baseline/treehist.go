@@ -8,6 +8,7 @@ import (
 
 	"ldphh/internal/freqoracle"
 	"ldphh/internal/hashing"
+	"ldphh/internal/proto"
 )
 
 // TreeHist is the prefix-tree heavy-hitters protocol of Bassily, Nissim,
@@ -232,12 +233,7 @@ func (t *TreeHist) Identify() ([]Estimate, error) {
 	for _, c := range candidates {
 		out = append(out, Estimate{Item: c.bytes, Count: t.conf.Estimate(c.bytes)})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return string(out[i].Item) < string(out[j].Item)
-	})
+	proto.SortEstimates(out)
 	return out, nil
 }
 

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand/v2"
-	"sync"
 
 	"ldphh/internal/freqoracle"
 	"ldphh/internal/proto"
@@ -144,12 +143,11 @@ func decodeBassilySmithPayload(p []byte) (BassilySmithReport, error) {
 
 // BitstogramWire adapts the [3]-style protocol to the unified
 // proto.Reporter/Aggregator surface. The underlying Bitstogram has no
-// internal locking, so the adapter serializes all access with its own
-// mutex.
+// internal locking; the embedded proto.Adapter serializes every call on its
+// own mutex.
 type BitstogramWire struct {
-	mu       sync.Mutex
-	b        *Bitstogram
-	minCount float64
+	proto.Adapter
+	b *Bitstogram
 }
 
 // NewBitstogramWire constructs the protocol and its adapter; minCount is
@@ -159,14 +157,31 @@ func NewBitstogramWire(params BitstogramParams, minCount float64) (*BitstogramWi
 	if err != nil {
 		return nil, err
 	}
-	return &BitstogramWire{b: b, minCount: minCount}, nil
+	k := &bitstogramKernel{Bitstogram: b, minCount: minCount}
+	return &BitstogramWire{Adapter: proto.NewAdapter(proto.IDBitstogram, nil, k), b: b}, nil
+}
+
+// bitstogramKernel is BitstogramWire's proto.Kernel.
+type bitstogramKernel struct {
+	*Bitstogram
+	minCount float64
+}
+
+func (k *bitstogramKernel) AbsorbPayload(p []byte) error {
+	rep, err := decodeBitstogramPayload(p)
+	if err != nil {
+		return err
+	}
+	return k.Absorb(rep)
+}
+
+// Identify reconstructs and confirms candidates.
+func (k *bitstogramKernel) Identify(context.Context) ([]proto.Estimate, error) {
+	return k.Bitstogram.Identify(k.minCount)
 }
 
 // Bitstogram exposes the wrapped protocol.
 func (w *BitstogramWire) Bitstogram() *Bitstogram { return w.b }
-
-// ProtocolID returns proto.IDBitstogram.
-func (w *BitstogramWire) ProtocolID() byte { return proto.IDBitstogram }
 
 // Report computes user userIdx's wire report for item x.
 func (w *BitstogramWire) Report(x []byte, userIdx int, rng *rand.Rand) (proto.WireReport, error) {
@@ -182,85 +197,16 @@ func (w *BitstogramWire) Report(x []byte, userIdx int, rng *rand.Rand) (proto.Wi
 	return proto.WireReport(dst), nil
 }
 
-func (w *BitstogramWire) decode(wr proto.WireReport) (BitstogramReport, error) {
-	if err := proto.CheckHeader(wr, proto.IDBitstogram); err != nil {
-		return BitstogramReport{}, err
-	}
-	return decodeBitstogramPayload(wr.Payload())
-}
-
-// Absorb folds one wire report into the server state.
-func (w *BitstogramWire) Absorb(wr proto.WireReport) error {
-	rep, err := w.decode(wr)
-	if err != nil {
-		return err
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.b.Absorb(rep)
-}
-
-// AbsorbBatch folds a batch under one lock acquisition, decoding and
-// validating before the lock; the valid prefix is absorbed and the first
-// error returned.
-func (w *BitstogramWire) AbsorbBatch(wrs []proto.WireReport) error {
-	reps := make([]BitstogramReport, 0, len(wrs))
-	var decodeErr error
-	for _, wr := range wrs {
-		rep, err := w.decode(wr)
-		if err != nil {
-			decodeErr = err
-			break
-		}
-		reps = append(reps, rep)
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for _, rep := range reps {
-		if err := w.b.Absorb(rep); err != nil {
-			return err
-		}
-	}
-	return decodeErr
-}
-
-// Identify reconstructs and confirms candidates.
-func (w *BitstogramWire) Identify(ctx context.Context) ([]proto.Estimate, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.b.Identify(w.minCount)
-}
-
-// TotalReports returns the number of absorbed reports.
-func (w *BitstogramWire) TotalReports() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.b.TotalReports()
-}
-
-// SketchBytes returns resident server memory.
-func (w *BitstogramWire) SketchBytes() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.b.SketchBytes()
-}
-
-// BytesPerReport returns the payload size of one user message.
-func (w *BitstogramWire) BytesPerReport() int { return bitstogramPayloadBytes }
-
 // MinRecoverableFrequency forwards the configuration's recovery floor.
 func (w *BitstogramWire) MinRecoverableFrequency() float64 {
 	return w.b.MinRecoverableFrequency()
 }
 
-// TreeHistWire adapts the prefix-tree baseline to the unified surface,
-// adding the locking the bare protocol lacks.
+// TreeHistWire adapts the prefix-tree baseline to the unified surface; the
+// embedded proto.Adapter adds the locking the bare protocol lacks.
 type TreeHistWire struct {
-	mu sync.Mutex
-	t  *TreeHist
+	proto.Adapter
+	t *TreeHist
 }
 
 // NewTreeHistWire constructs the protocol and its adapter.
@@ -269,14 +215,27 @@ func NewTreeHistWire(params TreeHistParams) (*TreeHistWire, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &TreeHistWire{t: t}, nil
+	return &TreeHistWire{Adapter: proto.NewAdapter(proto.IDTreeHist, nil, treeHistKernel{t}), t: t}, nil
+}
+
+// treeHistKernel is TreeHistWire's proto.Kernel.
+type treeHistKernel struct{ *TreeHist }
+
+func (k treeHistKernel) AbsorbPayload(p []byte) error {
+	rep, err := decodeTreeHistPayload(p)
+	if err != nil {
+		return err
+	}
+	return k.Absorb(rep)
+}
+
+// Identify walks the prefix tree and confirms survivors.
+func (k treeHistKernel) Identify(context.Context) ([]proto.Estimate, error) {
+	return k.TreeHist.Identify()
 }
 
 // TreeHist exposes the wrapped protocol.
 func (w *TreeHistWire) TreeHist() *TreeHist { return w.t }
-
-// ProtocolID returns proto.IDTreeHist.
-func (w *TreeHistWire) ProtocolID() byte { return proto.IDTreeHist }
 
 // Report computes user userIdx's wire report for item x.
 func (w *TreeHistWire) Report(x []byte, userIdx int, rng *rand.Rand) (proto.WireReport, error) {
@@ -292,75 +251,6 @@ func (w *TreeHistWire) Report(x []byte, userIdx int, rng *rand.Rand) (proto.Wire
 	return proto.WireReport(dst), nil
 }
 
-func (w *TreeHistWire) decode(wr proto.WireReport) (TreeHistReport, error) {
-	if err := proto.CheckHeader(wr, proto.IDTreeHist); err != nil {
-		return TreeHistReport{}, err
-	}
-	return decodeTreeHistPayload(wr.Payload())
-}
-
-// Absorb folds one wire report into the server state.
-func (w *TreeHistWire) Absorb(wr proto.WireReport) error {
-	rep, err := w.decode(wr)
-	if err != nil {
-		return err
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.t.Absorb(rep)
-}
-
-// AbsorbBatch folds a batch under one lock acquisition, decoding and
-// validating before the lock; the valid prefix is absorbed and the first
-// error returned.
-func (w *TreeHistWire) AbsorbBatch(wrs []proto.WireReport) error {
-	reps := make([]TreeHistReport, 0, len(wrs))
-	var decodeErr error
-	for _, wr := range wrs {
-		rep, err := w.decode(wr)
-		if err != nil {
-			decodeErr = err
-			break
-		}
-		reps = append(reps, rep)
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for _, rep := range reps {
-		if err := w.t.Absorb(rep); err != nil {
-			return err
-		}
-	}
-	return decodeErr
-}
-
-// Identify walks the prefix tree and confirms survivors.
-func (w *TreeHistWire) Identify(ctx context.Context) ([]proto.Estimate, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.t.Identify()
-}
-
-// TotalReports returns the number of absorbed reports.
-func (w *TreeHistWire) TotalReports() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.t.TotalReports()
-}
-
-// SketchBytes returns resident server memory.
-func (w *TreeHistWire) SketchBytes() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.t.SketchBytes()
-}
-
-// BytesPerReport returns the payload size of one user message.
-func (w *TreeHistWire) BytesPerReport() int { return treeHistPayloadBytes }
-
 // MinRecoverableFrequency forwards the configuration's recovery floor.
 func (w *TreeHistWire) MinRecoverableFrequency() float64 {
 	return w.t.MinRecoverableFrequency()
@@ -368,10 +258,10 @@ func (w *TreeHistWire) MinRecoverableFrequency() float64 {
 
 // BassilySmithWire adapts the [4]-style succinct histogram to the unified
 // surface over items that are width-ItemBytes encodings of domain ordinals.
+// The embedded proto.Adapter serializes every call on its own mutex.
 type BassilySmithWire struct {
-	mu       sync.Mutex
-	bs       *BassilySmith
-	minCount float64
+	proto.Adapter
+	bs *BassilySmith
 }
 
 // NewBassilySmithWire constructs the protocol and its adapter. A zero
@@ -385,14 +275,33 @@ func NewBassilySmithWire(params BassilySmithParams, minCount float64) (*BassilyS
 	if minCount == 0 {
 		minCount = bs.ErrorBound(0.05)
 	}
-	return &BassilySmithWire{bs: bs, minCount: minCount}, nil
+	k := &bassilySmithKernel{BassilySmith: bs, minCount: minCount}
+	return &BassilySmithWire{Adapter: proto.NewAdapter(proto.IDBassilySmith, nil, k), bs: bs}, nil
+}
+
+// bassilySmithKernel is BassilySmithWire's proto.Kernel.
+type bassilySmithKernel struct {
+	*BassilySmith
+	minCount float64
+}
+
+func (k *bassilySmithKernel) AbsorbPayload(p []byte) error {
+	rep, err := decodeBassilySmithPayload(p)
+	if err != nil {
+		return err
+	}
+	return k.Absorb(rep)
+}
+
+// Identify runs the exhaustive O(|X|·Proj) scan. This is the one
+// super-linear Identify in the repository, so it honors context
+// cancellation periodically mid-scan, not just on entry.
+func (k *bassilySmithKernel) Identify(ctx context.Context) ([]proto.Estimate, error) {
+	return k.IdentifyContext(ctx, k.minCount)
 }
 
 // BassilySmith exposes the wrapped protocol.
 func (w *BassilySmithWire) BassilySmith() *BassilySmith { return w.bs }
-
-// ProtocolID returns proto.IDBassilySmith.
-func (w *BassilySmithWire) ProtocolID() byte { return proto.IDBassilySmith }
 
 // Report computes user userIdx's wire report for item x.
 func (w *BassilySmithWire) Report(x []byte, userIdx int, rng *rand.Rand) (proto.WireReport, error) {
@@ -411,77 +320,6 @@ func (w *BassilySmithWire) Report(x []byte, userIdx int, rng *rand.Rand) (proto.
 	}
 	return proto.WireReport(dst), nil
 }
-
-func (w *BassilySmithWire) decode(wr proto.WireReport) (BassilySmithReport, error) {
-	if err := proto.CheckHeader(wr, proto.IDBassilySmith); err != nil {
-		return BassilySmithReport{}, err
-	}
-	return decodeBassilySmithPayload(wr.Payload())
-}
-
-// Absorb folds one wire report into the accumulator.
-func (w *BassilySmithWire) Absorb(wr proto.WireReport) error {
-	rep, err := w.decode(wr)
-	if err != nil {
-		return err
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.bs.Absorb(rep)
-}
-
-// AbsorbBatch folds a batch under one lock acquisition, decoding and
-// validating before the lock; the valid prefix is absorbed and the first
-// error returned.
-func (w *BassilySmithWire) AbsorbBatch(wrs []proto.WireReport) error {
-	reps := make([]BassilySmithReport, 0, len(wrs))
-	var decodeErr error
-	for _, wr := range wrs {
-		rep, err := w.decode(wr)
-		if err != nil {
-			decodeErr = err
-			break
-		}
-		reps = append(reps, rep)
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for _, rep := range reps {
-		if err := w.bs.Absorb(rep); err != nil {
-			return err
-		}
-	}
-	return decodeErr
-}
-
-// Identify runs the exhaustive O(|X|·Proj) scan. This is the one
-// super-linear Identify in the repository, so it honors context
-// cancellation periodically mid-scan, not just on entry.
-func (w *BassilySmithWire) Identify(ctx context.Context) ([]proto.Estimate, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.bs.IdentifyContext(ctx, w.minCount)
-}
-
-// TotalReports returns the number of absorbed reports.
-func (w *BassilySmithWire) TotalReports() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.bs.TotalReports()
-}
-
-// SketchBytes returns resident server memory.
-func (w *BassilySmithWire) SketchBytes() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.bs.SketchBytes()
-}
-
-// BytesPerReport returns the payload size of one user message.
-func (w *BassilySmithWire) BytesPerReport() int { return bassilySmithPayloadBytes }
 
 // MinRecoverableFrequency reports the protocol's β = 0.05 error bound.
 func (w *BassilySmithWire) MinRecoverableFrequency() float64 { return w.bs.ErrorBound(0.05) }

@@ -1,35 +1,23 @@
 package core
 
 import (
-	"sort"
-
 	"ldphh/internal/par"
+	"ldphh/internal/proto"
 )
-
-// estimateLess is the total order Identify publishes: decreasing count,
-// ties broken by ascending item bytes. Because Identify deduplicates
-// candidates, no two estimates compare equal, so any correct sort — serial
-// or parallel — produces the same unique permutation.
-func estimateLess(a, b Estimate) bool {
-	if a.Count != b.Count {
-		return a.Count > b.Count
-	}
-	return string(a.Item) < string(b.Item)
-}
 
 // parSortThreshold is the slice length below which sortEstimates always
 // sorts serially: goroutine handoff costs more than the sort itself for
 // the short candidate lists a typical round produces.
 const parSortThreshold = 4096
 
-// sortEstimates sorts est by estimateLess using up to workers goroutines:
-// the slice is cut into one contiguous run per worker, the runs sort
-// concurrently, and a serial k-way merge (k = workers, small) combines
+// sortEstimates sorts est by proto.EstimateLess using up to workers
+// goroutines: the slice is cut into one contiguous run per worker, the runs
+// sort concurrently, and a serial k-way merge (k = workers, small) combines
 // them. The comparator is a strict total order, so the output permutation
 // is identical at every worker count.
 func sortEstimates(est []Estimate, workers int) {
 	if workers <= 1 || len(est) < parSortThreshold {
-		sort.Slice(est, func(i, j int) bool { return estimateLess(est[i], est[j]) })
+		proto.SortEstimates(est)
 		return
 	}
 	if workers > len(est) {
@@ -48,10 +36,7 @@ func sortEstimates(est []Estimate, workers int) {
 		}
 		runs[w] = est[lo:hi]
 	}
-	par.Range(workers, workers, func(w int) {
-		run := runs[w]
-		sort.Slice(run, func(i, j int) bool { return estimateLess(run[i], run[j]) })
-	})
+	par.Range(workers, workers, func(w int) { proto.SortEstimates(runs[w]) })
 	merged := make([]Estimate, 0, len(est))
 	heads := make([]int, workers)
 	for len(merged) < len(est) {
@@ -60,7 +45,7 @@ func sortEstimates(est []Estimate, workers int) {
 			if heads[w] >= len(run) {
 				continue
 			}
-			if best == -1 || estimateLess(run[heads[w]], runs[best][heads[best]]) {
+			if best == -1 || proto.EstimateLess(run[heads[w]], runs[best][heads[best]]) {
 				best = w
 			}
 		}

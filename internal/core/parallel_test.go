@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 
+	"ldphh/internal/proto"
 	"ldphh/internal/workload"
 )
 
@@ -139,7 +140,7 @@ func TestSortEstimatesMatchesSerial(t *testing.T) {
 			ref[i] = Estimate{Item: item, Count: float64(rng.UintN(7))}
 		}
 		want := append([]Estimate(nil), ref...)
-		sort.Slice(want, func(i, j int) bool { return estimateLess(want[i], want[j]) })
+		sort.Slice(want, func(i, j int) bool { return proto.EstimateLess(want[i], want[j]) })
 		for _, workers := range []int{1, 2, 3, 8} {
 			got := append([]Estimate(nil), ref...)
 			sortEstimates(got, workers)

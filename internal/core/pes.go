@@ -35,9 +35,9 @@ type Estimate = proto.Estimate
 // then call Identify once.
 //
 // Absorb, Merge and Identify are safe for concurrent use: a single mutex
-// guards the aggregation state. High-throughput ingestion hands whole wire
-// batches to PESWire.AbsorbBatch, which takes that mutex once per batch
-// instead of once per report.
+// guards the aggregation state. The PESWire adapter (a proto.Adapter) takes
+// that same mutex, so high-throughput ingestion absorbs a whole wire batch
+// under one acquisition and serializes with direct calls.
 //
 // Identify itself fans out over a bounded pool of Params.Workers goroutines
 // (per-coordinate scan, per-bucket decode, per-candidate confirmation) and
@@ -155,11 +155,16 @@ func (pr *Protocol) Report(x []byte, userIdx int, rng *rand.Rand) (Report, error
 }
 
 // Absorb folds one user report into the server state. It serializes behind
-// the protocol's single mutex; batch ingestion goes through
-// PESWire.AbsorbBatch.
+// the protocol's single mutex, the lock PESWire's adapter takes for batch
+// ingestion.
 func (pr *Protocol) Absorb(rep Report) error {
 	pr.mu.Lock()
 	defer pr.mu.Unlock()
+	return pr.absorb(rep)
+}
+
+// absorb is Absorb's body; the caller holds pr.mu.
+func (pr *Protocol) absorb(rep Report) error {
 	if pr.finalized {
 		return fmt.Errorf("core: Absorb after Identify")
 	}
@@ -258,6 +263,11 @@ const decodeStreamLabel = 0x6465636f64657221 // "decoder!"
 func (pr *Protocol) Identify() ([]Estimate, error) {
 	pr.mu.Lock()
 	defer pr.mu.Unlock()
+	return pr.identify()
+}
+
+// identify is Identify's body; the caller holds pr.mu.
+func (pr *Protocol) identify() ([]Estimate, error) {
 	if pr.finalized {
 		return nil, fmt.Errorf("core: Identify already ran")
 	}
@@ -416,6 +426,11 @@ func (pr *Protocol) TotalReports() int {
 func (pr *Protocol) SketchBytes() int {
 	pr.mu.Lock()
 	defer pr.mu.Unlock()
+	return pr.sketchBytes()
+}
+
+// sketchBytes is SketchBytes' body; the caller holds pr.mu.
+func (pr *Protocol) sketchBytes() int {
 	total := pr.conf.SketchBytes()
 	for _, d := range pr.direct {
 		total += d.SketchBytes()

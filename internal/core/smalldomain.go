@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math/rand/v2"
-	"sort"
 
 	"ldphh/internal/freqoracle"
 )
@@ -61,21 +60,7 @@ func (s *SmallDomain) Absorb(rep freqoracle.DirectReport) error {
 // Identify reconstructs the full histogram and returns every item whose
 // estimate reaches minCount, sorted by decreasing estimate.
 func (s *SmallDomain) Identify(minCount float64) []Estimate {
-	s.direct.Finalize()
-	hist := s.direct.Histogram()
-	var out []Estimate
-	for v, est := range hist {
-		if est >= minCount {
-			out = append(out, Estimate{Item: freqoracle.OrdinalBytes(uint64(v), s.itemBytes), Count: est})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return string(out[i].Item) < string(out[j].Item)
-	})
-	return out
+	return s.direct.IdentifyOrdinals(s.itemBytes, minCount)
 }
 
 // EstimateFrequency answers a point query after Identify.

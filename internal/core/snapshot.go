@@ -3,8 +3,9 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"math"
+
+	"ldphh/internal/proto"
 )
 
 // Protocol-level snapshots make the whole server-side accumulated state
@@ -45,11 +46,8 @@ const fingerprintLabel = "ldphh/core.Params/v1"
 // reports and produce mergeable snapshots. Workers is excluded: it never
 // feeds public randomness or state shape.
 func (pr *Protocol) Fingerprint() uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(fingerprintLabel))
 	conf := pr.conf.Params()
-	var buf [8]byte
-	for _, w := range []uint64{
+	return proto.Fingerprint(fingerprintLabel,
 		math.Float64bits(pr.p.Eps),
 		uint64(pr.p.N),
 		uint64(pr.p.ItemBytes),
@@ -66,11 +64,7 @@ func (pr *Protocol) Fingerprint() uint64 {
 		uint64(conf.Rows),
 		uint64(conf.T),
 		conf.Seed,
-	} {
-		binary.BigEndian.PutUint64(buf[:], w)
-		h.Write(buf[:])
-	}
-	return h.Sum64()
+	)
 }
 
 // Snapshot serializes the protocol's full accumulated (pre-Identify) state:

@@ -97,13 +97,15 @@ func DecodeReportWire(wr proto.WireReport) (Report, error) {
 }
 
 // PESWire adapts PrivateExpanderSketch to the unified
-// proto.Reporter/Aggregator/Mergeable surface. The underlying Protocol is
-// already safe for concurrent use (its own mutex), so the adapter adds no
-// locking; batch absorption takes the protocol mutex once per batch and
-// folds every report in directly — O(batch) work per call. Fan-in trees
-// go through MergeSnapshot instead, whose one accumulator fold amortizes
-// over a whole subtree.
-type PESWire struct{ pr *Protocol }
+// proto.Reporter/Aggregator/Mergeable surface. Its proto.Adapter takes the
+// protocol's own mutex, so adapter calls and direct calls on the Protocol
+// serialize on one lock; a batch is absorbed under one acquisition of it.
+// Fan-in trees go through MergeSnapshot instead, whose one accumulator
+// fold amortizes over a whole subtree.
+type PESWire struct {
+	proto.Adapter
+	pr *Protocol
+}
 
 // NewPESWire constructs the protocol and its adapter in one step.
 func NewPESWire(params Params) (*PESWire, error) {
@@ -111,18 +113,33 @@ func NewPESWire(params Params) (*PESWire, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &PESWire{pr: pr}, nil
+	return pr.Wire(), nil
 }
 
 // Wire returns the unified-API adapter for an existing protocol instance.
-func (pr *Protocol) Wire() *PESWire { return &PESWire{pr: pr} }
+func (pr *Protocol) Wire() *PESWire {
+	return &PESWire{Adapter: proto.NewAdapter(proto.IDPrivateExpanderSketch, &pr.mu, pesKernel{pr}), pr: pr}
+}
+
+// pesKernel is PESWire's proto.Kernel: the protocol's unlocked bodies,
+// run under the protocol mutex the adapter holds.
+type pesKernel struct{ pr *Protocol }
+
+func (k pesKernel) AbsorbPayload(p []byte) error {
+	rep, err := DecodeReportPayload(p)
+	if err != nil {
+		return err
+	}
+	return k.pr.absorb(rep)
+}
+
+func (k pesKernel) Identify(context.Context) ([]Estimate, error) { return k.pr.identify() }
+func (k pesKernel) TotalReports() int                            { return k.pr.absorbed }
+func (k pesKernel) SketchBytes() int                             { return k.pr.sketchBytes() }
 
 // Protocol exposes the wrapped instance (public randomness for clients,
 // snapshot fingerprints, EstimateFrequency after Identify).
 func (w *PESWire) Protocol() *Protocol { return w.pr }
-
-// ProtocolID returns proto.IDPrivateExpanderSketch.
-func (w *PESWire) ProtocolID() byte { return proto.IDPrivateExpanderSketch }
 
 // Report computes user userIdx's wire report for item x.
 func (w *PESWire) Report(x []byte, userIdx int, rng *rand.Rand) (proto.WireReport, error) {
@@ -132,68 +149,6 @@ func (w *PESWire) Report(x []byte, userIdx int, rng *rand.Rand) (proto.WireRepor
 	}
 	return EncodeReportWire(rep)
 }
-
-// Absorb folds one wire report into the server state.
-func (w *PESWire) Absorb(wr proto.WireReport) error {
-	rep, err := DecodeReportWire(wr)
-	if err != nil {
-		return err
-	}
-	return w.pr.Absorb(rep)
-}
-
-// AbsorbBatch folds a batch into the server state under one mutex
-// acquisition. Every report up to the first invalid one is absorbed (the
-// valid prefix counts, exactly as under per-report absorption) and the
-// first error is returned. Decode happens inline per frame, so the call
-// allocates nothing regardless of batch size.
-func (w *PESWire) AbsorbBatch(wrs []proto.WireReport) error {
-	if len(wrs) == 0 {
-		return nil
-	}
-	pr := w.pr
-	pr.mu.Lock()
-	defer pr.mu.Unlock()
-	if pr.finalized {
-		return fmt.Errorf("core: Absorb after Identify")
-	}
-	for _, wr := range wrs {
-		rep, err := DecodeReportWire(wr)
-		if err != nil {
-			return err
-		}
-		if rep.M < 0 || rep.M >= pr.p.M {
-			return fmt.Errorf("core: report group %d out of range", rep.M)
-		}
-		if err := pr.direct[rep.M].Absorb(rep.Dir); err != nil {
-			return err
-		}
-		if err := pr.conf.Absorb(rep.Conf); err != nil {
-			return err
-		}
-		pr.groupN[rep.M]++
-		pr.absorbed++
-	}
-	return nil
-}
-
-// Identify runs the Algorithm 1 reconstruction. The context is checked on
-// entry; the reconstruction itself is O~(n) and bounded by Params.Workers.
-func (w *PESWire) Identify(ctx context.Context) ([]proto.Estimate, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return w.pr.Identify()
-}
-
-// TotalReports returns the number of absorbed reports.
-func (w *PESWire) TotalReports() int { return w.pr.TotalReports() }
-
-// SketchBytes returns resident server memory.
-func (w *PESWire) SketchBytes() int { return w.pr.SketchBytes() }
-
-// BytesPerReport returns the payload size of one user message.
-func (w *PESWire) BytesPerReport() int { return w.pr.BytesPerReport() }
 
 // MinRecoverableFrequency forwards the configuration's recovery floor.
 func (w *PESWire) MinRecoverableFrequency() float64 {

@@ -5,7 +5,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"sync"
 	"testing"
+
+	"ldphh/internal/proto"
 )
 
 // population builds n users where item i (as 8-byte key) has the given
@@ -252,6 +255,45 @@ func TestDirectHistogramValidation(t *testing.T) {
 	}
 	if err := d.Absorb(DirectReport{Col: 0, Bit: 2}); err == nil {
 		t.Error("bad bit accepted")
+	}
+}
+
+// TestDirectHistogramWireFloorDuringIngest pins that an adapter built
+// without an n hint (ldphh.New without WithN) sizes its recovery floor from
+// the absorbed count read under the adapter lock. Under -race it queries
+// the floor while another goroutine absorbs batches.
+func TestDirectHistogramWireFloorDuringIngest(t *testing.T) {
+	w, err := NewDirectHistogramWire(4, 2, 64, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewPCG(3, 3))
+	batch := make([]proto.WireReport, 256)
+	for i := range batch {
+		if batch[i], err = w.Report(OrdinalBytes(uint64(i%64), 2), i, rng); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const batches = 50
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < batches; i++ {
+			if err := w.AbsorbBatch(batch); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for i := 0; i < batches; i++ {
+		if f := w.MinRecoverableFrequency(); !(f > 0) {
+			t.Errorf("floor %v during ingest, want > 0", f)
+		}
+	}
+	wg.Wait()
+	if got := w.TotalReports(); got != batches*len(batch) {
+		t.Fatalf("absorbed %d reports, want %d", got, batches*len(batch))
 	}
 }
 

@@ -3,8 +3,9 @@ package freqoracle
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"math"
+
+	"ldphh/internal/proto"
 )
 
 // The oracles serialize their accumulated (non-finalized) state into small
@@ -30,28 +31,13 @@ import (
 //
 //	magic "LDSK" | version u8 | domain u32 | t u32 | epsBits u64 | n u64 | acc []f64
 
-// fingerprint digests a labeled word sequence with FNV-1a — the shared
-// helper behind the oracle parameter fingerprints, labeled per type so the
-// two oracles can never collide with each other (or with core's LPSK
-// fingerprint).
-func fingerprint(label string, words ...uint64) uint64 {
-	f := fnv.New64a()
-	f.Write([]byte(label))
-	var buf [8]byte
-	for _, w := range words {
-		binary.BigEndian.PutUint64(buf[:], w)
-		f.Write(buf[:])
-	}
-	return f.Sum64()
-}
-
 // Fingerprint returns a 64-bit digest of every parameter that determines
 // the Hashtogram's accumulated-state shape and public randomness: ε, the
 // sketch geometry and the seed. Two sketches with equal fingerprints absorb
 // interchangeable reports and produce mutually loadable snapshots; the
 // checkpoint layer stamps it into checkpoint file headers.
 func (h *Hashtogram) Fingerprint() uint64 {
-	return fingerprint("ldphh/freqoracle.Hashtogram/v1",
+	return proto.Fingerprint("ldphh/freqoracle.Hashtogram/v1",
 		math.Float64bits(h.p.Eps), uint64(h.p.Rows), uint64(h.p.T), h.p.Seed)
 }
 
@@ -60,7 +46,7 @@ func (h *Hashtogram) Fingerprint() uint64 {
 // domain and the derived Hadamard width. The histogram draws no seeded
 // public randomness, so the parameters alone pin snapshot compatibility.
 func (d *DirectHistogram) Fingerprint() uint64 {
-	return fingerprint("ldphh/freqoracle.DirectHistogram/v1",
+	return proto.Fingerprint("ldphh/freqoracle.DirectHistogram/v1",
 		math.Float64bits(d.eps), uint64(d.domain), uint64(d.t))
 }
 

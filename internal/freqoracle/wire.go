@@ -5,8 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand/v2"
-	"sort"
-	"sync"
 
 	"ldphh/internal/proto"
 )
@@ -146,14 +144,12 @@ func OrdinalOf(x []byte, itemBytes, domain int) (uint64, error) {
 // proto.Reporter/Aggregator surface. A frequency oracle answers point
 // queries, not open-ended identification, so Identify estimates an explicit
 // candidate set fixed at construction (the "known dictionary" deployment —
-// e.g. a URL allowlist) and returns those reaching minCount. The adapter
-// serializes access with its own mutex: the underlying oracle is not safe
-// for concurrent use.
+// e.g. a URL allowlist) and returns those reaching minCount. The oracle is
+// not safe for concurrent use; the embedded proto.Adapter serializes every
+// call on its own mutex.
 type HashtogramWire struct {
-	mu         sync.Mutex
-	h          *Hashtogram
-	candidates [][]byte
-	minCount   float64
+	proto.Adapter
+	h *Hashtogram
 }
 
 // NewHashtogramWire constructs the adapter around a fresh oracle.
@@ -164,14 +160,43 @@ func NewHashtogramWire(params HashtogramParams, candidates [][]byte, minCount fl
 	if err != nil {
 		return nil, err
 	}
-	return &HashtogramWire{h: h, candidates: candidates, minCount: minCount}, nil
+	k := &hashtogramKernel{Hashtogram: h, candidates: candidates, minCount: minCount}
+	return &HashtogramWire{Adapter: proto.NewAdapter(proto.IDHashtogram, nil, k), h: h}, nil
+}
+
+// hashtogramKernel is HashtogramWire's proto.Kernel.
+type hashtogramKernel struct {
+	*Hashtogram
+	candidates [][]byte
+	minCount   float64
+}
+
+func (k *hashtogramKernel) AbsorbPayload(p []byte) error {
+	rep, err := DecodeHashtogramReport(p)
+	if err != nil {
+		return err
+	}
+	return k.Absorb(rep)
+}
+
+// Identify finalizes the oracle and estimates the candidate set.
+func (k *hashtogramKernel) Identify(context.Context) ([]proto.Estimate, error) {
+	if len(k.candidates) == 0 {
+		return nil, fmt.Errorf("freqoracle: Hashtogram Identify needs a candidate set (a frequency oracle cannot enumerate an open domain)")
+	}
+	k.Finalize()
+	out := make([]proto.Estimate, 0, len(k.candidates))
+	for _, c := range k.candidates {
+		if est := k.Estimate(c); est >= k.minCount {
+			out = append(out, proto.Estimate{Item: append([]byte(nil), c...), Count: est})
+		}
+	}
+	proto.SortEstimates(out)
+	return out, nil
 }
 
 // Oracle exposes the wrapped Hashtogram (for post-Identify point queries).
 func (w *HashtogramWire) Oracle() *Hashtogram { return w.h }
-
-// ProtocolID returns proto.IDHashtogram.
-func (w *HashtogramWire) ProtocolID() byte { return proto.IDHashtogram }
 
 // Report computes user userIdx's wire report for item x.
 func (w *HashtogramWire) Report(x []byte, userIdx int, rng *rand.Rand) (proto.WireReport, error) {
@@ -184,87 +209,6 @@ func (w *HashtogramWire) Report(x []byte, userIdx int, rng *rand.Rand) (proto.Wi
 	return proto.WireReport(dst), nil
 }
 
-func (w *HashtogramWire) decode(wr proto.WireReport) (HashtogramReport, error) {
-	if err := proto.CheckHeader(wr, proto.IDHashtogram); err != nil {
-		return HashtogramReport{}, err
-	}
-	return DecodeHashtogramReport(wr.Payload())
-}
-
-// Absorb folds one wire report into the oracle.
-func (w *HashtogramWire) Absorb(wr proto.WireReport) error {
-	rep, err := w.decode(wr)
-	if err != nil {
-		return err
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.h.Absorb(rep)
-}
-
-// AbsorbBatch folds a batch under one lock acquisition. Decoding and
-// validation run before the lock — concurrent connections only serialize
-// on the counter updates — and the valid prefix is absorbed with the
-// first error returned.
-func (w *HashtogramWire) AbsorbBatch(wrs []proto.WireReport) error {
-	reps := make([]HashtogramReport, 0, len(wrs))
-	var decodeErr error
-	for _, wr := range wrs {
-		rep, err := w.decode(wr)
-		if err != nil {
-			decodeErr = err
-			break
-		}
-		reps = append(reps, rep)
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for _, rep := range reps {
-		if err := w.h.Absorb(rep); err != nil {
-			return err
-		}
-	}
-	return decodeErr
-}
-
-// Identify finalizes the oracle and estimates the candidate set.
-func (w *HashtogramWire) Identify(ctx context.Context) ([]proto.Estimate, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if len(w.candidates) == 0 {
-		return nil, fmt.Errorf("freqoracle: Hashtogram Identify needs a candidate set (a frequency oracle cannot enumerate an open domain)")
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.h.Finalize()
-	out := make([]proto.Estimate, 0, len(w.candidates))
-	for _, c := range w.candidates {
-		if est := w.h.Estimate(c); est >= w.minCount {
-			out = append(out, proto.Estimate{Item: append([]byte(nil), c...), Count: est})
-		}
-	}
-	sortEstimatesDesc(out)
-	return out, nil
-}
-
-// TotalReports returns the number of absorbed reports.
-func (w *HashtogramWire) TotalReports() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.h.TotalReports()
-}
-
-// SketchBytes returns resident server memory.
-func (w *HashtogramWire) SketchBytes() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.h.SketchBytes()
-}
-
-// BytesPerReport returns the payload size of one user message.
-func (w *HashtogramWire) BytesPerReport() int { return HashtogramReportPayloadBytes }
-
 // MinRecoverableFrequency reports the oracle's per-query error envelope at
 // β = 0.05 — the smallest count reliably distinguishable from zero.
 func (w *HashtogramWire) MinRecoverableFrequency() float64 { return w.h.ErrorBound(0.05) }
@@ -275,46 +219,43 @@ func (w *HashtogramWire) MinRecoverableFrequency() float64 { return w.h.ErrorBou
 func (w *HashtogramWire) Fingerprint() uint64 { return w.h.Fingerprint() }
 
 // Snapshot serializes the oracle's accumulated state (proto.Mergeable).
-func (w *HashtogramWire) Snapshot() ([]byte, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.h.Snapshot()
+func (w *HashtogramWire) Snapshot() (buf []byte, err error) {
+	w.Locked(func() { buf, err = w.h.Snapshot() })
+	return buf, err
 }
 
 // Restore rehydrates a checkpoint (proto.Mergeable).
-func (w *HashtogramWire) Restore(buf []byte) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.h.Restore(buf)
+func (w *HashtogramWire) Restore(buf []byte) (err error) {
+	w.Locked(func() { err = w.h.Restore(buf) })
+	return err
 }
 
 // MergeSnapshot folds a sibling aggregator's snapshot into this one by
 // rehydrating it into a fresh shard and merging (proto.Mergeable).
-func (w *HashtogramWire) MergeSnapshot(buf []byte) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	acc := w.h.NewAccumulator()
-	if err := acc.Restore(buf); err != nil {
-		return err
-	}
-	return w.h.Merge(acc)
+func (w *HashtogramWire) MergeSnapshot(buf []byte) (err error) {
+	w.Locked(func() {
+		acc := w.h.NewAccumulator()
+		if err = acc.Restore(buf); err == nil {
+			err = w.h.Merge(acc)
+		}
+	})
+	return err
 }
 
 // DirectHistogramWire adapts the Theorem 3.8 oracle to the unified surface
 // over items that are width-itemBytes encodings of ordinals [0, domain).
 // Identify scans the whole reconstructed histogram — O(domain) — which is
-// exactly the enumerable-domain regime this oracle is for.
+// exactly the enumerable-domain regime this oracle is for. The embedded
+// proto.Adapter serializes every call on its own mutex.
 //
 // The adapter is also the shared implementation behind every codec whose
 // payload is a bare DirectReport: core.SmallDomainWire is this adapter
 // under the smalldomain protocol identity (NewDirectHistogramWireAs).
 type DirectHistogramWire struct {
-	mu        sync.Mutex
+	proto.Adapter
 	d         *DirectHistogram
-	id        byte
 	version   byte
 	itemBytes int
-	minCount  float64
 	n         int // sizing hint for the error envelope
 }
 
@@ -325,8 +266,7 @@ func NewDirectHistogramWire(eps float64, itemBytes, domain int, n int, minCount 
 
 // NewDirectHistogramWireAs constructs the adapter under a different
 // registered codec identity whose payload layout is a bare DirectReport
-// (the smalldomain codec). The identity must be registered before any
-// report flows.
+// (the smalldomain codec).
 func NewDirectHistogramWireAs(id, version byte, eps float64, itemBytes, domain, n int, minCount float64) (*DirectHistogramWire, error) {
 	if itemBytes < 1 || itemBytes > 8 {
 		return nil, fmt.Errorf("freqoracle: DirectHistogramWire supports ItemBytes in [1,8], got %d", itemBytes)
@@ -338,16 +278,51 @@ func NewDirectHistogramWireAs(id, version byte, eps float64, itemBytes, domain, 
 	if err != nil {
 		return nil, err
 	}
-	return &DirectHistogramWire{d: d, id: id, version: version, itemBytes: itemBytes, minCount: minCount, n: n}, nil
+	k := &directKernel{DirectHistogram: d, itemBytes: itemBytes, minCount: minCount}
+	return &DirectHistogramWire{
+		Adapter: proto.NewAdapter(id, nil, k),
+		d:       d, version: version, itemBytes: itemBytes, n: n,
+	}, nil
+}
+
+// directKernel is DirectHistogramWire's proto.Kernel.
+type directKernel struct {
+	*DirectHistogram
+	itemBytes int
+	minCount  float64
+}
+
+func (k *directKernel) AbsorbPayload(p []byte) error {
+	rep, err := DecodeDirectReport(p)
+	if err != nil {
+		return err
+	}
+	return k.Absorb(rep)
+}
+
+// Identify reconstructs the histogram and returns every ordinal whose
+// estimate reaches minCount, sorted by decreasing estimate.
+func (k *directKernel) Identify(context.Context) ([]proto.Estimate, error) {
+	return k.IdentifyOrdinals(k.itemBytes, k.minCount), nil
+}
+
+// IdentifyOrdinals finalizes the histogram and returns every ordinal whose
+// estimate reaches minCount as a width-itemBytes item, in Identify order:
+// the one histogram scan behind DirectHistogramWire and core.SmallDomain.
+func (d *DirectHistogram) IdentifyOrdinals(itemBytes int, minCount float64) []proto.Estimate {
+	d.Finalize()
+	var out []proto.Estimate
+	for v, est := range d.HistogramView() {
+		if est >= minCount {
+			out = append(out, proto.Estimate{Item: OrdinalBytes(uint64(v), itemBytes), Count: est})
+		}
+	}
+	proto.SortEstimates(out)
+	return out
 }
 
 // Oracle exposes the wrapped DirectHistogram.
 func (w *DirectHistogramWire) Oracle() *DirectHistogram { return w.d }
-
-// ProtocolID returns the configured codec identity
-// (proto.IDDirectHistogram unless constructed with
-// NewDirectHistogramWireAs).
-func (w *DirectHistogramWire) ProtocolID() byte { return w.id }
 
 // Report computes the user's wire report for item x (userIdx is unused:
 // the oracle has no user partition).
@@ -360,94 +335,16 @@ func (w *DirectHistogramWire) Report(x []byte, _ int, rng *rand.Rand) (proto.Wir
 	if err != nil {
 		return nil, err
 	}
-	dst := proto.AppendHeader(make([]byte, 0, 2+DirectReportPayloadBytes), w.id, w.version)
+	dst := proto.AppendHeader(make([]byte, 0, 2+DirectReportPayloadBytes), w.ProtocolID(), w.version)
 	return proto.WireReport(AppendDirectReport(dst, rep)), nil
 }
 
-func (w *DirectHistogramWire) decode(wr proto.WireReport) (DirectReport, error) {
-	if err := proto.CheckHeader(wr, w.id); err != nil {
-		return DirectReport{}, err
-	}
-	return DecodeDirectReport(wr.Payload())
-}
-
-// Absorb folds one wire report into the oracle.
-func (w *DirectHistogramWire) Absorb(wr proto.WireReport) error {
-	rep, err := w.decode(wr)
-	if err != nil {
-		return err
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.d.Absorb(rep)
-}
-
-// AbsorbBatch folds a batch under one lock acquisition, decoding and
-// validating before the lock; the valid prefix is absorbed and the first
-// error returned.
-func (w *DirectHistogramWire) AbsorbBatch(wrs []proto.WireReport) error {
-	reps := make([]DirectReport, 0, len(wrs))
-	var decodeErr error
-	for _, wr := range wrs {
-		rep, err := w.decode(wr)
-		if err != nil {
-			decodeErr = err
-			break
-		}
-		reps = append(reps, rep)
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for _, rep := range reps {
-		if err := w.d.Absorb(rep); err != nil {
-			return err
-		}
-	}
-	return decodeErr
-}
-
-// Identify reconstructs the histogram and returns every ordinal whose
-// estimate reaches minCount, sorted by decreasing estimate.
-func (w *DirectHistogramWire) Identify(ctx context.Context) ([]proto.Estimate, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.d.Finalize()
-	hist := w.d.HistogramView()
-	var out []proto.Estimate
-	for v, est := range hist {
-		if est >= w.minCount {
-			out = append(out, proto.Estimate{Item: OrdinalBytes(uint64(v), w.itemBytes), Count: est})
-		}
-	}
-	sortEstimatesDesc(out)
-	return out, nil
-}
-
-// TotalReports returns the number of absorbed reports.
-func (w *DirectHistogramWire) TotalReports() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.d.TotalReports()
-}
-
-// SketchBytes returns resident server memory.
-func (w *DirectHistogramWire) SketchBytes() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.d.SketchBytes()
-}
-
-// BytesPerReport returns the payload size of one user message.
-func (w *DirectHistogramWire) BytesPerReport() int { return DirectReportPayloadBytes }
-
-// MinRecoverableFrequency reports the per-query error envelope at β = 0.05.
+// MinRecoverableFrequency reports the per-query error envelope at β = 0.05,
+// sized from the n hint or, without one, from the reports absorbed so far.
 func (w *DirectHistogramWire) MinRecoverableFrequency() float64 {
 	n := w.n
 	if n < 1 {
-		n = w.d.TotalReports()
+		n = w.TotalReports()
 	}
 	if n < 1 {
 		n = 1
@@ -461,43 +358,30 @@ func (w *DirectHistogramWire) MinRecoverableFrequency() float64 {
 // never restores into a directhistogram server, even though the underlying
 // LDSK state would be byte-compatible.
 func (w *DirectHistogramWire) Fingerprint() uint64 {
-	return fingerprint("ldphh/freqoracle.DirectHistogramWire/v1",
-		uint64(w.id), uint64(w.itemBytes), w.d.Fingerprint())
+	return proto.Fingerprint("ldphh/freqoracle.DirectHistogramWire/v1",
+		uint64(w.ProtocolID()), uint64(w.itemBytes), w.d.Fingerprint())
 }
 
 // Snapshot serializes the oracle's accumulated state (proto.Mergeable).
-func (w *DirectHistogramWire) Snapshot() ([]byte, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.d.Snapshot()
+func (w *DirectHistogramWire) Snapshot() (buf []byte, err error) {
+	w.Locked(func() { buf, err = w.d.Snapshot() })
+	return buf, err
 }
 
 // Restore rehydrates a checkpoint (proto.Mergeable).
-func (w *DirectHistogramWire) Restore(buf []byte) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.d.Restore(buf)
+func (w *DirectHistogramWire) Restore(buf []byte) (err error) {
+	w.Locked(func() { err = w.d.Restore(buf) })
+	return err
 }
 
 // MergeSnapshot folds a sibling's snapshot in via a fresh shard
 // (proto.Mergeable).
-func (w *DirectHistogramWire) MergeSnapshot(buf []byte) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	acc := w.d.NewAccumulator()
-	if err := acc.Restore(buf); err != nil {
-		return err
-	}
-	return w.d.Merge(acc)
-}
-
-// sortEstimatesDesc sorts by decreasing count, ties by ascending item bytes
-// — the strict total order every Identify in the repository returns.
-func sortEstimatesDesc(est []proto.Estimate) {
-	sort.Slice(est, func(i, j int) bool {
-		if est[i].Count != est[j].Count {
-			return est[i].Count > est[j].Count
+func (w *DirectHistogramWire) MergeSnapshot(buf []byte) (err error) {
+	w.Locked(func() {
+		acc := w.d.NewAccumulator()
+		if err = acc.Restore(buf); err == nil {
+			err = w.d.Merge(acc)
 		}
-		return string(est[i].Item) < string(est[j].Item)
 	})
+	return err
 }

@@ -122,7 +122,8 @@ type RoundReport struct {
 }
 
 // Engine is the shared round state machine. It is not safe for concurrent
-// use — Wire wraps it with a mutex for the aggregation server.
+// use — Wire serializes it under proto.Adapter's lock for the aggregation
+// server.
 type Engine struct {
 	p        Params
 	bits     int // total prefix bits = 8·ItemBytes
@@ -244,7 +245,7 @@ func RoundRand(seed uint64, round, userIdx int) *rand.Rand {
 // fingerprint digests every parameter that shapes accumulated state and
 // public randomness (Workers excluded — pure throughput knob).
 func (e *Engine) fingerprint() uint64 {
-	return fnvWords("ldphh/interactive.Engine/v1",
+	return proto.Fingerprint("ldphh/interactive.Engine/v1",
 		uint64(e.p.Mode), math.Float64bits(e.p.Eps), uint64(e.p.N), uint64(e.p.ItemBytes),
 		uint64(e.p.Rounds), uint64(e.p.BitsPerRound), uint64(e.p.TopK), uint64(e.p.Cap),
 		math.Float64bits(e.p.Theta), e.p.Seed)

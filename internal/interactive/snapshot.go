@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math"
 
 	"ldphh/internal/freqoracle"
@@ -30,20 +29,6 @@ import (
 // fingerprint, round bounds, candidate canonicality, the embedded oracle
 // snapshot, and the report-count cross-check — before any engine state
 // changes, so a failed load leaves the open round exactly as it was.
-
-// fnvWords digests a labeled word sequence with FNV-1a (the same shape as
-// the oracle fingerprints, labeled per type so engines can never collide
-// with oracle or core fingerprints).
-func fnvWords(label string, words ...uint64) uint64 {
-	f := fnv.New64a()
-	f.Write([]byte(label))
-	var buf [8]byte
-	for _, w := range words {
-		binary.BigEndian.PutUint64(buf[:], w)
-		f.Write(buf[:])
-	}
-	return f.Sum64()
-}
 
 // Snapshot serializes the engine's round position (format above).
 func (e *Engine) Snapshot() ([]byte, error) {

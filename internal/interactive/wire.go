@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand/v2"
-	"sync"
 
 	"ldphh/internal/proto"
 )
@@ -46,13 +45,12 @@ func init() {
 // surface, so both interactive kinds inherit the generic TCP server,
 // mega-batch ingest, snapshot/merge fan-in, durable checkpoints and the
 // metrics sidecar unchanged — plus the Round/AdvanceRound wire commands
-// through proto.Interactive. The adapter serializes access with its own
-// mutex: the engine is not safe for concurrent use, and Report reads the
-// live round state a concurrent AdvanceRound would swap.
+// through proto.Interactive. The engine is not safe for concurrent use, and
+// Report reads the live round state a concurrent AdvanceRound would swap;
+// the embedded proto.Adapter serializes every call on its own mutex.
 type Wire struct {
-	mu  sync.Mutex
+	proto.Adapter
 	eng *Engine
-	id  byte
 }
 
 // NewWire constructs the adapter around a fresh round engine; the protocol
@@ -66,28 +64,46 @@ func NewWire(p Params) (*Wire, error) {
 	if p.Mode == ModeFedTrie {
 		id = proto.IDFedTrie
 	}
-	return &Wire{eng: eng, id: id}, nil
+	return &Wire{Adapter: proto.NewAdapter(id, nil, roundKernel{eng}), eng: eng}, nil
+}
+
+// roundKernel is Wire's proto.Kernel. Round and column range checks happen
+// in Engine.Absorb against the live round state.
+type roundKernel struct{ *Engine }
+
+func (k roundKernel) AbsorbPayload(p []byte) error {
+	if p[5] > 1 {
+		return fmt.Errorf("interactive: report bit byte %d, want 0 or 1", p[5])
+	}
+	bit := int8(-1)
+	if p[5] == 1 {
+		bit = 1
+	}
+	return k.Absorb(RoundReport{Round: int(p[0]), Col: binary.BigEndian.Uint32(p[1:]), Bit: bit})
+}
+
+// Identify returns the final population-scaled estimates; it errors until
+// the final round has committed (drive rounds with AdvanceRound).
+func (k roundKernel) Identify(context.Context) ([]proto.Estimate, error) {
+	return k.Engine.Identify()
 }
 
 // Engine exposes the wrapped engine (for in-process inspection; callers
 // must not mutate it concurrently with the adapter).
 func (w *Wire) Engine() *Engine { return w.eng }
 
-// ProtocolID returns proto.IDPEM or proto.IDFedTrie.
-func (w *Wire) ProtocolID() byte { return w.id }
-
 // Report computes user userIdx's message for the open round. Users whose
 // group is not assigned to the open round get ErrNotInRound (they report
 // in their own round); install the server's broadcast with SetRoundState
 // first so device and server agree on the candidate set.
 func (w *Wire) Report(item []byte, userIdx int, rng *rand.Rand) (proto.WireReport, error) {
-	w.mu.Lock()
-	rep, err := w.eng.Report(item, userIdx, rng)
-	w.mu.Unlock()
+	var rep RoundReport
+	var err error
+	w.Locked(func() { rep, err = w.eng.Report(item, userIdx, rng) })
 	if err != nil {
 		return nil, err
 	}
-	dst := proto.AppendHeader(make([]byte, 0, 2+PayloadBytes), w.id, wireVersion)
+	dst := proto.AppendHeader(make([]byte, 0, 2+PayloadBytes), w.ProtocolID(), wireVersion)
 	dst = append(dst, byte(rep.Round))
 	dst = binary.BigEndian.AppendUint32(dst, rep.Col)
 	bit := byte(0)
@@ -97,113 +113,29 @@ func (w *Wire) Report(item []byte, userIdx int, rng *rand.Rand) (proto.WireRepor
 	return proto.WireReport(append(dst, bit)), nil
 }
 
-// decode structurally validates one wire report; round and column range
-// checks happen at absorption against the live round state.
-func (w *Wire) decode(wr proto.WireReport) (RoundReport, error) {
-	if err := proto.CheckHeader(wr, w.id); err != nil {
-		return RoundReport{}, err
-	}
-	p := wr.Payload()
-	if p[5] > 1 {
-		return RoundReport{}, fmt.Errorf("interactive: report bit byte %d, want 0 or 1", p[5])
-	}
-	bit := int8(-1)
-	if p[5] == 1 {
-		bit = 1
-	}
-	return RoundReport{Round: int(p[0]), Col: binary.BigEndian.Uint32(p[1:]), Bit: bit}, nil
-}
-
-// Absorb folds one wire report into the open round.
-func (w *Wire) Absorb(wr proto.WireReport) error {
-	rep, err := w.decode(wr)
-	if err != nil {
-		return err
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.eng.Absorb(rep)
-}
-
-// AbsorbBatch folds a batch under one lock acquisition. Decoding and
-// validation run before the lock; the valid prefix is absorbed and the
-// first error returned.
-func (w *Wire) AbsorbBatch(wrs []proto.WireReport) error {
-	reps := make([]RoundReport, 0, len(wrs))
-	var decodeErr error
-	for _, wr := range wrs {
-		rep, err := w.decode(wr)
-		if err != nil {
-			decodeErr = err
-			break
-		}
-		reps = append(reps, rep)
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for _, rep := range reps {
-		if err := w.eng.Absorb(rep); err != nil {
-			return err
-		}
-	}
-	return decodeErr
-}
-
-// Identify returns the final population-scaled estimates; it errors until
-// the final round has committed (drive rounds with AdvanceRound).
-func (w *Wire) Identify(ctx context.Context) ([]proto.Estimate, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.eng.Identify()
-}
-
 // RoundState returns the open round's broadcast state (proto.Interactive).
-func (w *Wire) RoundState() proto.RoundState {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.eng.RoundState()
+func (w *Wire) RoundState() (rs proto.RoundState) {
+	w.Locked(func() { rs = w.eng.RoundState() })
+	return rs
 }
 
 // SetRoundState installs a server broadcast (proto.Interactive).
-func (w *Wire) SetRoundState(rs proto.RoundState) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.eng.SetRoundState(rs)
+func (w *Wire) SetRoundState(rs proto.RoundState) (err error) {
+	w.Locked(func() { err = w.eng.SetRoundState(rs) })
+	return err
 }
 
 // AdvanceRound finalizes the open round and opens the next one
 // (proto.Interactive).
-func (w *Wire) AdvanceRound() (proto.RoundState, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.eng.AdvanceRound()
+func (w *Wire) AdvanceRound() (rs proto.RoundState, err error) {
+	w.Locked(func() { rs, err = w.eng.AdvanceRound() })
+	return rs, err
 }
-
-// TotalReports returns the report count absorbed across all rounds.
-func (w *Wire) TotalReports() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.eng.TotalReports()
-}
-
-// SketchBytes returns resident engine memory.
-func (w *Wire) SketchBytes() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.eng.SketchBytes()
-}
-
-// BytesPerReport returns the payload size of one user message.
-func (w *Wire) BytesPerReport() int { return PayloadBytes }
 
 // MinRecoverableFrequency reports the recovery floor (proto.Calibrated).
-func (w *Wire) MinRecoverableFrequency() float64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.eng.MinRecoverableFrequency()
+func (w *Wire) MinRecoverableFrequency() (f float64) {
+	w.Locked(func() { f = w.eng.MinRecoverableFrequency() })
+	return f
 }
 
 // Fingerprint states the parameter digest snapshots and checkpoints are
@@ -213,23 +145,20 @@ func (w *Wire) Fingerprint() uint64 {
 }
 
 // Snapshot serializes the engine's round position (proto.Mergeable).
-func (w *Wire) Snapshot() ([]byte, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.eng.Snapshot()
+func (w *Wire) Snapshot() (buf []byte, err error) {
+	w.Locked(func() { buf, err = w.eng.Snapshot() })
+	return buf, err
 }
 
 // Restore rehydrates a checkpoint (proto.Mergeable).
-func (w *Wire) Restore(buf []byte) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.eng.Restore(buf)
+func (w *Wire) Restore(buf []byte) (err error) {
+	w.Locked(func() { err = w.eng.Restore(buf) })
+	return err
 }
 
 // MergeSnapshot folds a sibling's open-round tally into this one
 // (proto.Mergeable).
-func (w *Wire) MergeSnapshot(buf []byte) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.eng.MergeSnapshot(buf)
+func (w *Wire) MergeSnapshot(buf []byte) (err error) {
+	w.Locked(func() { err = w.eng.MergeSnapshot(buf) })
+	return err
 }

@@ -14,13 +14,17 @@
 //
 // proto sits at the bottom of the dependency tree: it imports none of the
 // protocol packages. Each protocol package (internal/core, internal/baseline,
-// internal/freqoracle) registers its wire codec with Register in an init
-// function and exposes an adapter type satisfying the interfaces.
+// internal/freqoracle, internal/stream, internal/interactive) registers its
+// wire codec with Register in an init function and exposes an adapter type
+// that embeds Adapter over a per-kind Kernel.
 package proto
 
 import (
 	"context"
+	"encoding/binary"
+	"hash/fnv"
 	"math/rand/v2"
+	"sort"
 )
 
 // Protocol IDs. Each registered wire codec owns exactly one; the byte is the
@@ -50,6 +54,22 @@ const (
 type Estimate struct {
 	Item  []byte
 	Count float64
+}
+
+// EstimateLess is the total order every Identify publishes: decreasing
+// count, ties broken by ascending item bytes. Identify outputs carry
+// distinct items, so no two estimates compare equal and any correct sort,
+// serial or parallel, produces the same permutation.
+func EstimateLess(a, b Estimate) bool {
+	if a.Count != b.Count {
+		return a.Count > b.Count
+	}
+	return string(a.Item) < string(b.Item)
+}
+
+// SortEstimates sorts est into Identify order (EstimateLess).
+func SortEstimates(est []Estimate) {
+	sort.Slice(est, func(i, j int) bool { return EstimateLess(est[i], est[j]) })
 }
 
 // WireReport is one user's single ε-LDP message in self-describing framed
@@ -190,6 +210,22 @@ type Calibrated interface {
 // file level, before any snapshot bytes are parsed.
 type Fingerprinted interface {
 	Fingerprint() uint64
+}
+
+// Fingerprint digests a label and a sequence of words with FNV-1a, each
+// word written big endian: the one construction behind every parameter
+// fingerprint in the repository. Each caller labels its own type, so
+// fingerprints of different types cannot collide. Checkpoint files stamp
+// these digests, so the construction must never change.
+func Fingerprint(label string, words ...uint64) uint64 {
+	f := fnv.New64a()
+	f.Write([]byte(label))
+	var buf [8]byte
+	for _, w := range words {
+		binary.BigEndian.PutUint64(buf[:], w)
+		f.Write(buf[:])
+	}
+	return f.Sum64()
 }
 
 // AsFingerprinted reports whether the aggregator can state a parameter

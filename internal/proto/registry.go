@@ -116,20 +116,28 @@ func DecodeWireReport(buf []byte) (WireReport, error) {
 
 // CheckHeader verifies that a wire report belongs to the protocol with the
 // given registered ID and version and has the codec's exact frame length —
-// the shared first half of every adapter's Absorb.
+// the check proto.Adapter runs on every frame, for callers that decode
+// outside an adapter.
 func CheckHeader(w WireReport, id byte) error {
 	c, ok := Lookup(id)
 	if !ok {
 		return fmt.Errorf("proto: protocol ID %#02x is not registered", id)
 	}
-	if len(w) != c.FrameBytes() {
-		return fmt.Errorf("proto: %s report length %d, want %d", c.Name, len(w), c.FrameBytes())
-	}
-	if w[0] != id {
+	return c.checkHeader(w)
+}
+
+// checkHeader verifies a report's protocol ID, frame length and version
+// against the codec. The ID comes first, so a report of another registered
+// kind is named as such whatever its length.
+func (c *Codec) checkHeader(w WireReport) error {
+	if len(w) > 0 && w[0] != c.ID {
 		if other, ok := Lookup(w[0]); ok {
 			return fmt.Errorf("proto: %s report sent to a %s aggregator", other.Name, c.Name)
 		}
-		return fmt.Errorf("proto: report protocol ID %#02x, want %#02x (%s)", w[0], id, c.Name)
+		return fmt.Errorf("proto: report protocol ID %#02x, want %#02x (%s)", w[0], c.ID, c.Name)
+	}
+	if len(w) != c.FrameBytes() {
+		return fmt.Errorf("proto: %s report length %d, want %d", c.Name, len(w), c.FrameBytes())
 	}
 	if w[1] != c.Version {
 		return fmt.Errorf("proto: %s report version %d, want %d", c.Name, w[1], c.Version)

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"io"
 	"math"
 	"net"
@@ -13,7 +14,7 @@ import (
 	"time"
 
 	"ldphh/internal/core"
-	"ldphh/internal/freqoracle"
+	"ldphh/internal/interactive"
 	"ldphh/internal/proto"
 )
 
@@ -273,45 +274,13 @@ func TestSendBatchValidatesBeforeWriting(t *testing.T) {
 }
 
 // TestBatchDecodeAllocs pins the zero-allocation contract of the
-// mega-batch decode path: pooled window buffers, pre-sliced frame views,
-// no per-frame (and no per-window-beyond-the-aggregator) heap traffic.
+// mega-batch ingest path for every kind: one 4096-frame AbsorbBatch
+// allocates nothing at the aggregator, and the server's window decode
+// around it (pooled window buffers, pre-sliced frame views) adds no
+// per-frame heap traffic.
 func TestBatchDecodeAllocs(t *testing.T) {
-	cases := []struct {
-		name  string
-		id    byte
-		build func(t *testing.T) (proto.Reporter, proto.Aggregator)
-	}{
-		{
-			name: "pes", id: proto.IDPrivateExpanderSketch,
-			build: func(t *testing.T) (proto.Reporter, proto.Aggregator) {
-				params := core.Params{Eps: 4, N: 20000, ItemBytes: 4, Y: 16, Seed: 8}
-				dev, err := core.NewPESWire(params)
-				if err != nil {
-					t.Fatal(err)
-				}
-				agg, err := core.NewPESWire(params)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return dev, agg
-			},
-		},
-		{
-			name: "hashtogram", id: proto.IDHashtogram,
-			build: func(t *testing.T) (proto.Reporter, proto.Aggregator) {
-				mk := func() *freqoracle.HashtogramWire {
-					w, err := freqoracle.NewHashtogramWire(
-						freqoracle.HashtogramParams{Eps: 4, N: 20000, Seed: 8},
-						[][]byte{freqoracle.OrdinalBytes(1, 4)}, 0)
-					if err != nil {
-						t.Fatal(err)
-					}
-					return w
-				}
-				return mk(), mk()
-			},
-		},
-	}
+	cases := append(genericCases(), interactiveAllocCase("pem", interactive.ModePEM),
+		interactiveAllocCase("fedtrie", interactive.ModeFedTrie))
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			dev, agg := tc.build(t)
@@ -321,19 +290,37 @@ func TestBatchDecodeAllocs(t *testing.T) {
 			}
 			defer srv.Close()
 
-			// One full window of frames as a pre-encoded batch body:
-			// u32 count + contiguous frames.
+			// One full window of frames, skipping users an interactive
+			// kind's open round does not poll.
 			const frames = windowFrames
 			rng := testRng(5)
+			wrs := make([]proto.WireReport, 0, frames)
+			for u := 0; len(wrs) < frames; u++ {
+				wr, err := dev.Report(tc.itemFor(u), u, rng)
+				if errors.Is(err, interactive.ErrNotInRound) {
+					continue
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				wrs = append(wrs, wr)
+			}
+			absorb := func() {
+				if err := agg.AbsorbBatch(wrs); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := testing.AllocsPerRun(20, absorb); got != 0 {
+				t.Errorf("%d-frame AbsorbBatch allocates %.1f times, want 0", frames, got)
+			}
+
+			// The same window as a pre-encoded batch body: u32 count +
+			// contiguous frames.
 			var body bytes.Buffer
 			var hdr [4]byte
 			binary.BigEndian.PutUint32(hdr[:], frames)
 			body.Write(hdr[:])
-			for i := 0; i < frames; i++ {
-				wr, err := dev.Report(freqoracle.OrdinalBytes(uint64(1+i%7), 4), i, rng)
-				if err != nil {
-					t.Fatal(err)
-				}
+			for _, wr := range wrs {
 				body.Write(wr)
 			}
 			raw := body.Bytes()
@@ -356,6 +343,27 @@ func TestBatchDecodeAllocs(t *testing.T) {
 					perReport, perRun, frames)
 			}
 		})
+	}
+}
+
+// interactiveAllocCase is an interactive kind's row for the allocation
+// pins: device and server both hold round 0's broadcast from construction.
+func interactiveAllocCase(name string, mode interactive.Mode) genericCase {
+	p := pemParams(20260729)
+	p.Mode = mode
+	return genericCase{
+		name: name,
+		build: func(t *testing.T) (proto.Reporter, proto.Aggregator) {
+			mk := func() *interactive.Wire {
+				w, err := interactive.NewWire(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return w
+			}
+			return mk(), mk()
+		},
+		itemFor: openItem,
 	}
 }
 

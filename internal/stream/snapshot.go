@@ -3,8 +3,9 @@ package stream
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"math"
+
+	"ldphh/internal/proto"
 )
 
 // The streaming aggregator serializes its accumulated (non-finalized) state
@@ -35,26 +36,12 @@ const (
 	cellLen         = 1 + 4 + 8
 )
 
-// fingerprint digests a labeled word sequence with FNV-1a — the same
-// construction the oracle layers use, labeled per type so streaming
-// fingerprints can never collide with LHSK/LDSK/LPSK ones.
-func fingerprint(label string, words ...uint64) uint64 {
-	f := fnv.New64a()
-	f.Write([]byte(label))
-	var buf [8]byte
-	for _, w := range words {
-		binary.BigEndian.PutUint64(buf[:], w)
-		f.Write(buf[:])
-	}
-	return f.Sum64()
-}
-
 // Fingerprint returns a 64-bit digest of every parameter that shapes the
 // accumulated state and public randomness: kind, ε, the window split, the
 // structure geometry and the seed. Two aggregators with equal fingerprints
 // absorb interchangeable reports and produce mutually loadable snapshots.
 func (a *Aggregator) Fingerprint() uint64 {
-	return fingerprint("ldphh/stream.Aggregator/v1",
+	return proto.Fingerprint("ldphh/stream.Aggregator/v1",
 		uint64(a.p.Kind), math.Float64bits(a.p.Eps), uint64(a.p.Windows),
 		uint64(a.p.K), uint64(a.p.Domain), uint64(a.p.WindowSize),
 		uint64(a.p.WarmupWindows), uint64(a.p.Buckets), uint64(a.p.LambdaH),

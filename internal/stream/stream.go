@@ -26,7 +26,8 @@
 // k-RR inversion est = (obs − N·q)/(p − q).
 //
 // The Aggregator here is the single-threaded core; stream.Wire adapts it to
-// the unified proto surface (with a mutex) and registers the streamhg codec.
+// the unified proto surface through proto.Adapter, whose lock serializes
+// every call, and registers the streamhg codec.
 package stream
 
 import (
@@ -176,8 +177,8 @@ type ValueEstimate struct {
 }
 
 // Aggregator is the streaming heavy-hitters core. It is not safe for
-// concurrent use — stream.Wire wraps it with a mutex for the generic TCP
-// server. Determinism contract: for a fixed absorb order, every observable
+// concurrent use — stream.Wire serializes it under proto.Adapter's lock for
+// the generic TCP server. Determinism contract: for a fixed absorb order, every observable
 // (structure state, QueryTopK output, snapshots) is bit-identical at any
 // Workers count; all decay randomness is derived by counter-labeled hashing
 // (dist.Mix), not a stateful rng.

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand/v2"
-	"sync"
 
 	"ldphh/internal/freqoracle"
 	"ldphh/internal/proto"
@@ -41,18 +40,17 @@ func init() {
 // proto.Reporter/Aggregator surface, so it inherits the generic TCP server,
 // mega-batch ingest, snapshot/merge fan-in, durable checkpoints and the
 // metrics sidecar unchanged. Items are width-itemBytes encodings of domain
-// ordinals, exactly like the other enumerable-domain protocols. The adapter
-// serializes access with its own mutex: the core Aggregator is not safe for
-// concurrent use.
+// ordinals, exactly like the other enumerable-domain protocols. The core
+// Aggregator is not safe for concurrent use; the embedded proto.Adapter
+// serializes every call on its own mutex.
 //
 // On top of the batch surface it implements proto.ContinuousQuerier:
 // QueryTopK answers over the live structure at any time, while Identify
 // keeps the repo-wide round semantics (answer, then retire the stream).
 type Wire struct {
-	mu        sync.Mutex
+	proto.Adapter
 	a         *Aggregator
 	itemBytes int
-	queries   int64 // continuous queries answered (in-process and over TCP)
 }
 
 // NewWire constructs the adapter around a fresh streaming aggregator.
@@ -69,15 +67,35 @@ func NewWire(p Params, itemBytes int) (*Wire, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Wire{a: a, itemBytes: itemBytes}, nil
+	k := &streamKernel{Aggregator: a, itemBytes: itemBytes}
+	return &Wire{Adapter: proto.NewAdapter(proto.IDStreamHG, nil, k), a: a, itemBytes: itemBytes}, nil
+}
+
+// streamKernel is Wire's proto.Kernel.
+type streamKernel struct {
+	*Aggregator
+	itemBytes int
+}
+
+// AbsorbPayload folds one k-ary RR ordinal; Absorb rejects values outside
+// the domain.
+func (k *streamKernel) AbsorbPayload(p []byte) error {
+	return k.Absorb(binary.BigEndian.Uint32(p))
+}
+
+// Identify answers the configured top-k and retires the stream: the
+// round-closing semantics every batch protocol shares (further ingestion
+// fails, the final checkpoint is skipped). Use QueryTopK to read the
+// structure while the stream runs.
+func (k *streamKernel) Identify(context.Context) ([]proto.Estimate, error) {
+	est := estimates(k.QueryTopK(k.p.K), k.itemBytes)
+	k.Finalize()
+	return est, nil
 }
 
 // Aggregator exposes the wrapped core (for in-process inspection; callers
 // must not mutate it concurrently with the adapter).
 func (w *Wire) Aggregator() *Aggregator { return w.a }
-
-// ProtocolID returns proto.IDStreamHG.
-func (w *Wire) ProtocolID() byte { return proto.IDStreamHG }
 
 // Report computes one user's wire report for item x: the item's domain
 // ordinal pushed through the per-window ε/w k-ary randomized response. The
@@ -94,57 +112,11 @@ func (w *Wire) Report(x []byte, _ int, rng *rand.Rand) (proto.WireReport, error)
 	return proto.WireReport(dst), nil
 }
 
-func (w *Wire) decode(wr proto.WireReport) (uint32, error) {
-	if err := proto.CheckHeader(wr, proto.IDStreamHG); err != nil {
-		return 0, err
-	}
-	v := binary.BigEndian.Uint32(wr.Payload())
-	if int64(v) >= int64(w.a.p.Domain) {
-		return 0, fmt.Errorf("stream: report value %d outside domain %d", v, w.a.p.Domain)
-	}
-	return v, nil
-}
-
-// Absorb folds one wire report into the structure.
-func (w *Wire) Absorb(wr proto.WireReport) error {
-	v, err := w.decode(wr)
-	if err != nil {
-		return err
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.a.Absorb(v)
-}
-
-// AbsorbBatch folds a batch under one lock acquisition. Decoding and
-// validation run before the lock; the valid prefix is absorbed and the
-// first error returned.
-func (w *Wire) AbsorbBatch(wrs []proto.WireReport) error {
-	vals := make([]uint32, 0, len(wrs))
-	var decodeErr error
-	for _, wr := range wrs {
-		v, err := w.decode(wr)
-		if err != nil {
-			decodeErr = err
-			break
-		}
-		vals = append(vals, v)
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for _, v := range vals {
-		if err := w.a.Absorb(v); err != nil {
-			return err
-		}
-	}
-	return decodeErr
-}
-
 // estimates converts core value estimates to the unified estimate type.
-func (w *Wire) estimates(ve []ValueEstimate) []proto.Estimate {
+func estimates(ve []ValueEstimate, itemBytes int) []proto.Estimate {
 	out := make([]proto.Estimate, len(ve))
 	for i, e := range ve {
-		out[i] = proto.Estimate{Item: freqoracle.OrdinalBytes(uint64(e.Value), w.itemBytes), Count: e.Count}
+		out[i] = proto.Estimate{Item: freqoracle.OrdinalBytes(uint64(e.Value), itemBytes), Count: e.Count}
 	}
 	return out
 }
@@ -152,82 +124,43 @@ func (w *Wire) estimates(ve []ValueEstimate) []proto.Estimate {
 // QueryTopK answers the k largest debiased estimates over the live
 // structure without retiring the stream (proto.ContinuousQuerier); k <= 0
 // asks for the configured Params.K. Ingestion may continue concurrently —
-// the query serializes with absorption on the adapter mutex.
+// the query serializes with absorption on the adapter lock.
 func (w *Wire) QueryTopK(ctx context.Context, k int) ([]proto.Estimate, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.queries++
-	return w.estimates(w.a.QueryTopK(k)), nil
+	var ve []ValueEstimate
+	w.Locked(func() { ve = w.a.QueryTopK(k) })
+	return estimates(ve, w.itemBytes), nil
 }
 
 // StreamStats reports the stream position (proto.ContinuousQuerier).
-func (w *Wire) StreamStats() proto.StreamStats {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return proto.StreamStats{
-		Window:     w.a.CurrentWindow(),
-		Windows:    w.a.p.Windows,
-		WindowSize: w.a.p.WindowSize,
-		TopK:       w.a.p.K,
-		Warmup:     w.a.InWarmup(),
-		Evictions:  w.a.Evictions(),
-	}
+func (w *Wire) StreamStats() (st proto.StreamStats) {
+	w.Locked(func() {
+		st = proto.StreamStats{
+			Window:     w.a.CurrentWindow(),
+			Windows:    w.a.p.Windows,
+			WindowSize: w.a.p.WindowSize,
+			TopK:       w.a.p.K,
+			Warmup:     w.a.InWarmup(),
+			Evictions:  w.a.Evictions(),
+		}
+	})
+	return st
 }
-
-// QueriesServed returns the number of continuous queries answered.
-func (w *Wire) QueriesServed() int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.queries
-}
-
-// Identify answers the configured top-k and retires the stream: the
-// round-closing semantics every batch protocol shares (further ingestion
-// fails, the final checkpoint is skipped). Use QueryTopK to read the
-// structure while the stream runs.
-func (w *Wire) Identify(ctx context.Context) ([]proto.Estimate, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	est := w.estimates(w.a.QueryTopK(w.a.p.K))
-	w.a.Finalize()
-	return est, nil
-}
-
-// TotalReports returns the number of absorbed reports.
-func (w *Wire) TotalReports() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.a.TotalReports()
-}
-
-// SketchBytes returns resident structure memory.
-func (w *Wire) SketchBytes() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.a.SketchBytes()
-}
-
-// BytesPerReport returns the payload size of one user message.
-func (w *Wire) BytesPerReport() int { return PayloadBytes }
 
 // MinRecoverableFrequency reports the recovery floor (proto.Calibrated):
 // the larger of the per-value estimation envelope at β = 0.05 and, for the
 // bounded structure, the capture floor above which a value reliably holds a
 // cell. Values above the floor appear in QueryTopK with the accuracy-suite
 // recall guarantee; below it the bounded structure makes no promise.
-func (w *Wire) MinRecoverableFrequency() float64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	f := w.a.ErrorBound(0.05)
-	if c := w.a.CaptureFloor(); c > f {
-		f = c
-	}
+func (w *Wire) MinRecoverableFrequency() (f float64) {
+	w.Locked(func() {
+		f = w.a.ErrorBound(0.05)
+		if c := w.a.CaptureFloor(); c > f {
+			f = c
+		}
+	})
 	return f
 }
 
@@ -235,27 +168,24 @@ func (w *Wire) MinRecoverableFrequency() float64 {
 // pinned to (proto.Fingerprinted). The item width is mixed in because it
 // shapes every answer's encoding.
 func (w *Wire) Fingerprint() uint64 {
-	return fingerprint("ldphh/stream.Wire/v1", uint64(w.itemBytes), w.a.Fingerprint())
+	return proto.Fingerprint("ldphh/stream.Wire/v1", uint64(w.itemBytes), w.a.Fingerprint())
 }
 
 // Snapshot serializes the accumulated state (proto.Mergeable).
-func (w *Wire) Snapshot() ([]byte, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.a.Snapshot()
+func (w *Wire) Snapshot() (buf []byte, err error) {
+	w.Locked(func() { buf, err = w.a.Snapshot() })
+	return buf, err
 }
 
 // Restore rehydrates a checkpoint (proto.Mergeable).
-func (w *Wire) Restore(buf []byte) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.a.Restore(buf)
+func (w *Wire) Restore(buf []byte) (err error) {
+	w.Locked(func() { err = w.a.Restore(buf) })
+	return err
 }
 
 // MergeSnapshot folds a sibling aggregator's snapshot into this one
 // (proto.Mergeable).
-func (w *Wire) MergeSnapshot(buf []byte) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.a.MergeSnapshot(buf)
+func (w *Wire) MergeSnapshot(buf []byte) (err error) {
+	w.Locked(func() { err = w.a.MergeSnapshot(buf) })
+	return err
 }

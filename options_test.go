@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"ldphh"
+	"ldphh/internal/proto"
 )
 
 // ordinalItem encodes v as a width-w big-endian item.
@@ -23,10 +24,14 @@ func ordinalItem(v uint64, w int) []byte {
 
 // TestNewAllKinds drives every registered protocol kind through the
 // functional-options constructor and one in-process round on the unified
-// surface: Report → Absorb → Identify(ctx), with the planted heavy item
-// recovered. It also pins each kind's capability story (which kinds
-// snapshot/merge).
+// surface: Report → AbsorbBatch → Identify(ctx), with the planted heavy
+// item recovered. It also pins each kind's capability story (which kinds
+// snapshot/merge, fingerprint, answer continuous queries, run rounds) and
+// the adapter contract every kind shares: codec-derived BytesPerReport,
+// valid-prefix batch absorption, named rejection of another kind's frame,
+// and a cancelled Identify that leaves the round intact.
 func TestNewAllKinds(t *testing.T) {
+	// Every mergeable kind, and only those, also states a fingerprint.
 	mergeableKinds := map[ldphh.Kind]bool{
 		ldphh.PrivateExpanderSketch: true,
 		ldphh.KindSmallDomain:       true,
@@ -40,6 +45,7 @@ func TestNewAllKinds(t *testing.T) {
 		ldphh.KindPEM:     true,
 		ldphh.KindFedTrie: true,
 	}
+	continuousKinds := map[ldphh.Kind]bool{ldphh.KindStreamHG: true}
 	// The population-splitting baselines carry a sqrt(n·L)-shaped recovery
 	// floor, so they need a larger round for the 40% heavy item to clear it.
 	sizeFor := map[ldphh.Kind]int{
@@ -67,13 +73,59 @@ func TestNewAllKinds(t *testing.T) {
 			if got := ldphh.Kind(h.ProtocolID()); got != kind {
 				t.Fatalf("ProtocolID %v, want %v", got, kind)
 			}
+			codec, _ := proto.Lookup(h.ProtocolID())
+			if got := h.BytesPerReport(); got != codec.PayloadBytes {
+				t.Fatalf("BytesPerReport %d, codec payload %d", got, codec.PayloadBytes)
+			}
 			if _, ok := ldphh.AsMergeable(h); ok != mergeableKinds[kind] {
 				t.Fatalf("Mergeable = %v, want %v", ok, mergeableKinds[kind])
+			}
+			if _, ok := proto.AsFingerprinted(h); ok != mergeableKinds[kind] {
+				t.Fatalf("Fingerprinted = %v, want %v", ok, mergeableKinds[kind])
+			}
+			if _, ok := ldphh.AsContinuousQuerier(h); ok != continuousKinds[kind] {
+				t.Fatalf("ContinuousQuerier = %v, want %v", ok, continuousKinds[kind])
+			}
+			if _, ok := h.(ldphh.Calibrated); !ok {
+				t.Fatal("not Calibrated")
 			}
 			it, ok := ldphh.AsInteractive(h)
 			if ok != interactiveKinds[kind] {
 				t.Fatalf("Interactive = %v, want %v", ok, interactiveKinds[kind])
 			}
+
+			// A frame of another kind is refused by name, absorbing nothing.
+			other := ldphh.KindHashtogram
+			if kind == other {
+				other = ldphh.PrivateExpanderSketch
+			}
+			oc, _ := proto.Lookup(byte(other))
+			err = h.Absorb(proto.NewWireReport(oc.ID, oc.Version, make([]byte, oc.PayloadBytes)))
+			if err == nil || !strings.Contains(err.Error(), codec.Name) || !strings.Contains(err.Error(), oc.Name) {
+				t.Fatalf("%s frame: err = %v, want one naming %s and %s", oc.Name, err, oc.Name, codec.Name)
+			}
+			if got := h.TotalReports(); got != 0 {
+				t.Fatalf("refused frame absorbed: TotalReports = %d", got)
+			}
+			// absorb folds wrs in, first as a batch whose middle frame k
+			// carries a wrong version byte: exactly the k frames before it
+			// are absorbed and the batch fails. The rest follows cleanly.
+			absorb := func(wrs []ldphh.WireReport) {
+				k := len(wrs) / 2
+				bad := append(ldphh.WireReport(nil), wrs[k]...)
+				bad[1]++
+				before := h.TotalReports()
+				if err := h.AbsorbBatch(append(append(wrs[:k:k], bad), wrs[k+1:]...)); err == nil {
+					t.Fatalf("batch with a version-%d frame at %d accepted", bad[1], k)
+				}
+				if got := h.TotalReports() - before; got != k {
+					t.Fatalf("batch failing at frame %d absorbed %d reports, want %d", k, got, k)
+				}
+				if err := h.AbsorbBatch(wrs[k:]); err != nil {
+					t.Fatal(err)
+				}
+			}
+
 			// One unified round: the same instance serves both halves here.
 			rng := rand.New(rand.NewPCG(3, 4))
 			trueHeavy := 0
@@ -97,6 +149,7 @@ func TestNewAllKinds(t *testing.T) {
 				// reports once, in their own round, against that round's
 				// candidate broadcast.
 				for rs := it.RoundState(); !rs.Done; rs = it.RoundState() {
+					var wrs []ldphh.WireReport
 					for i := 0; i < n; i++ {
 						wr, err := h.Report(itemFor(i), i, ldphh.RoundRand(99, rs.Round, i))
 						if errors.Is(err, ldphh.ErrNotInRound) {
@@ -105,27 +158,34 @@ func TestNewAllKinds(t *testing.T) {
 						if err != nil {
 							t.Fatalf("report %d round %d: %v", i, rs.Round, err)
 						}
-						if err := h.Absorb(wr); err != nil {
-							t.Fatalf("absorb %d round %d: %v", i, rs.Round, err)
-						}
+						wrs = append(wrs, wr)
 					}
+					absorb(wrs)
 					if _, err := it.AdvanceRound(); err != nil {
 						t.Fatal(err)
 					}
 				}
 			} else {
-				for i := 0; i < n; i++ {
-					wr, err := h.Report(itemFor(i), i, rng)
-					if err != nil {
+				wrs := make([]ldphh.WireReport, n)
+				for i := range wrs {
+					if wrs[i], err = h.Report(itemFor(i), i, rng); err != nil {
 						t.Fatalf("report %d: %v", i, err)
 					}
-					if err := h.Absorb(wr); err != nil {
-						t.Fatalf("absorb %d: %v", i, err)
-					}
 				}
+				absorb(wrs)
 			}
 			if got := h.TotalReports(); got != n {
 				t.Fatalf("TotalReports = %d, want %d", got, n)
+			}
+			// A cancelled Identify fails on entry and leaves the round
+			// intact for the next one.
+			cancelled, cancel := context.WithCancel(context.Background())
+			cancel()
+			if _, err := h.Identify(cancelled); !errors.Is(err, context.Canceled) {
+				t.Fatalf("Identify on a cancelled context: err = %v, want context.Canceled", err)
+			}
+			if got := h.TotalReports(); got != n {
+				t.Fatalf("cancelled Identify changed TotalReports to %d, want %d", got, n)
 			}
 			est, err := h.Identify(context.Background())
 			if err != nil {
@@ -141,6 +201,41 @@ func TestNewAllKinds(t *testing.T) {
 				t.Errorf("planted heavy item (%d of %d users) not identified", trueHeavy, n)
 			}
 		})
+	}
+}
+
+// TestFingerprintsPinned pins every fingerprinted kind's parameter digest
+// at one option set. Checkpoint files are stamped with these digests, so a
+// changed value would strand every existing checkpoint.
+func TestFingerprintsPinned(t *testing.T) {
+	want := map[ldphh.Kind]uint64{
+		ldphh.PrivateExpanderSketch: 0x4e805542222f7573,
+		ldphh.KindSmallDomain:       0xf7170952b5be6640,
+		ldphh.KindHashtogram:        0x8d02cad2dc3f013f,
+		ldphh.KindDirectHistogram:   0xaa78ab59826d29d6,
+		ldphh.KindStreamHG:          0x28a5bfaef78da997,
+		ldphh.KindPEM:               0xd5fa2683b0f7b8c0,
+		ldphh.KindFedTrie:           0xcbd621da908fc50a,
+	}
+	for kind, fp := range want {
+		opts := []ldphh.Option{
+			ldphh.WithEps(4), ldphh.WithN(6000), ldphh.WithItemBytes(2),
+			ldphh.WithSeed(99), ldphh.WithDomainSize(64),
+		}
+		if kind == ldphh.KindHashtogram {
+			opts = append(opts, ldphh.WithCandidates([][]byte{ordinalItem(1, 2)}))
+		}
+		h, err := ldphh.New(kind, opts...)
+		if err != nil {
+			t.Fatalf("%v: %v", kind, err)
+		}
+		f, ok := proto.AsFingerprinted(h)
+		if !ok {
+			t.Fatalf("%v states no fingerprint", kind)
+		}
+		if got := f.Fingerprint(); got != fp {
+			t.Errorf("%v fingerprint %#016x, want %#016x", kind, got, fp)
+		}
 	}
 }
 
