@@ -18,15 +18,15 @@
 //
 // The trailing checksum is what detects torn writes: truncation chops it
 // off, corruption fails it. The fingerprint field carries the aggregator's
-// parameter fingerprint when the aggregator can state one
-// (proto.Fingerprinted); a Manager opened with an expected fingerprint
-// rejects a mismatching checkpoint as ErrFingerprintMismatch — a distinct,
-// non-recoverable failure (the operator restarted the server with different
-// parameters), deliberately not subject to the torn-file fallback.
+// parameter fingerprint (proto.Mergeable's Fingerprint); a Manager opened
+// with an expected fingerprint rejects a mismatching checkpoint as
+// ErrFingerprintMismatch — a distinct, non-recoverable failure (the
+// operator restarted the server with different parameters), deliberately
+// not subject to the torn-file fallback.
 //
-// The payload itself is an opaque snapshot blob (LPSK/LHSK/LDSK — see
-// DESIGN.md §6); its own embedded fingerprints are revalidated again by the
-// aggregator's Restore, so the file-level check is an early, cheaper
+// The payload itself is an opaque snapshot envelope (DESIGN.md §2,
+// "Snapshot envelope"), whose protocol ID and fingerprint the aggregator's
+// Restore checks again, so the file-level check is an early, cheaper
 // rejection, not the only line of defense.
 package checkpoint
 

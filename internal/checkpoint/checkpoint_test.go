@@ -141,8 +141,8 @@ func TestTornFileFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, mutate := range map[string]func([]byte) []byte{
-		"truncated": func(b []byte) []byte { return b[:len(b)/2] },
-		"bitflip":   func(b []byte) []byte { b[len(b)-3] ^= 0x40; return b },
+		"truncated":           func(b []byte) []byte { return b[:len(b)/2] },
+		"bitflip":             func(b []byte) []byte { b[len(b)-3] ^= 0x40; return b },
 		"shorter than header": func(b []byte) []byte { return b[:7] },
 		"bad magic":           func(b []byte) []byte { b[0] = 'X'; return b },
 	} {

@@ -34,10 +34,11 @@ type Estimate = proto.Estimate
 // each user call Report (the client-side computation), Absorb every report,
 // then call Identify once.
 //
-// Absorb, Merge and Identify are safe for concurrent use: a single mutex
-// guards the aggregation state. The PESWire adapter (a proto.Adapter) takes
-// that same mutex, so high-throughput ingestion absorbs a whole wire batch
-// under one acquisition and serializes with direct calls.
+// Absorb, Identify and the snapshot methods are safe for concurrent use: a
+// single mutex guards the aggregation state. The PESWire adapter (a
+// proto.StateAdapter) takes that same mutex, so high-throughput ingestion
+// absorbs a whole wire batch under one acquisition and serializes with
+// direct calls.
 //
 // Identify itself fans out over a bounded pool of Params.Workers goroutines
 // (per-coordinate scan, per-bucket decode, per-candidate confirmation) and
@@ -182,62 +183,6 @@ func (pr *Protocol) absorb(rep Report) error {
 	return nil
 }
 
-// Accumulator is a private copy of the protocol's counters sharing its
-// (read-only) public randomness: the staging area a decoded snapshot is
-// validated in before Protocol.Merge folds it into the server state.
-// Because every counter is an exact small integer, fold order cannot
-// change any estimate: merged and sequential ingestion produce
-// bit-identical Identify output.
-type Accumulator struct {
-	m        int
-	direct   []*freqoracle.DirectHistogram
-	conf     *freqoracle.Hashtogram
-	groupN   []int
-	absorbed int
-}
-
-// NewAccumulator returns an empty accumulator for this protocol. It costs
-// one zeroed copy of the counter state.
-func (pr *Protocol) NewAccumulator() *Accumulator {
-	direct := make([]*freqoracle.DirectHistogram, pr.p.M)
-	for m := range direct {
-		direct[m] = pr.direct[m].NewAccumulator()
-	}
-	return &Accumulator{
-		m:      pr.p.M,
-		direct: direct,
-		conf:   pr.conf.NewAccumulator(),
-		groupN: make([]int, pr.p.M),
-	}
-}
-
-// Merge folds an accumulator into the server state under the protocol
-// mutex. The accumulator is logically consumed; reusing it would
-// double-count its reports.
-func (pr *Protocol) Merge(a *Accumulator) error {
-	pr.mu.Lock()
-	defer pr.mu.Unlock()
-	if pr.finalized {
-		return fmt.Errorf("core: Merge after Identify")
-	}
-	if a.m != pr.p.M {
-		return fmt.Errorf("core: Merge of differently-shaped accumulator")
-	}
-	for m := range pr.direct {
-		if err := pr.direct[m].Merge(a.direct[m]); err != nil {
-			return err
-		}
-	}
-	if err := pr.conf.Merge(a.conf); err != nil {
-		return err
-	}
-	for m, n := range a.groupN {
-		pr.groupN[m] += n
-	}
-	pr.absorbed += a.absorbed
-	return nil
-}
-
 // listEntry is a candidate (y, z) with its estimate, used for top-cap
 // admission.
 type listEntry struct {
@@ -251,7 +196,7 @@ const decodeStreamLabel = 0x6465636f64657221 // "decoder!"
 
 // Identify runs the server-side reconstruction (steps 2-6 of Algorithm 1)
 // and returns the estimates sorted by decreasing count. It finalizes the
-// protocol; further Absorb and Merge calls fail.
+// protocol; further Absorb and MergeSnapshot calls fail.
 //
 // Every stage fans out over at most Params.Workers goroutines, and the
 // output is bit-identical at any worker count: each coordinate's scan and

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"ldphh/internal/freqoracle"
 	"ldphh/internal/proto"
 )
 
@@ -19,20 +20,21 @@ import (
 // from the union of the reports (the cross-layer equivalence suite enforces
 // this at every layer, under the race detector, and over real TCP).
 //
-// Format "LPSK" version 1 (big endian):
+// Snapshots travel in the proto envelope, which carries the kind and the
+// Fingerprint; the body (big endian) is
 //
-//	magic "LPSK" | version u8 | fingerprint u64 | m u32 | absorbed u64 |
-//	groupN []u64 | per coordinate: len u32 + DirectHistogram "LDSK" blob |
-//	len u32 + confirmation Hashtogram "LHSK" blob
+//	m u32 | absorbed u64 | groupN []u64 | per coordinate: len u32 +
+//	DirectHistogram "LDSK" blob | len u32 + confirmation Hashtogram "LHSK"
+//	blob
+//
+// — format "LPSK" version 1 after its "LPSK" | 1 | fingerprint header, so
+// pre-envelope LPSK checkpoints still restore (see Wire).
 //
 // The fingerprint pins every parameter that shapes the accumulated state or
 // the public randomness (see Fingerprint); a snapshot from a protocol built
 // with a different Seed, ε or sketch geometry is rejected before any state
 // is touched. Workers is deliberately excluded — it is a pure throughput
 // knob, so aggregators in one tree may size their pools independently.
-
-// snapshotVersion is the current LPSK format version.
-const snapshotVersion = 1
 
 // fingerprintLabel seeds the parameter fingerprint so it cannot collide
 // with any other FNV-1a use in the module.
@@ -70,92 +72,123 @@ func (pr *Protocol) Fingerprint() uint64 {
 // Snapshot serializes the protocol's full accumulated (pre-Identify) state:
 // the per-coordinate DirectHistogram counters, the confirmation Hashtogram
 // counters, and the group occupancy the admission thresholds derive from.
-// The bytes restore only into a protocol with an equal Fingerprint.
-func (pr *Protocol) Snapshot() ([]byte, error) {
-	pr.mu.Lock()
-	defer pr.mu.Unlock()
-	if pr.finalized {
-		return nil, fmt.Errorf("core: Snapshot after Identify")
+// The bytes restore only into a protocol with an equal Fingerprint, and
+// are the bytes Wire().Snapshot() produces: both go through one adapter.
+func (pr *Protocol) Snapshot() ([]byte, error) { return pr.Wire().Snapshot() }
+
+// Restore replaces the protocol's accumulated state with a snapshot taken
+// from a protocol with an equal Fingerprint (checkpoint/resume). On error
+// the protocol is exactly as it was.
+func (pr *Protocol) Restore(buf []byte) error { return pr.Wire().Restore(buf) }
+
+// MergeSnapshot folds a child aggregator's snapshot into this protocol,
+// adding its counters to the running totals — the parent half of the
+// fan-in tree. The snapshot must come from a protocol with an equal
+// Fingerprint; it is validated outside the lock and folded under it, so
+// concurrent Absorb traffic interleaves safely.
+func (pr *Protocol) MergeSnapshot(buf []byte) error { return pr.Wire().MergeSnapshot(buf) }
+
+// MergeFrom folds another in-process protocol's accumulated state into this
+// one (both must share a Fingerprint; neither may have run Identify). It
+// serializes the source under its own lock and merges under the
+// receiver's, so the two locks are never held together and concurrent
+// cross-merges cannot deadlock. The source keeps its state; merging the
+// same aggregator twice double-counts its reports.
+func (pr *Protocol) MergeFrom(other *Protocol) error {
+	snap, err := other.Snapshot()
+	if err != nil {
+		return err
 	}
-	buf := make([]byte, 0, 64)
-	buf = append(buf, 'L', 'P', 'S', 'K', snapshotVersion)
-	buf = binary.BigEndian.AppendUint64(buf, pr.Fingerprint())
+	return pr.MergeSnapshot(snap)
+}
+
+// accumulator is a decoded snapshot: a private copy of the protocol's
+// counters sharing its (read-only) public randomness.
+type accumulator struct {
+	direct   []*freqoracle.DirectHistogram
+	conf     *freqoracle.Hashtogram
+	groupN   []int
+	absorbed int
+}
+
+// The pesKernel methods below are PESWire's proto.StateCodec. BodyLen,
+// AppendBody, Replace and Merge run under the protocol mutex the adapter
+// holds; DecodeBody runs without it and reads only the oracle pointers and
+// their construction-time parameters, which never change.
+
+func (k pesKernel) Fingerprint() uint64 { return k.pr.Fingerprint() }
+
+func (k pesKernel) BodyLen() (int, error) {
+	pr := k.pr
+	if pr.finalized {
+		return 0, fmt.Errorf("core: Snapshot after Identify")
+	}
+	n := 4 + 8 + 8*pr.p.M + 4 + pr.conf.SnapshotLen()
+	for _, d := range pr.direct {
+		n += 4 + d.SnapshotLen()
+	}
+	return n, nil
+}
+
+func (k pesKernel) AppendBody(buf []byte) []byte {
+	pr := k.pr
 	buf = binary.BigEndian.AppendUint32(buf, uint32(pr.p.M))
 	buf = binary.BigEndian.AppendUint64(buf, uint64(pr.absorbed))
 	for _, n := range pr.groupN {
 		buf = binary.BigEndian.AppendUint64(buf, uint64(n))
 	}
-	for m := 0; m < pr.p.M; m++ {
-		blob, err := pr.direct[m].Snapshot()
-		if err != nil {
-			return nil, err
-		}
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(blob)))
-		buf = append(buf, blob...)
+	for _, d := range pr.direct {
+		buf = binary.BigEndian.AppendUint32(buf, uint32(d.SnapshotLen()))
+		buf = d.AppendSnapshot(buf)
 	}
-	blob, err := pr.conf.Snapshot()
-	if err != nil {
-		return nil, err
-	}
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(blob)))
-	buf = append(buf, blob...)
-	return buf, nil
+	buf = binary.BigEndian.AppendUint32(buf, uint32(pr.conf.SnapshotLen()))
+	return pr.conf.AppendSnapshot(buf)
 }
 
-// decodeSnapshot validates an LPSK snapshot end to end and materializes it
-// as a fresh Accumulator (sharing this protocol's public randomness,
-// owning the decoded counters). It also returns the M+1 oracle blob
-// sub-slices (per-coordinate DirectHistogram snapshots, then the
-// confirmation Hashtogram snapshot) so Restore can commit through the same
-// parse — this function owns the layout walking; no other code re-derives
-// offsets. Nothing in the protocol is mutated; every structural, shape,
-// range and cross-consistency check happens here, so callers can commit
-// the result without a failure path. Rejected inputs: wrong magic/version,
-// fingerprint mismatch, truncated or oversized buffers, negative counters,
+// DecodeBody validates a snapshot body end to end and materializes it as
+// a fresh accumulator, decoding each oracle blob once. Every structural,
+// shape, range and cross-consistency check happens here, so Replace and
+// Merge commit without a failure path. Rejected inputs: a coordinate count
+// other than M, truncated or oversized buffers, negative counters,
 // non-finite accumulator values, and group/oracle report tallies that
 // disagree with each other.
-func (pr *Protocol) decodeSnapshot(buf []byte) (*Accumulator, [][]byte, error) {
-	const header = 4 + 1 + 8 + 4 + 8
+func (k pesKernel) DecodeBody(buf []byte) (*accumulator, error) {
+	pr := k.pr
+	const header = 4 + 8
 	if len(buf) < header {
-		return nil, nil, fmt.Errorf("core: snapshot too short (%d bytes)", len(buf))
+		return nil, fmt.Errorf("core: snapshot too short (%d bytes)", len(buf))
 	}
-	if string(buf[:4]) != "LPSK" {
-		return nil, nil, fmt.Errorf("core: bad snapshot magic")
+	if m := int(binary.BigEndian.Uint32(buf)); m != pr.p.M {
+		return nil, fmt.Errorf("core: snapshot has %d coordinates, protocol has %d", m, pr.p.M)
 	}
-	if buf[4] != snapshotVersion {
-		return nil, nil, fmt.Errorf("core: unsupported snapshot version %d", buf[4])
-	}
-	if fp := binary.BigEndian.Uint64(buf[5:]); fp != pr.Fingerprint() {
-		return nil, nil, fmt.Errorf("core: snapshot fingerprint %016x does not match protocol %016x (parameters or seed differ)",
-			fp, pr.Fingerprint())
-	}
-	if m := int(binary.BigEndian.Uint32(buf[13:])); m != pr.p.M {
-		return nil, nil, fmt.Errorf("core: snapshot has %d coordinates, protocol has %d", m, pr.p.M)
-	}
-	absorbed := binary.BigEndian.Uint64(buf[17:])
+	absorbed := binary.BigEndian.Uint64(buf[4:])
 	if absorbed > math.MaxInt64 {
-		return nil, nil, fmt.Errorf("core: snapshot report count %d is negative", int64(absorbed))
+		return nil, fmt.Errorf("core: snapshot report count %d is negative", int64(absorbed))
 	}
 	off := header
 	if len(buf) < off+8*pr.p.M {
-		return nil, nil, fmt.Errorf("core: snapshot truncated in group counts")
+		return nil, fmt.Errorf("core: snapshot truncated in group counts")
 	}
-	groupN := make([]int, pr.p.M)
+	acc := &accumulator{
+		direct:   make([]*freqoracle.DirectHistogram, pr.p.M),
+		groupN:   make([]int, pr.p.M),
+		absorbed: int(absorbed),
+	}
 	var sum uint64
-	for m := range groupN {
+	for m := range acc.groupN {
 		n := binary.BigEndian.Uint64(buf[off:])
 		if n > math.MaxInt64 {
-			return nil, nil, fmt.Errorf("core: snapshot group %d count %d is negative", m, int64(n))
+			return nil, fmt.Errorf("core: snapshot group %d count %d is negative", m, int64(n))
 		}
 		sum += n
 		if sum > absorbed {
-			return nil, nil, fmt.Errorf("core: snapshot group counts exceed total %d", absorbed)
+			return nil, fmt.Errorf("core: snapshot group counts exceed total %d", absorbed)
 		}
-		groupN[m] = int(n)
+		acc.groupN[m] = int(n)
 		off += 8
 	}
 	if sum != absorbed {
-		return nil, nil, fmt.Errorf("core: snapshot group counts sum to %d, total says %d", sum, absorbed)
+		return nil, fmt.Errorf("core: snapshot group counts sum to %d, total says %d", sum, absorbed)
 	}
 	nextBlob := func() ([]byte, error) {
 		if len(buf) < off+4 {
@@ -170,99 +203,75 @@ func (pr *Protocol) decodeSnapshot(buf []byte) (*Accumulator, [][]byte, error) {
 		off += n
 		return blob, nil
 	}
-	acc := pr.NewAccumulator()
-	blobs := make([][]byte, 0, pr.p.M+1)
-	for m := 0; m < pr.p.M; m++ {
+	for m, d := range pr.direct {
 		blob, err := nextBlob()
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		if err := acc.direct[m].Restore(blob); err != nil {
-			return nil, nil, fmt.Errorf("core: snapshot coordinate %d: %w", m, err)
+		if acc.direct[m], err = d.DecodeSnapshot(blob); err != nil {
+			return nil, fmt.Errorf("core: snapshot coordinate %d: %w", m, err)
 		}
-		if got := acc.direct[m].TotalReports(); got != groupN[m] {
-			return nil, nil, fmt.Errorf("core: snapshot coordinate %d holds %d reports, group count says %d",
-				m, got, groupN[m])
+		if got := acc.direct[m].TotalReports(); got != acc.groupN[m] {
+			return nil, fmt.Errorf("core: snapshot coordinate %d holds %d reports, group count says %d",
+				m, got, acc.groupN[m])
 		}
-		blobs = append(blobs, blob)
 	}
 	blob, err := nextBlob()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	if err := acc.conf.Restore(blob); err != nil {
-		return nil, nil, fmt.Errorf("core: snapshot confirmation oracle: %w", err)
+	if acc.conf, err = pr.conf.DecodeSnapshot(blob); err != nil {
+		return nil, fmt.Errorf("core: snapshot confirmation oracle: %w", err)
 	}
 	if got := acc.conf.TotalReports(); uint64(got) != absorbed {
-		return nil, nil, fmt.Errorf("core: snapshot confirmation oracle holds %d reports, total says %d",
+		return nil, fmt.Errorf("core: snapshot confirmation oracle holds %d reports, total says %d",
 			got, absorbed)
 	}
 	if off != len(buf) {
-		return nil, nil, fmt.Errorf("core: snapshot has %d trailing bytes", len(buf)-off)
+		return nil, fmt.Errorf("core: snapshot has %d trailing bytes", len(buf)-off)
 	}
-	blobs = append(blobs, blob)
-	copy(acc.groupN, groupN)
-	acc.absorbed = int(absorbed)
-	return acc, blobs, nil
+	return acc, nil
 }
 
-// Restore replaces the protocol's accumulated state with a snapshot taken
-// from a protocol with an equal Fingerprint (checkpoint/resume). It is
-// atomic: validation completes before any state changes, so on error the
-// protocol is exactly as it was.
-func (pr *Protocol) Restore(buf []byte) error {
-	acc, blobs, err := pr.decodeSnapshot(buf)
-	if err != nil {
-		return err
-	}
-	pr.mu.Lock()
-	defer pr.mu.Unlock()
+// Replace swaps a decoded snapshot's counters into the existing oracles,
+// whose pointers stay put (DecodeBody reads them without the lock). The
+// oracles fail only after Identify, which the finalized check rules out.
+func (k pesKernel) Replace(acc *accumulator) error {
+	pr := k.pr
 	if pr.finalized {
 		return fmt.Errorf("core: Restore after Identify")
 	}
-	// Commit in place (the oracle pointers stay put, preserving the
-	// protocol's pointers-are-immutable invariant that unlocked
-	// NewAccumulator readers rely on). Each blob was already accepted by an
-	// identically-parameterized accumulator in decodeSnapshot, and the
-	// oracle Restores are themselves validate-then-commit, so these cannot
-	// fail and the whole commit is atomic.
-	for m := 0; m < pr.p.M; m++ {
-		if err := pr.direct[m].Restore(blobs[m]); err != nil {
-			return fmt.Errorf("core: restoring coordinate %d: %w", m, err)
+	for m, d := range pr.direct {
+		if err := d.Replace(acc.direct[m]); err != nil {
+			return err
 		}
 	}
-	if err := pr.conf.Restore(blobs[pr.p.M]); err != nil {
-		return fmt.Errorf("core: restoring confirmation oracle: %w", err)
+	if err := pr.conf.Replace(acc.conf); err != nil {
+		return err
 	}
 	copy(pr.groupN, acc.groupN)
 	pr.absorbed = acc.absorbed
 	return nil
 }
 
-// MergeSnapshot folds a child aggregator's serialized state into this
-// protocol, adding its counters to the running totals — the parent half of
-// the fan-in tree. The snapshot must come from a protocol with an equal
-// Fingerprint; it is fully validated before the merge, and the merge itself
-// is one locked Accumulator fold, so concurrent Absorb/Merge traffic
-// interleaves safely.
-func (pr *Protocol) MergeSnapshot(buf []byte) error {
-	acc, _, err := pr.decodeSnapshot(buf)
-	if err != nil {
+// Merge folds a decoded snapshot into the server state; as in Replace,
+// only the finalized check can fail.
+func (k pesKernel) Merge(acc *accumulator) error {
+	pr := k.pr
+	if pr.finalized {
+		return fmt.Errorf("core: Merge after Identify")
+	}
+	for m, d := range pr.direct {
+		if err := d.Merge(acc.direct[m]); err != nil {
+			return err
+		}
+	}
+	if err := pr.conf.Merge(acc.conf); err != nil {
 		return err
 	}
-	return pr.Merge(acc)
-}
-
-// MergeFrom folds another in-process protocol's accumulated state into this
-// one (both must share a Fingerprint; neither may have run Identify). It
-// serializes the source under its own lock and merges under the
-// receiver's, so the two locks are never held together and concurrent
-// cross-merges cannot deadlock. The source keeps its state; merging the
-// same aggregator twice double-counts its reports.
-func (pr *Protocol) MergeFrom(other *Protocol) error {
-	snap, err := other.Snapshot()
-	if err != nil {
-		return err
+	for m, n := range acc.groupN {
+		pr.groupN[m] += n
 	}
-	return pr.MergeSnapshot(snap)
+	pr.absorbed += acc.absorbed
+	return nil
 }

@@ -295,6 +295,9 @@ func TestProtocolSnapshotValidation(t *testing.T) {
 			t.Errorf("snapshot rejected across worker counts: %v", err)
 		}
 	})
+	// Offsets: the 14-byte envelope ("LSNP" | version | protocol ID |
+	// fingerprint), then the body's m u32 at 14, absorbed u64 at 18 and
+	// the group counts from 26.
 	corruptions := []struct {
 		name   string
 		mutate func([]byte) []byte
@@ -305,9 +308,11 @@ func TestProtocolSnapshotValidation(t *testing.T) {
 		{"trailing bytes", func(b []byte) []byte { return append(b, 0) }},
 		{"bad magic", func(b []byte) []byte { b[0] = 'X'; return b }},
 		{"bad version", func(b []byte) []byte { b[4] = 99; return b }},
-		{"corrupt fingerprint", func(b []byte) []byte { b[5] ^= 1; return b }},
-		{"corrupt group count", func(b []byte) []byte { b[25] ^= 1; return b }},
-		{"negative total", func(b []byte) []byte { b[17] |= 0x80; return b }},
+		{"wrong protocol ID", func(b []byte) []byte { b[5] = 0x03; return b }},
+		{"corrupt fingerprint", func(b []byte) []byte { b[6] ^= 1; return b }},
+		{"corrupt coordinate count", func(b []byte) []byte { b[17] ^= 1; return b }},
+		{"corrupt group count", func(b []byte) []byte { b[26] ^= 1; return b }},
+		{"negative total", func(b []byte) []byte { b[18] |= 0x80; return b }},
 		{"NaN tail payload", func(b []byte) []byte {
 			copy(b[len(b)-8:], []byte{0x7f, 0xf8, 0, 0, 0, 0, 0, 1})
 			return b

@@ -97,13 +97,13 @@ func DecodeReportWire(wr proto.WireReport) (Report, error) {
 }
 
 // PESWire adapts PrivateExpanderSketch to the unified
-// proto.Reporter/Aggregator/Mergeable surface. Its proto.Adapter takes the
-// protocol's own mutex, so adapter calls and direct calls on the Protocol
-// serialize on one lock; a batch is absorbed under one acquisition of it.
-// Fan-in trees go through MergeSnapshot instead, whose one accumulator
-// fold amortizes over a whole subtree.
+// proto.Reporter/Aggregator/Mergeable surface. Its proto.StateAdapter takes
+// the protocol's own mutex, so adapter calls and direct calls on the
+// Protocol serialize on one lock; a batch is absorbed under one acquisition
+// of it. Fan-in trees go through MergeSnapshot instead, whose one
+// accumulator fold amortizes over a whole subtree.
 type PESWire struct {
-	proto.Adapter
+	proto.StateAdapter[*accumulator]
 	pr *Protocol
 }
 
@@ -118,11 +118,14 @@ func NewPESWire(params Params) (*PESWire, error) {
 
 // Wire returns the unified-API adapter for an existing protocol instance.
 func (pr *Protocol) Wire() *PESWire {
-	return &PESWire{Adapter: proto.NewAdapter(proto.IDPrivateExpanderSketch, &pr.mu, pesKernel{pr}), pr: pr}
+	v1 := binary.BigEndian.AppendUint64([]byte("LPSK\x01"), pr.Fingerprint()) // pre-envelope header
+	a := proto.NewStateAdapter[*accumulator](proto.IDPrivateExpanderSketch, &pr.mu, pesKernel{pr}, v1)
+	return &PESWire{StateAdapter: a, pr: pr}
 }
 
-// pesKernel is PESWire's proto.Kernel: the protocol's unlocked bodies,
-// run under the protocol mutex the adapter holds.
+// pesKernel is PESWire's proto.StateCodec: the protocol's unlocked bodies,
+// run under the protocol mutex the adapter holds (snapshot.go has the
+// snapshot half).
 type pesKernel struct{ pr *Protocol }
 
 func (k pesKernel) AbsorbPayload(p []byte) error {
@@ -154,19 +157,6 @@ func (w *PESWire) Report(x []byte, userIdx int, rng *rand.Rand) (proto.WireRepor
 func (w *PESWire) MinRecoverableFrequency() float64 {
 	return w.pr.Params().MinRecoverableFrequency()
 }
-
-// Fingerprint states the parameter digest snapshots and checkpoints are
-// pinned to (proto.Fingerprinted).
-func (w *PESWire) Fingerprint() uint64 { return w.pr.Fingerprint() }
-
-// Snapshot serializes the accumulated state (proto.Mergeable).
-func (w *PESWire) Snapshot() ([]byte, error) { return w.pr.Snapshot() }
-
-// Restore rehydrates a checkpoint (proto.Mergeable).
-func (w *PESWire) Restore(buf []byte) error { return w.pr.Restore(buf) }
-
-// MergeSnapshot folds a sibling aggregator's snapshot in (proto.Mergeable).
-func (w *PESWire) MergeSnapshot(buf []byte) error { return w.pr.MergeSnapshot(buf) }
 
 // SmallDomainWire adapts the enumerable-domain protocol to the unified
 // surface. SmallDomain is a full-budget DirectHistogram over the explicit

@@ -44,9 +44,9 @@ func benchDecode(b *testing.B, n, k, errs int) {
 	}
 }
 
-func BenchmarkDecodeSmall(b *testing.B)  { benchDecode(b, 30, 10, 10) }
-func BenchmarkDecodeLarge(b *testing.B)  { benchDecode(b, 255, 223, 16) }
-func BenchmarkDecodeClean(b *testing.B)  { benchDecode(b, 30, 10, 0) }
+func BenchmarkDecodeSmall(b *testing.B) { benchDecode(b, 30, 10, 10) }
+func BenchmarkDecodeLarge(b *testing.B) { benchDecode(b, 255, 223, 16) }
+func BenchmarkDecodeClean(b *testing.B) { benchDecode(b, 30, 10, 0) }
 func BenchmarkDecodeErasures(b *testing.B) {
 	c, cw := benchCorrupted(b, 30, 10, 0)
 	rng := rand.New(rand.NewPCG(11, 12))

@@ -95,7 +95,7 @@ type Hashtogram struct {
 	rand      ldp.HadamardBit
 	acc       []int64 // [row*T + col] running sums of ±1 reports
 	rowCounts []int
-	total     int // running sum of rowCounts, kept in lockstep
+	total     int         // running sum of rowCounts, kept in lockstep
 	est       [][]float64 // [row][bucket] finalized estimates
 	scale     []float64   // [row] n/rowCounts[row] (0 for empty rows), frozen at Finalize
 	finalized bool

@@ -1,6 +1,7 @@
 package freqoracle
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -17,9 +18,12 @@ import (
 // Restore validates the embedded shape against the receiver and rejects
 // mismatches.
 //
-// Restore is atomic: it fully validates the snapshot (magic, version,
-// shape, counter ranges, float finiteness) before touching any state, so a
-// failed Restore leaves the oracle exactly as it was.
+// Restore is atomic: DecodeSnapshot parses and validates the whole
+// snapshot (header, counter ranges, float finiteness) into a fresh
+// accumulator in one pass, and only then does Replace swap its counters
+// in, so a failed Restore leaves the oracle exactly as it was. The header
+// is fixed by the receiver's shape, so it is checked as one byte
+// comparison against the receiver's own.
 //
 // Hashtogram format "LHSK" version 1 (big endian), pinned by
 // TestSnapshotGoldenBytes:
@@ -50,97 +54,115 @@ func (d *DirectHistogram) Fingerprint() uint64 {
 		math.Float64bits(d.eps), uint64(d.domain), uint64(d.t))
 }
 
-// Snapshot serializes the Hashtogram's accumulated state (format above).
-func (h *Hashtogram) Snapshot() ([]byte, error) {
-	if h.finalized {
-		return nil, fmt.Errorf("freqoracle: Snapshot after Finalize")
-	}
-	size := 4 + 1 + 4 + 4 + 8*h.p.Rows + 8*h.p.Rows*h.p.T
-	buf := make([]byte, 0, size)
-	buf = append(buf, 'L', 'H', 'S', 'K', 1)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(h.p.Rows))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(h.p.T))
+// hashtogramHeaderLen is the LHSK header: magic, version, rows, t.
+const hashtogramHeaderLen = 4 + 1 + 4 + 4
+
+// appendHeader appends the LHSK header, which is fixed by the sketch's
+// shape: a decoder compares it as bytes against its own.
+func (h *Hashtogram) appendHeader(dst []byte) []byte {
+	dst = append(dst, 'L', 'H', 'S', 'K', 1)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(h.p.Rows))
+	return binary.BigEndian.AppendUint32(dst, uint32(h.p.T))
+}
+
+// SnapshotLen returns the exact length of the snapshot AppendSnapshot
+// writes.
+func (h *Hashtogram) SnapshotLen() int {
+	return hashtogramHeaderLen + 8*h.p.Rows + 8*h.p.Rows*h.p.T
+}
+
+// AppendSnapshot appends the accumulated state (format above) to dst.
+func (h *Hashtogram) AppendSnapshot(dst []byte) []byte {
+	dst = h.appendHeader(dst)
 	for _, c := range h.rowCounts {
-		buf = binary.BigEndian.AppendUint64(buf, uint64(c))
+		dst = binary.BigEndian.AppendUint64(dst, uint64(c))
 	}
 	// The wire format keeps float64-bits cells: the int64 tallies are exact
 	// integers far below 2^53, so the conversion is lossless and the encoded
 	// bytes are identical to the historical float64 accumulator's.
 	for _, v := range h.acc {
-		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(float64(v)))
+		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(float64(v)))
 	}
-	return buf, nil
+	return dst
+}
+
+// Snapshot serializes the Hashtogram's accumulated state (format above).
+func (h *Hashtogram) Snapshot() ([]byte, error) {
+	if h.finalized {
+		return nil, fmt.Errorf("freqoracle: Snapshot after Finalize")
+	}
+	return h.AppendSnapshot(make([]byte, 0, h.SnapshotLen())), nil
 }
 
 // maxSnapshotTally bounds every deserialized counter: report tallies and
-// accumulator cells are integer-valued with magnitude at most the absorbed
-// report count, and anything beyond 2^53 could not even have been
-// accumulated exactly — so larger (or non-integral) values can only come
-// from corruption and are rejected before conversion, with no reliance on
-// signed wraparound.
+// accumulator cells are integers of magnitude at most the report count,
+// and nothing beyond 2^53 could have been accumulated exactly — so larger
+// (or non-integral) values can only be corruption.
 const maxSnapshotTally = uint64(1) << 53
+
+// DecodeSnapshot parses and validates a snapshot produced by a sketch with
+// identical parameters into a fresh accumulator, in one pass; the receiver
+// is untouched. Row counts, and their sum, are checked against
+// maxSnapshotTally on the raw uint64 before any int conversion.
+func (h *Hashtogram) DecodeSnapshot(buf []byte) (*Hashtogram, error) {
+	if want := h.SnapshotLen(); len(buf) != want {
+		return nil, fmt.Errorf("freqoracle: snapshot length %d, want %d", len(buf), want)
+	}
+	var hdr [hashtogramHeaderLen]byte
+	if !bytes.Equal(buf[:hashtogramHeaderLen], h.appendHeader(hdr[:0])) {
+		return nil, fmt.Errorf("freqoracle: snapshot header %x does not match sketch %x (magic, version or shape)",
+			buf[:hashtogramHeaderLen], hdr)
+	}
+	acc := h.NewAccumulator()
+	off := hashtogramHeaderLen
+	var sum uint64
+	for r := range acc.rowCounts {
+		c := binary.BigEndian.Uint64(buf[off:])
+		if c > maxSnapshotTally {
+			return nil, fmt.Errorf("freqoracle: snapshot row %d count %d exceeds report-tally bound %d", r, c, maxSnapshotTally)
+		}
+		sum += c
+		if sum > maxSnapshotTally {
+			return nil, fmt.Errorf("freqoracle: snapshot total report count exceeds bound %d", maxSnapshotTally)
+		}
+		acc.rowCounts[r] = int(c)
+		off += 8
+	}
+	acc.total = int(sum)
+	for j := range acc.acc {
+		v := math.Float64frombits(binary.BigEndian.Uint64(buf[off:]))
+		if err := validTally(v); err != nil {
+			return nil, err
+		}
+		acc.acc[j] = int64(v)
+		off += 8
+	}
+	return acc, nil
+}
+
+// Replace makes acc — a DecodeSnapshot result or NewAccumulator shard of
+// this sketch — the sketch's accumulated state, adopting its counters
+// without a copy; acc must not be used afterwards.
+func (h *Hashtogram) Replace(acc *Hashtogram) error {
+	if h.finalized {
+		return fmt.Errorf("freqoracle: Restore after Finalize")
+	}
+	if h.p != acc.p {
+		return fmt.Errorf("freqoracle: Replace with a differently-parameterized sketch")
+	}
+	h.acc, h.rowCounts, h.total = acc.acc, acc.rowCounts, acc.total
+	return nil
+}
 
 // Restore loads a snapshot produced by a sketch with identical parameters,
 // replacing this sketch's accumulated state. On error the state is
 // unchanged.
 func (h *Hashtogram) Restore(buf []byte) error {
-	if h.finalized {
-		return fmt.Errorf("freqoracle: Restore after Finalize")
+	acc, err := h.DecodeSnapshot(buf)
+	if err != nil {
+		return err
 	}
-	want := 4 + 1 + 4 + 4 + 8*h.p.Rows + 8*h.p.Rows*h.p.T
-	if len(buf) != want {
-		return fmt.Errorf("freqoracle: snapshot length %d, want %d", len(buf), want)
-	}
-	if string(buf[:4]) != "LHSK" {
-		return fmt.Errorf("freqoracle: bad snapshot magic")
-	}
-	if buf[4] != 1 {
-		return fmt.Errorf("freqoracle: unsupported snapshot version %d", buf[4])
-	}
-	rows := int(binary.BigEndian.Uint32(buf[5:]))
-	t := int(binary.BigEndian.Uint32(buf[9:]))
-	if rows != h.p.Rows || t != h.p.T {
-		return fmt.Errorf("freqoracle: snapshot shape (%d,%d) does not match sketch (%d,%d)",
-			rows, t, h.p.Rows, h.p.T)
-	}
-	// Validation pass: every counter must be a plausible accumulator value
-	// before anything is committed. Row counts are report tallies, so each —
-	// and their sum, which becomes the total — is checked against the
-	// explicit maxSnapshotTally bound on the raw uint64 before any int
-	// conversion; accumulator cells are sums of ±1 reports, so anything
-	// non-finite, non-integral or beyond the bound can only be corruption.
-	off := 13
-	var sum uint64
-	for r := 0; r < rows; r++ {
-		c := binary.BigEndian.Uint64(buf[off:])
-		if c > maxSnapshotTally {
-			return fmt.Errorf("freqoracle: snapshot row %d count %d exceeds report-tally bound %d", r, c, maxSnapshotTally)
-		}
-		sum += c
-		if sum > maxSnapshotTally {
-			return fmt.Errorf("freqoracle: snapshot total report count exceeds bound %d", maxSnapshotTally)
-		}
-		off += 8
-	}
-	for i := 0; i < rows*t; i++ {
-		v := math.Float64frombits(binary.BigEndian.Uint64(buf[off:]))
-		if err := validTally(v); err != nil {
-			return err
-		}
-		off += 8
-	}
-	// Commit pass.
-	off = 13
-	h.total = int(sum)
-	for r := 0; r < rows; r++ {
-		h.rowCounts[r] = int(binary.BigEndian.Uint64(buf[off:]))
-		off += 8
-	}
-	for j := range h.acc {
-		h.acc[j] = int64(math.Float64frombits(binary.BigEndian.Uint64(buf[off:])))
-		off += 8
-	}
-	return nil
+	return h.Replace(acc)
 }
 
 // validTally accepts exactly the float64 values an accumulator cell can
@@ -163,73 +185,94 @@ func validTally(v float64) error {
 	return nil
 }
 
+// directHeaderLen is the LDSK header: magic, version, domain, t, epsBits.
+const directHeaderLen = 4 + 1 + 4 + 4 + 8
+
+// appendHeader appends the LDSK header. The privacy parameter is embedded
+// as raw float64 bits so a snapshot cannot be restored into an oracle with
+// a different ε — the accumulated counters are only meaningful under the
+// randomizer that produced them.
+func (d *DirectHistogram) appendHeader(dst []byte) []byte {
+	dst = append(dst, 'L', 'D', 'S', 'K', 1)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(d.domain))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(d.t))
+	return binary.BigEndian.AppendUint64(dst, math.Float64bits(d.eps))
+}
+
+// SnapshotLen returns the exact length of the snapshot AppendSnapshot
+// writes.
+func (d *DirectHistogram) SnapshotLen() int { return directHeaderLen + 8 + 8*d.t }
+
+// AppendSnapshot appends the accumulated state (format above) to dst.
+func (d *DirectHistogram) AppendSnapshot(dst []byte) []byte {
+	dst = d.appendHeader(dst)
+	dst = binary.BigEndian.AppendUint64(dst, uint64(d.n))
+	for _, v := range d.acc {
+		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(float64(v)))
+	}
+	return dst
+}
+
 // Snapshot serializes the DirectHistogram's accumulated state (format
-// above). The privacy parameter is embedded as raw float64 bits so a
-// snapshot cannot be restored into an oracle with a different ε — the
-// accumulated counters are only meaningful under the randomizer that
-// produced them.
+// above).
 func (d *DirectHistogram) Snapshot() ([]byte, error) {
 	if d.finalized {
 		return nil, fmt.Errorf("freqoracle: Snapshot after Finalize")
 	}
-	size := 4 + 1 + 4 + 4 + 8 + 8 + 8*d.t
-	buf := make([]byte, 0, size)
-	buf = append(buf, 'L', 'D', 'S', 'K', 1)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(d.domain))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(d.t))
-	buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(d.eps))
-	buf = binary.BigEndian.AppendUint64(buf, uint64(d.n))
-	for _, v := range d.acc {
-		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(float64(v)))
+	return d.AppendSnapshot(make([]byte, 0, d.SnapshotLen())), nil
+}
+
+// DecodeSnapshot parses and validates a snapshot produced by an oracle
+// with identical parameters into a fresh accumulator, in one pass; the
+// receiver is untouched.
+func (d *DirectHistogram) DecodeSnapshot(buf []byte) (*DirectHistogram, error) {
+	if want := d.SnapshotLen(); len(buf) != want {
+		return nil, fmt.Errorf("freqoracle: snapshot length %d, want %d", len(buf), want)
 	}
-	return buf, nil
+	var hdr [directHeaderLen]byte
+	if !bytes.Equal(buf[:directHeaderLen], d.appendHeader(hdr[:0])) {
+		return nil, fmt.Errorf("freqoracle: snapshot header %x does not match histogram %x (magic, version, shape or eps)",
+			buf[:directHeaderLen], hdr)
+	}
+	n := binary.BigEndian.Uint64(buf[directHeaderLen:])
+	if n > maxSnapshotTally {
+		return nil, fmt.Errorf("freqoracle: snapshot report count %d exceeds report-tally bound %d", n, maxSnapshotTally)
+	}
+	acc := d.NewAccumulator()
+	acc.n = int(n)
+	off := directHeaderLen + 8
+	for j := range acc.acc {
+		v := math.Float64frombits(binary.BigEndian.Uint64(buf[off:]))
+		if err := validTally(v); err != nil {
+			return nil, err
+		}
+		acc.acc[j] = int64(v)
+		off += 8
+	}
+	return acc, nil
+}
+
+// Replace makes acc — a DecodeSnapshot result or NewAccumulator shard of
+// this oracle — the oracle's accumulated state, adopting its counters
+// without a copy; acc must not be used afterwards.
+func (d *DirectHistogram) Replace(acc *DirectHistogram) error {
+	if d.finalized {
+		return fmt.Errorf("freqoracle: Restore after Finalize")
+	}
+	if d.eps != acc.eps || d.domain != acc.domain || d.t != acc.t {
+		return fmt.Errorf("freqoracle: Replace with a differently-parameterized histogram")
+	}
+	d.acc, d.n = acc.acc, acc.n
+	return nil
 }
 
 // Restore loads a snapshot produced by an oracle with identical parameters,
 // replacing this oracle's accumulated state. On error the state is
 // unchanged.
 func (d *DirectHistogram) Restore(buf []byte) error {
-	if d.finalized {
-		return fmt.Errorf("freqoracle: Restore after Finalize")
+	acc, err := d.DecodeSnapshot(buf)
+	if err != nil {
+		return err
 	}
-	want := 4 + 1 + 4 + 4 + 8 + 8 + 8*d.t
-	if len(buf) != want {
-		return fmt.Errorf("freqoracle: snapshot length %d, want %d", len(buf), want)
-	}
-	if string(buf[:4]) != "LDSK" {
-		return fmt.Errorf("freqoracle: bad snapshot magic")
-	}
-	if buf[4] != 1 {
-		return fmt.Errorf("freqoracle: unsupported snapshot version %d", buf[4])
-	}
-	domain := int(binary.BigEndian.Uint32(buf[5:]))
-	t := int(binary.BigEndian.Uint32(buf[9:]))
-	if domain != d.domain || t != d.t {
-		return fmt.Errorf("freqoracle: snapshot shape (%d,%d) does not match histogram (%d,%d)",
-			domain, t, d.domain, d.t)
-	}
-	if epsBits := binary.BigEndian.Uint64(buf[13:]); epsBits != math.Float64bits(d.eps) {
-		return fmt.Errorf("freqoracle: snapshot eps %v does not match histogram eps %v",
-			math.Float64frombits(epsBits), d.eps)
-	}
-	n := binary.BigEndian.Uint64(buf[21:])
-	if n > maxSnapshotTally {
-		return fmt.Errorf("freqoracle: snapshot report count %d exceeds report-tally bound %d", n, maxSnapshotTally)
-	}
-	off := 29
-	for j := 0; j < t; j++ {
-		v := math.Float64frombits(binary.BigEndian.Uint64(buf[off:]))
-		if err := validTally(v); err != nil {
-			return err
-		}
-		off += 8
-	}
-	// Commit pass.
-	d.n = int(n)
-	off = 29
-	for j := 0; j < t; j++ {
-		d.acc[j] = int64(math.Float64frombits(binary.BigEndian.Uint64(buf[off:])))
-		off += 8
-	}
-	return nil
+	return d.Replace(acc)
 }

@@ -145,10 +145,12 @@ func OrdinalOf(x []byte, itemBytes, domain int) (uint64, error) {
 // queries, not open-ended identification, so Identify estimates an explicit
 // candidate set fixed at construction (the "known dictionary" deployment —
 // e.g. a URL allowlist) and returns those reaching minCount. The oracle is
-// not safe for concurrent use; the embedded proto.Adapter serializes every
-// call on its own mutex.
+// not safe for concurrent use; the embedded proto.StateAdapter serializes
+// every call on its own mutex and serves the snapshot capability, whose
+// body is the LHSK blob. Candidates and minCount shape Identify's query
+// set, never the accumulated state, so the fingerprint is the oracle's.
 type HashtogramWire struct {
-	proto.Adapter
+	proto.StateAdapter[*Hashtogram]
 	h *Hashtogram
 }
 
@@ -161,10 +163,11 @@ func NewHashtogramWire(params HashtogramParams, candidates [][]byte, minCount fl
 		return nil, err
 	}
 	k := &hashtogramKernel{Hashtogram: h, candidates: candidates, minCount: minCount}
-	return &HashtogramWire{Adapter: proto.NewAdapter(proto.IDHashtogram, nil, k), h: h}, nil
+	return &HashtogramWire{StateAdapter: proto.NewStateAdapter[*Hashtogram](proto.IDHashtogram, nil, k, nil), h: h}, nil
 }
 
-// hashtogramKernel is HashtogramWire's proto.Kernel.
+// hashtogramKernel is HashtogramWire's proto.StateCodec; Fingerprint,
+// Replace and Merge are the oracle's own.
 type hashtogramKernel struct {
 	*Hashtogram
 	candidates [][]byte
@@ -178,6 +181,17 @@ func (k *hashtogramKernel) AbsorbPayload(p []byte) error {
 	}
 	return k.Absorb(rep)
 }
+
+func (k *hashtogramKernel) BodyLen() (int, error) {
+	if k.finalized {
+		return 0, fmt.Errorf("freqoracle: Snapshot after Finalize")
+	}
+	return k.SnapshotLen(), nil
+}
+
+func (k *hashtogramKernel) AppendBody(dst []byte) []byte { return k.AppendSnapshot(dst) }
+
+func (k *hashtogramKernel) DecodeBody(b []byte) (*Hashtogram, error) { return k.DecodeSnapshot(b) }
 
 // Identify finalizes the oracle and estimates the candidate set.
 func (k *hashtogramKernel) Identify(context.Context) ([]proto.Estimate, error) {
@@ -213,46 +227,18 @@ func (w *HashtogramWire) Report(x []byte, userIdx int, rng *rand.Rand) (proto.Wi
 // β = 0.05 — the smallest count reliably distinguishable from zero.
 func (w *HashtogramWire) MinRecoverableFrequency() float64 { return w.h.ErrorBound(0.05) }
 
-// Fingerprint states the parameter digest snapshots and checkpoints are
-// pinned to (proto.Fingerprinted). Candidates and minCount are excluded on
-// purpose: they shape Identify's query set, never the accumulated state.
-func (w *HashtogramWire) Fingerprint() uint64 { return w.h.Fingerprint() }
-
-// Snapshot serializes the oracle's accumulated state (proto.Mergeable).
-func (w *HashtogramWire) Snapshot() (buf []byte, err error) {
-	w.Locked(func() { buf, err = w.h.Snapshot() })
-	return buf, err
-}
-
-// Restore rehydrates a checkpoint (proto.Mergeable).
-func (w *HashtogramWire) Restore(buf []byte) (err error) {
-	w.Locked(func() { err = w.h.Restore(buf) })
-	return err
-}
-
-// MergeSnapshot folds a sibling aggregator's snapshot into this one by
-// rehydrating it into a fresh shard and merging (proto.Mergeable).
-func (w *HashtogramWire) MergeSnapshot(buf []byte) (err error) {
-	w.Locked(func() {
-		acc := w.h.NewAccumulator()
-		if err = acc.Restore(buf); err == nil {
-			err = w.h.Merge(acc)
-		}
-	})
-	return err
-}
-
 // DirectHistogramWire adapts the Theorem 3.8 oracle to the unified surface
 // over items that are width-itemBytes encodings of ordinals [0, domain).
 // Identify scans the whole reconstructed histogram — O(domain) — which is
 // exactly the enumerable-domain regime this oracle is for. The embedded
-// proto.Adapter serializes every call on its own mutex.
+// proto.StateAdapter serializes every call on its own mutex and serves the
+// snapshot capability, whose body is the LDSK blob.
 //
 // The adapter is also the shared implementation behind every codec whose
 // payload is a bare DirectReport: core.SmallDomainWire is this adapter
 // under the smalldomain protocol identity (NewDirectHistogramWireAs).
 type DirectHistogramWire struct {
-	proto.Adapter
+	proto.StateAdapter[*DirectHistogram]
 	d         *DirectHistogram
 	version   byte
 	itemBytes int
@@ -278,19 +264,42 @@ func NewDirectHistogramWireAs(id, version byte, eps float64, itemBytes, domain, 
 	if err != nil {
 		return nil, err
 	}
-	k := &directKernel{DirectHistogram: d, itemBytes: itemBytes, minCount: minCount}
+	k := &directKernel{DirectHistogram: d, id: id, itemBytes: itemBytes, minCount: minCount}
 	return &DirectHistogramWire{
-		Adapter: proto.NewAdapter(id, nil, k),
-		d:       d, version: version, itemBytes: itemBytes, n: n,
+		StateAdapter: proto.NewStateAdapter[*DirectHistogram](id, nil, k, nil),
+		d:            d, version: version, itemBytes: itemBytes, n: n,
 	}, nil
 }
 
-// directKernel is DirectHistogramWire's proto.Kernel.
+// directKernel is DirectHistogramWire's proto.StateCodec; Replace and Merge
+// are the oracle's own.
 type directKernel struct {
 	*DirectHistogram
+	id        byte
 	itemBytes int
 	minCount  float64
 }
+
+// Fingerprint mixes the codec ID and the item width into the oracle's
+// digest. The snapshot envelope carries both the ID and this fingerprint,
+// and LCKF checkpoint files stamp the fingerprint, so a smalldomain
+// snapshot or checkpoint never loads into a directhistogram aggregator,
+// even though the LDSK bodies would be byte-compatible.
+func (k *directKernel) Fingerprint() uint64 {
+	return proto.Fingerprint("ldphh/freqoracle.DirectHistogramWire/v1",
+		uint64(k.id), uint64(k.itemBytes), k.DirectHistogram.Fingerprint())
+}
+
+func (k *directKernel) BodyLen() (int, error) {
+	if k.finalized {
+		return 0, fmt.Errorf("freqoracle: Snapshot after Finalize")
+	}
+	return k.SnapshotLen(), nil
+}
+
+func (k *directKernel) AppendBody(dst []byte) []byte { return k.AppendSnapshot(dst) }
+
+func (k *directKernel) DecodeBody(b []byte) (*DirectHistogram, error) { return k.DecodeSnapshot(b) }
 
 func (k *directKernel) AbsorbPayload(p []byte) error {
 	rep, err := DecodeDirectReport(p)
@@ -350,38 +359,4 @@ func (w *DirectHistogramWire) MinRecoverableFrequency() float64 {
 		n = 1
 	}
 	return w.d.ErrorBound(n, 0.05)
-}
-
-// Fingerprint states the parameter digest snapshots and checkpoints are
-// pinned to (proto.Fingerprinted). The wire identity (codec ID) and item
-// width are mixed in so a checkpoint written under the smalldomain identity
-// never restores into a directhistogram server, even though the underlying
-// LDSK state would be byte-compatible.
-func (w *DirectHistogramWire) Fingerprint() uint64 {
-	return proto.Fingerprint("ldphh/freqoracle.DirectHistogramWire/v1",
-		uint64(w.ProtocolID()), uint64(w.itemBytes), w.d.Fingerprint())
-}
-
-// Snapshot serializes the oracle's accumulated state (proto.Mergeable).
-func (w *DirectHistogramWire) Snapshot() (buf []byte, err error) {
-	w.Locked(func() { buf, err = w.d.Snapshot() })
-	return buf, err
-}
-
-// Restore rehydrates a checkpoint (proto.Mergeable).
-func (w *DirectHistogramWire) Restore(buf []byte) (err error) {
-	w.Locked(func() { err = w.d.Restore(buf) })
-	return err
-}
-
-// MergeSnapshot folds a sibling's snapshot in via a fresh shard
-// (proto.Mergeable).
-func (w *DirectHistogramWire) MergeSnapshot(buf []byte) (err error) {
-	w.Locked(func() {
-		acc := w.d.NewAccumulator()
-		if err = acc.Restore(buf); err == nil {
-			err = w.d.Merge(acc)
-		}
-	})
-	return err
 }

@@ -67,16 +67,14 @@ func (m Mode) String() string {
 // most 2^16 children per survivor; the candidate-set product bound keeps
 // every per-round oracle domain far below the proto decode limit.
 const (
-	maxRounds        = 255 // the wire round byte
-	maxBitsPerRound  = 16
-	maxRoundDomain   = 1 << 22 // candidate count bound per round (matches proto.maxRoundCandidates)
-	defaultBitsExt   = 4
-	defaultTopK      = 16
-	thresholdBeta    = 0.05 // failure probability of the derived FedTrie threshold envelope
-	groupSeedLabel   = 0x726f756e6447727 // "roundGr" — group-hash sub-seed label
-	roundRandLabel   = 0x726f756e64524e47 // "roundRNG" — per-round device sub-stream label
-	snapshotMagic    = "LIRK"
-	snapshotVersion  = 1
+	maxRounds       = 255 // the wire round byte
+	maxBitsPerRound = 16
+	maxRoundDomain  = 1 << 22 // candidate count bound per round (matches proto.maxRoundCandidates)
+	defaultBitsExt  = 4
+	defaultTopK     = 16
+	thresholdBeta   = 0.05               // failure probability of the derived FedTrie threshold envelope
+	groupSeedLabel  = 0x726f756e6447727  // "roundGr" — group-hash sub-seed label
+	roundRandLabel  = 0x726f756e64524e47 // "roundRNG" — per-round device sub-stream label
 )
 
 // ErrNotInRound is returned by Report when the user's group is not the one
@@ -122,13 +120,13 @@ type RoundReport struct {
 }
 
 // Engine is the shared round state machine. It is not safe for concurrent
-// use — Wire serializes it under proto.Adapter's lock for the aggregation
-// server.
+// use — Wire serializes it under proto.StateAdapter's lock for the
+// aggregation server.
 type Engine struct {
-	p        Params
-	bits     int // total prefix bits = 8·ItemBytes
-	group    hashing.KWise
-	fp       uint64
+	p     Params
+	bits  int // total prefix bits = 8·ItemBytes
+	group hashing.KWise
+	fp    uint64
 
 	round        int
 	cands        [][]byte // canonical: sorted ascending, strictly increasing
@@ -350,8 +348,8 @@ func (e *Engine) threshold(scale float64) float64 {
 
 // AdvanceRound finalizes the open round and opens the next one (or commits
 // the final answer), returning the new broadcast state. Validate-then-
-// commit: the live accumulator is snapshot-copied into a scratch oracle and
-// the scratch is finalized, so any failure leaves the open round absorbing
+// commit: the live accumulator is merged into a scratch oracle and the
+// scratch is finalized, so any failure leaves the open round absorbing
 // exactly as before.
 func (e *Engine) AdvanceRound() (proto.RoundState, error) {
 	if e.done {
@@ -359,15 +357,8 @@ func (e *Engine) AdvanceRound() (proto.RoundState, error) {
 	}
 	// Scratch finalization (Finalize is irreversible; never run it on the
 	// live accumulator).
-	scratch, err := freqoracle.NewDirectHistogram(e.p.Eps, len(e.cands)+1)
-	if err != nil {
-		return proto.RoundState{}, err
-	}
-	snap, err := e.hist.Snapshot()
-	if err != nil {
-		return proto.RoundState{}, err
-	}
-	if err := scratch.Restore(snap); err != nil {
+	scratch := e.hist.NewAccumulator()
+	if err := scratch.Merge(e.hist); err != nil {
 		return proto.RoundState{}, err
 	}
 	scale := 1.0

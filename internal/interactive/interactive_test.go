@@ -194,11 +194,11 @@ func TestSetRoundStateValidation(t *testing.T) {
 	}
 	good := eng.RoundState()
 	cases := map[string]func(rs *proto.RoundState){
-		"done state":        func(rs *proto.RoundState) { rs.Done = true },
-		"wrong rounds":      func(rs *proto.RoundState) { rs.Rounds++ },
+		"done state":         func(rs *proto.RoundState) { rs.Done = true },
+		"wrong rounds":       func(rs *proto.RoundState) { rs.Rounds++ },
 		"round out of range": func(rs *proto.RoundState) { rs.Round = rs.Rounds },
-		"wrong width":       func(rs *proto.RoundState) { rs.PrefixBits++ },
-		"empty candidates":  func(rs *proto.RoundState) { rs.Candidates = nil },
+		"wrong width":        func(rs *proto.RoundState) { rs.PrefixBits++ },
+		"empty candidates":   func(rs *proto.RoundState) { rs.Candidates = nil },
 		"unsorted": func(rs *proto.RoundState) {
 			rs.Candidates[0], rs.Candidates[1] = rs.Candidates[1], rs.Candidates[0]
 		},
@@ -257,14 +257,15 @@ func TestRoundStateCodec(t *testing.T) {
 // engine finishes the protocol bit-identically to the uninterrupted one.
 func TestSnapshotRoundTrip(t *testing.T) {
 	p := testParams(ModePEM)
-	mk := func() *Engine {
-		eng, err := NewEngine(p)
+	mk := func() *Wire {
+		w, err := NewWire(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return eng
+		return w
 	}
-	ref, victim := mk(), mk()
+	refW, victim := mk(), mk()
+	ref := refW.eng
 	// Round 0 fully, round 1 half-way into both engines identically.
 	feed := func(eng *Engine, r, from, to int) {
 		for u := from; u < to; u++ {
@@ -280,7 +281,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	for _, eng := range []*Engine{ref, victim} {
+	for _, eng := range []*Engine{ref, victim.eng} {
 		feed(eng, 0, 0, p.N)
 		if _, err := eng.AdvanceRound(); err != nil {
 			t.Fatal(err)
@@ -291,10 +292,11 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored := mk()
-	if err := restored.Restore(snap); err != nil {
+	restoredW := mk()
+	if err := restoredW.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
+	restored := restoredW.eng
 	if restored.RoundState().Round != 1 || restored.TotalReports() != victim.TotalReports() {
 		t.Fatalf("restore landed at round %d with %d reports, want round 1 with %d",
 			restored.RoundState().Round, restored.TotalReports(), victim.TotalReports())
@@ -322,7 +324,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	assertSameEstimates(t, got, want)
 
 	// A done snapshot also round-trips.
-	snap2, err := ref.Snapshot()
+	snap2, err := refW.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +332,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err := again.Restore(snap2); err != nil {
 		t.Fatal(err)
 	}
-	est, err := again.Identify()
+	est, err := again.eng.Identify()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,14 +355,15 @@ func TestSnapshotRoundTrip(t *testing.T) {
 // transition matches an engine that absorbed everything itself.
 func TestMergeEquivalence(t *testing.T) {
 	p := testParams(ModeFedTrie)
-	mk := func() *Engine {
-		eng, err := NewEngine(p)
+	mk := func() *Wire {
+		w, err := NewWire(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return eng
+		return w
 	}
-	ref, root := mk(), mk()
+	ref, rootW := mk().eng, mk()
+	root := rootW.eng
 	for r := 0; ; r++ {
 		rs := root.RoundState()
 		leafA, leafB := mk(), mk()
@@ -385,16 +388,16 @@ func TestMergeEquivalence(t *testing.T) {
 			if u%2 == 1 {
 				leaf = leafB
 			}
-			if err := leaf.Absorb(rep); err != nil {
+			if err := leaf.eng.Absorb(rep); err != nil {
 				t.Fatal(err)
 			}
 		}
-		for _, leaf := range []*Engine{leafA, leafB} {
+		for _, leaf := range []*Wire{leafA, leafB} {
 			snap, err := leaf.Snapshot()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := root.MergeSnapshot(snap); err != nil {
+			if err := rootW.MergeSnapshot(snap); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -17,40 +17,52 @@ import (
 // restart resumes the identical round, and so per-round leaf aggregators
 // can ship their tallies to a parent for merging.
 //
-// Format "LIRK" version 1 (big endian):
+// The proto envelope carries the kind and the engine fingerprint; the body
+// (big endian) is format "LIRK" version 1 after its "LIRK" | 1 |
+// fingerprint header, so pre-envelope LIRK checkpoints still restore:
 //
-//	magic "LIRK" | version u8 | fingerprint u64 | round u32 | done u8 |
-//	roundReports u64 | absorbed u64 |
+//	round u32 | done u8 | roundReports u64 | absorbed u64 |
 //	candCount u32 | candCount × (u16 len | bytes) |
 //	histLen u32 | LDSK blob (absent once done) |
 //	estCount u32 | estCount × (u16 len | bytes | f64bits u64)
 //
-// Restore and MergeSnapshot are atomic: the blob is fully validated —
-// fingerprint, round bounds, candidate canonicality, the embedded oracle
-// snapshot, and the report-count cross-check — before any engine state
-// changes, so a failed load leaves the open round exactly as it was.
+// Restore and MergeSnapshot are atomic: DecodeBody validates the whole body
+// — round bounds, candidate canonicality, the embedded oracle snapshot, and
+// the report-count cross-check — before any engine state changes, so a
+// failed load leaves the open round exactly as it was.
 
-// Snapshot serializes the engine's round position (format above).
-func (e *Engine) Snapshot() ([]byte, error) {
-	var hist []byte
-	if !e.done {
-		var err error
-		hist, err = e.hist.Snapshot()
-		if err != nil {
-			return nil, err
-		}
+// roundSnapshot is a decoded and validated body, not yet installed.
+type roundSnapshot struct {
+	round        int
+	done         bool
+	roundReports int
+	absorbed     int
+	cands        [][]byte
+	hist         *freqoracle.DirectHistogram // nil once done
+	estimates    []proto.Estimate
+}
+
+// The roundKernel methods below are Wire's proto.StateCodec (Fingerprint
+// is the engine's own). BodyLen, AppendBody, Replace and Merge run under
+// the adapter lock; DecodeBody runs without it and reads only the
+// parameters.
+
+func (k roundKernel) BodyLen() (int, error) {
+	n := 4 + 1 + 8 + 8 + 4 + 4 + 4
+	if !k.done {
+		n += k.hist.SnapshotLen()
 	}
-	size := 4 + 1 + 8 + 4 + 1 + 8 + 8 + 4 + 4 + len(hist) + 4
-	for _, c := range e.cands {
-		size += 2 + len(c)
+	for _, c := range k.cands {
+		n += 2 + len(c)
 	}
-	for _, est := range e.estimates {
-		size += 2 + len(est.Item) + 8
+	for _, est := range k.estimates {
+		n += 2 + len(est.Item) + 8
 	}
-	buf := make([]byte, 0, size)
-	buf = append(buf, snapshotMagic...)
-	buf = append(buf, snapshotVersion)
-	buf = binary.BigEndian.AppendUint64(buf, e.fp)
+	return n, nil
+}
+
+func (k roundKernel) AppendBody(buf []byte) []byte {
+	e := k.Engine
 	buf = binary.BigEndian.AppendUint32(buf, uint32(e.round))
 	done := byte(0)
 	if e.done {
@@ -64,61 +76,45 @@ func (e *Engine) Snapshot() ([]byte, error) {
 		buf = binary.BigEndian.AppendUint16(buf, uint16(len(c)))
 		buf = append(buf, c...)
 	}
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(hist)))
-	buf = append(buf, hist...)
+	if e.done {
+		buf = binary.BigEndian.AppendUint32(buf, 0)
+	} else {
+		buf = binary.BigEndian.AppendUint32(buf, uint32(e.hist.SnapshotLen()))
+		buf = e.hist.AppendSnapshot(buf)
+	}
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(e.estimates)))
 	for _, est := range e.estimates {
 		buf = binary.BigEndian.AppendUint16(buf, uint16(len(est.Item)))
 		buf = append(buf, est.Item...)
 		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(est.Count))
 	}
-	return buf, nil
+	return buf
 }
 
-// decodedSnapshot is a fully parsed and structurally validated LIRK blob,
-// not yet checked against any particular engine.
-type decodedSnapshot struct {
-	fp           uint64
-	round        int
-	done         bool
-	roundReports int
-	absorbed     int
-	cands        [][]byte
-	hist         []byte
-	estimates    []proto.Estimate
-}
-
-// parseSnapshot decodes and structurally validates an LIRK blob.
-func parseSnapshot(buf []byte) (*decodedSnapshot, error) {
-	const fixed = 4 + 1 + 8 + 4 + 1 + 8 + 8 + 4
+// DecodeBody parses a body and validates it against the engine's
+// parameters, building (but not installing) the round oracle.
+func (k roundKernel) DecodeBody(buf []byte) (*roundSnapshot, error) {
+	e := k.Engine
+	const fixed = 4 + 1 + 8 + 8 + 4
 	if len(buf) < fixed {
 		return nil, fmt.Errorf("interactive: snapshot truncated: %d bytes", len(buf))
 	}
-	if string(buf[:4]) != snapshotMagic {
-		return nil, errors.New("interactive: bad snapshot magic")
-	}
-	if buf[4] != snapshotVersion {
-		return nil, fmt.Errorf("interactive: unsupported snapshot version %d", buf[4])
-	}
-	d := &decodedSnapshot{
-		fp:    binary.BigEndian.Uint64(buf[5:]),
-		round: int(binary.BigEndian.Uint32(buf[13:])),
-	}
-	switch buf[17] {
+	d := &roundSnapshot{round: int(binary.BigEndian.Uint32(buf))}
+	switch buf[4] {
 	case 0:
 	case 1:
 		d.done = true
 	default:
-		return nil, fmt.Errorf("interactive: snapshot done byte %d", buf[17])
+		return nil, fmt.Errorf("interactive: snapshot done byte %d", buf[4])
 	}
-	rr := binary.BigEndian.Uint64(buf[18:])
-	ab := binary.BigEndian.Uint64(buf[26:])
+	rr := binary.BigEndian.Uint64(buf[5:])
+	ab := binary.BigEndian.Uint64(buf[13:])
 	const maxTally = uint64(1) << 53
 	if rr > maxTally || ab > maxTally || rr > ab {
 		return nil, fmt.Errorf("interactive: snapshot report counts implausible (round %d, total %d)", rr, ab)
 	}
 	d.roundReports, d.absorbed = int(rr), int(ab)
-	candCount := binary.BigEndian.Uint32(buf[34:])
+	candCount := binary.BigEndian.Uint32(buf[21:])
 	if candCount > maxRoundDomain {
 		return nil, fmt.Errorf("interactive: snapshot claims %d candidates (max %d)", candCount, maxRoundDomain)
 	}
@@ -144,7 +140,7 @@ func parseSnapshot(buf []byte) (*decodedSnapshot, error) {
 	if histLen > len(buf)-off {
 		return nil, fmt.Errorf("interactive: snapshot oracle blob truncated: want %d bytes, have %d", histLen, len(buf)-off)
 	}
-	d.hist = buf[off : off+histLen]
+	hist := buf[off : off+histLen]
 	off += histLen
 	if len(buf)-off < 4 {
 		return nil, errors.New("interactive: snapshot estimate count truncated")
@@ -176,18 +172,8 @@ func parseSnapshot(buf []byte) (*decodedSnapshot, error) {
 	if off != len(buf) {
 		return nil, fmt.Errorf("interactive: snapshot has %d trailing bytes", len(buf)-off)
 	}
-	return d, nil
-}
-
-// validate checks a parsed snapshot against this engine's parameters and
-// builds (but does not install) the restored round oracle. The returned
-// oracle is nil for a done snapshot.
-func (e *Engine) validate(d *decodedSnapshot) (*freqoracle.DirectHistogram, error) {
-	if d.fp != e.fp {
-		return nil, fmt.Errorf("interactive: snapshot fingerprint %016x does not match engine %016x", d.fp, e.fp)
-	}
 	if d.done {
-		if len(d.cands) != 0 || len(d.hist) != 0 {
+		if len(d.cands) != 0 || len(hist) != 0 {
 			return nil, errors.New("interactive: done snapshot carries round state")
 		}
 		for _, est := range d.estimates {
@@ -195,7 +181,7 @@ func (e *Engine) validate(d *decodedSnapshot) (*freqoracle.DirectHistogram, erro
 				return nil, fmt.Errorf("interactive: done snapshot estimate is %d bytes, want %d", len(est.Item), e.p.ItemBytes)
 			}
 		}
-		return nil, nil
+		return d, nil
 	}
 	if len(d.estimates) != 0 {
 		return nil, errors.New("interactive: open-round snapshot carries final estimates")
@@ -206,66 +192,46 @@ func (e *Engine) validate(d *decodedSnapshot) (*freqoracle.DirectHistogram, erro
 	if err := validateCandidates(d.cands, e.bitsAt(d.round)); err != nil {
 		return nil, err
 	}
-	hist, err := freqoracle.NewDirectHistogram(e.p.Eps, len(d.cands)+1)
+	shape, err := freqoracle.NewDirectHistogram(e.p.Eps, len(d.cands)+1)
 	if err != nil {
 		return nil, err
 	}
-	if err := hist.Restore(d.hist); err != nil {
+	if d.hist, err = shape.DecodeSnapshot(hist); err != nil {
 		return nil, err
 	}
-	if hist.TotalReports() != d.roundReports {
+	if d.hist.TotalReports() != d.roundReports {
 		return nil, fmt.Errorf("interactive: snapshot oracle holds %d reports, header says %d",
-			hist.TotalReports(), d.roundReports)
+			d.hist.TotalReports(), d.roundReports)
 	}
-	return hist, nil
+	return d, nil
 }
 
-// Restore replaces the engine's round position with a snapshot produced by
-// an engine with identical parameters. On error the state is unchanged.
-func (e *Engine) Restore(buf []byte) error {
-	d, err := parseSnapshot(buf)
-	if err != nil {
-		return err
-	}
-	hist, err := e.validate(d)
-	if err != nil {
-		return err
-	}
-	// Commit.
+// Replace installs a decoded round position; DecodeBody guarantees a done
+// one carries no round state and an open one no estimates.
+func (k roundKernel) Replace(d *roundSnapshot) error {
+	e := k.Engine
 	e.round = d.round
 	e.done = d.done
 	e.roundReports = d.roundReports
 	e.absorbed = d.absorbed
 	e.cands = d.cands
-	e.hist = hist
+	e.hist = d.hist
 	e.estimates = d.estimates
-	if e.done {
-		e.cands, e.hist = nil, nil
-	} else {
-		e.estimates = nil
-	}
 	return nil
 }
 
-// MergeSnapshot folds a sibling engine's open-round tally into this one:
-// same fingerprint, same round, identical candidate set, neither side done.
-// The canonical tree deployment provisions fresh per-round leaves with
-// SetRoundState, so a merged leaf's absorbed count equals its round count;
-// both totals grow by the sibling's round reports.
-func (e *Engine) MergeSnapshot(buf []byte) error {
+// Merge folds a sibling engine's open-round tally into this one: same
+// round, identical candidate set, neither side done. The canonical tree
+// deployment provisions fresh per-round leaves with SetRoundState, so a
+// merged leaf's absorbed count equals its round count; both totals grow by
+// the sibling's round reports.
+func (k roundKernel) Merge(d *roundSnapshot) error {
+	e := k.Engine
 	if e.done {
 		return errors.New("interactive: MergeSnapshot after the final round committed")
 	}
-	d, err := parseSnapshot(buf)
-	if err != nil {
-		return err
-	}
 	if d.done {
 		return errors.New("interactive: cannot merge a done snapshot into an open round")
-	}
-	hist, err := e.validate(d)
-	if err != nil {
-		return err
 	}
 	if d.round != e.round {
 		return fmt.Errorf("interactive: merge snapshot is for round %d, round %d is open", d.round, e.round)
@@ -278,7 +244,7 @@ func (e *Engine) MergeSnapshot(buf []byte) error {
 			return fmt.Errorf("interactive: merge snapshot candidate %d differs", i)
 		}
 	}
-	if err := e.hist.Merge(hist); err != nil {
+	if err := e.hist.Merge(d.hist); err != nil {
 		return err
 	}
 	e.roundReports += d.roundReports

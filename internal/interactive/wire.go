@@ -47,9 +47,10 @@ func init() {
 // metrics sidecar unchanged — plus the Round/AdvanceRound wire commands
 // through proto.Interactive. The engine is not safe for concurrent use, and
 // Report reads the live round state a concurrent AdvanceRound would swap;
-// the embedded proto.Adapter serializes every call on its own mutex.
+// the embedded proto.StateAdapter serializes every call on its own mutex
+// and serves the snapshot capability (snapshot.go has the body codec).
 type Wire struct {
-	proto.Adapter
+	proto.StateAdapter[*roundSnapshot]
 	eng *Engine
 }
 
@@ -64,11 +65,14 @@ func NewWire(p Params) (*Wire, error) {
 	if p.Mode == ModeFedTrie {
 		id = proto.IDFedTrie
 	}
-	return &Wire{Adapter: proto.NewAdapter(id, nil, roundKernel{eng}), eng: eng}, nil
+	// Pre-envelope snapshots carry "LIRK" | 1 | fingerprint before the same
+	// body.
+	v1 := binary.BigEndian.AppendUint64([]byte("LIRK\x01"), eng.Fingerprint())
+	return &Wire{StateAdapter: proto.NewStateAdapter[*roundSnapshot](id, nil, roundKernel{eng}, v1), eng: eng}, nil
 }
 
-// roundKernel is Wire's proto.Kernel. Round and column range checks happen
-// in Engine.Absorb against the live round state.
+// roundKernel is Wire's proto.StateCodec. Round and column range checks
+// happen in Engine.Absorb against the live round state.
 type roundKernel struct{ *Engine }
 
 func (k roundKernel) AbsorbPayload(p []byte) error {
@@ -136,29 +140,4 @@ func (w *Wire) AdvanceRound() (rs proto.RoundState, err error) {
 func (w *Wire) MinRecoverableFrequency() (f float64) {
 	w.Locked(func() { f = w.eng.MinRecoverableFrequency() })
 	return f
-}
-
-// Fingerprint states the parameter digest snapshots and checkpoints are
-// pinned to (proto.Fingerprinted).
-func (w *Wire) Fingerprint() uint64 {
-	return w.eng.Fingerprint()
-}
-
-// Snapshot serializes the engine's round position (proto.Mergeable).
-func (w *Wire) Snapshot() (buf []byte, err error) {
-	w.Locked(func() { buf, err = w.eng.Snapshot() })
-	return buf, err
-}
-
-// Restore rehydrates a checkpoint (proto.Mergeable).
-func (w *Wire) Restore(buf []byte) (err error) {
-	w.Locked(func() { err = w.eng.Restore(buf) })
-	return err
-}
-
-// MergeSnapshot folds a sibling's open-round tally into this one
-// (proto.Mergeable).
-func (w *Wire) MergeSnapshot(buf []byte) (err error) {
-	w.Locked(func() { err = w.eng.MergeSnapshot(buf) })
-	return err
 }

@@ -16,7 +16,8 @@
 // protocol packages. Each protocol package (internal/core, internal/baseline,
 // internal/freqoracle, internal/stream, internal/interactive) registers its
 // wire codec with Register in an init function and exposes an adapter type
-// that embeds Adapter over a per-kind Kernel.
+// that embeds Adapter over a per-kind Kernel (StateAdapter over a
+// StateCodec for the snapshot-capable kinds).
 package proto
 
 import (
@@ -174,15 +175,19 @@ type Protocol interface {
 }
 
 // Mergeable is the optional aggregator capability behind snapshot/merge
-// fan-in trees: serialize accumulated (pre-Identify) state, rehydrate a
-// checkpoint, or fold a sibling's snapshot into a running aggregator.
-// Snapshots are versioned and parameter-fingerprinted by each
-// implementation; a blob only loads into an aggregator built from matching
-// parameters. Detect the capability with AsMergeable.
+// fan-in trees and durable checkpoints: serialize accumulated
+// (pre-Identify) state, rehydrate a checkpoint, fold a sibling's snapshot
+// into a running aggregator. Fingerprint digests every parameter that
+// shapes the state and public randomness: aggregators with equal
+// fingerprints produce mutually loadable snapshots, and checkpoint files
+// stamp it. StateAdapter is the one implementation; every snapshot carries
+// the protocol ID and fingerprint in its envelope. Detect the capability
+// with AsMergeable.
 type Mergeable interface {
 	Snapshot() ([]byte, error)
 	Restore([]byte) error
 	MergeSnapshot([]byte) error
+	Fingerprint() uint64
 }
 
 // AsMergeable reports whether the aggregator supports snapshot/merge
@@ -201,17 +206,6 @@ type Calibrated interface {
 	MinRecoverableFrequency() float64
 }
 
-// Fingerprinted is the optional aggregator capability of stating a 64-bit
-// digest of every parameter that shapes its accumulated state and public
-// randomness. Two aggregators with equal fingerprints absorb
-// interchangeable reports and produce mutually loadable snapshots. The
-// durable-checkpoint layer stamps the fingerprint into every checkpoint
-// file header so a restart under different parameters is rejected at the
-// file level, before any snapshot bytes are parsed.
-type Fingerprinted interface {
-	Fingerprint() uint64
-}
-
 // Fingerprint digests a label and a sequence of words with FNV-1a, each
 // word written big endian: the one construction behind every parameter
 // fingerprint in the repository. Each caller labels its own type, so
@@ -226,13 +220,6 @@ func Fingerprint(label string, words ...uint64) uint64 {
 		f.Write(buf[:])
 	}
 	return f.Sum64()
-}
-
-// AsFingerprinted reports whether the aggregator can state a parameter
-// fingerprint, returning the capability view when it does.
-func AsFingerprinted(a Aggregator) (Fingerprinted, bool) {
-	f, ok := a.(Fingerprinted)
-	return f, ok
 }
 
 // StreamStats describes a continuous-query aggregator's position in its

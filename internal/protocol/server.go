@@ -262,12 +262,9 @@ func (s *Server) openCheckpoints() error {
 	if !ok {
 		return fmt.Errorf("protocol: %s does not support snapshots; checkpoints need a Mergeable aggregator", s.codec.Name)
 	}
-	copts := make([]checkpoint.Option, 0, 2)
+	copts := []checkpoint.Option{checkpoint.WithFingerprint(m.Fingerprint())}
 	if s.cfg.ckptRetain > 0 {
 		copts = append(copts, checkpoint.WithRetain(s.cfg.ckptRetain))
-	}
-	if f, ok := proto.AsFingerprinted(s.agg); ok {
-		copts = append(copts, checkpoint.WithFingerprint(f.Fingerprint()))
 	}
 	mgr, err := checkpoint.Open(s.cfg.ckptDir, copts...)
 	if err != nil {

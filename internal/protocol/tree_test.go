@@ -13,7 +13,9 @@ import (
 	"time"
 
 	"ldphh/internal/core"
+	"ldphh/internal/freqoracle"
 	"ldphh/internal/proto"
+	"ldphh/internal/stream"
 )
 
 func treeParams(seed uint64) core.Params {
@@ -168,8 +170,8 @@ func TestTreeEquivalenceTCP(t *testing.T) {
 
 // TestSnapshotCommandErrors covers the failure replies of the two new
 // commands: snapshotting a closed round, pushing corrupt bytes, and pushing
-// a snapshot from a differently-seeded tree all answer ERR without
-// disturbing the server.
+// a snapshot from a differently-parameterized tree or another kind all
+// answer ERR without disturbing the server.
 func TestSnapshotCommandErrors(t *testing.T) {
 	params := treeParams(99)
 	srv := pesServer(t, params)
@@ -201,6 +203,77 @@ func TestSnapshotCommandErrors(t *testing.T) {
 		other := pesServer(t, treeParams(100))
 		if err := PushSnapshotContext(ctx, other.Addr(), snap); err == nil {
 			t.Error("snapshot from a differently-seeded tree accepted")
+		}
+	})
+	t.Run("merge across parameters and kinds", func(t *testing.T) {
+		hashtogram := func(eps float64, seed uint64) func() (proto.Protocol, error) {
+			return func() (proto.Protocol, error) {
+				return freqoracle.NewHashtogramWire(freqoracle.HashtogramParams{Eps: eps, N: 1000, Seed: seed}, nil, 0)
+			}
+		}
+		streamhg := func(itemBytes int) func() (proto.Protocol, error) {
+			return func() (proto.Protocol, error) {
+				return stream.NewWire(stream.Params{
+					Kind: stream.Naive, Eps: 4, Windows: 1, K: 4, Domain: 64, WindowSize: 100, Seed: 1,
+				}, itemBytes)
+			}
+		}
+		gaps := []struct {
+			name       string
+			leaf, root func() (proto.Protocol, error)
+			itemBytes  int // leaf item width
+		}{
+			{"hashtogram across seeds", hashtogram(4, 1), hashtogram(4, 2), 2},
+			{"hashtogram across eps", hashtogram(4, 1), hashtogram(2, 1), 2},
+			{"smalldomain into directhistogram", func() (proto.Protocol, error) {
+				return core.NewSmallDomainWire(4, 2, 64, 1000, 0)
+			}, func() (proto.Protocol, error) {
+				return freqoracle.NewDirectHistogramWire(4, 2, 64, 1000, 0)
+			}, 2},
+			{"streamhg across item widths", streamhg(1), streamhg(2), 1},
+		}
+		for _, gap := range gaps {
+			t.Run(gap.name, func(t *testing.T) {
+				serve := func(build func() (proto.Protocol, error)) (proto.Protocol, *Server) {
+					p, err := build()
+					if err != nil {
+						t.Fatal(err)
+					}
+					srv, err := NewGenericServer(p, "127.0.0.1:0")
+					if err != nil {
+						t.Fatal(err)
+					}
+					t.Cleanup(func() { srv.Close() })
+					return p, srv
+				}
+				leaf, leafSrv := serve(gap.leaf)
+				_, rootSrv := serve(gap.root)
+				rng := rand.New(rand.NewPCG(3, 4))
+				wrs := make([]proto.WireReport, 50)
+				for i := range wrs {
+					item := make([]byte, gap.itemBytes)
+					item[gap.itemBytes-1] = byte(i % 7)
+					wr, err := leaf.Report(item, i, rng)
+					if err != nil {
+						t.Fatal(err)
+					}
+					wrs[i] = wr
+				}
+				if err := SendWireBatch(ctx, leafSrv.Addr(), wrs); err != nil {
+					t.Fatal(err)
+				}
+				leafSnap, err := RequestSnapshotContext(ctx, leafSrv.Addr())
+				if err != nil {
+					t.Fatal(err)
+				}
+				before := rootSrv.Absorbed()
+				if err := PushSnapshotContext(ctx, rootSrv.Addr(), leafSnap); err == nil {
+					t.Error("mismatched snapshot accepted")
+				}
+				if got := rootSrv.Absorbed(); got != before {
+					t.Errorf("mismatched push changed the root's absorbed count from %d to %d", before, got)
+				}
+			})
 		}
 	})
 	t.Run("self merge doubles counters", func(t *testing.T) {

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -9,19 +10,20 @@ import (
 )
 
 // The streaming aggregator serializes its accumulated (non-finalized) state
-// into a versioned binary snapshot so the aggregation server can checkpoint
-// a running stream, resume after a crash, or ship a leaf's state to a parent
-// that folds it in with Merge. The public randomness (bucket hash, decay
-// coins) is NOT serialized — it is reproducible from the parameters — so a
-// snapshot only loads into an aggregator built from identical parameters;
-// Restore validates the embedded shape against the receiver and rejects
-// mismatches before touching any state (atomic validate-then-commit, the
-// repo-wide snapshot contract).
+// into a snapshot body so the aggregation server can checkpoint a running
+// stream, resume after a crash, or ship a leaf's state to a parent that
+// folds it in with Merge. The public randomness (bucket hash, decay coins)
+// is NOT serialized — it is reproducible from the parameters — so a
+// snapshot only loads into an aggregator built from identical parameters.
+// The proto envelope carries the kind and the Wire fingerprint, which pins
+// every parameter; the body repeats the parameters, and DecodeBody checks
+// them as one byte comparison against the receiver's own, so only
+// corruption can trip it.
 //
-// Format "LSGK" version 1 (big endian):
+// Body (big endian) — format "LSGK" version 1 after its "LSGK" | 1 header,
+// so pre-envelope LSGK checkpoints still restore:
 //
-//	magic "LSGK" | version u8 | kind u8
-//	| domain u32 | windows u32 | k u32 | windowSize u32 | warmup u32
+//	kind u8 | domain u32 | windows u32 | k u32 | windowSize u32 | warmup u32
 //	| buckets u32 | lambda u32 | epsBits u64 | seed u64
 //	| reports u64 | evictions u64 | decays u64 | overflow u64
 //	| payload
@@ -30,10 +32,9 @@ import (
 // (used u8 | val u32 | cntBits u64) for BasicHG.
 
 const (
-	snapshotMagic   = "LSGK"
-	snapshotVersion = 1
-	snapshotHdrLen  = 4 + 1 + 1 + 5*4 + 2*4 + 2*8 + 4*8
-	cellLen         = 1 + 4 + 8
+	paramsLen = 1 + 7*4 + 2*8
+	clocksLen = 4 * 8
+	cellLen   = 1 + 4 + 8
 )
 
 // Fingerprint returns a 64-bit digest of every parameter that shapes the
@@ -48,43 +49,48 @@ func (a *Aggregator) Fingerprint() uint64 {
 		a.p.Seed)
 }
 
-// snapshotLen returns the exact serialized length for this geometry.
-func (a *Aggregator) snapshotLen() int {
-	if a.p.Kind == Naive {
-		return snapshotHdrLen + 8*a.p.Domain
+// appendParams appends the body's parameter section.
+func (a *Aggregator) appendParams(dst []byte) []byte {
+	dst = append(dst, byte(a.p.Kind))
+	for _, v := range []int{a.p.Domain, a.p.Windows, a.p.K, a.p.WindowSize, a.p.WarmupWindows, a.p.Buckets, a.p.LambdaH} {
+		dst = binary.BigEndian.AppendUint32(dst, uint32(v))
 	}
-	return snapshotHdrLen + cellLen*len(a.cells)
+	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(a.p.Eps))
+	return binary.BigEndian.AppendUint64(dst, a.p.Seed)
 }
 
-// Snapshot serializes the accumulated state (format above). Rejected after
-// Finalize: a retired stream has nothing left to recover into.
-func (a *Aggregator) Snapshot() ([]byte, error) {
-	if a.finalized {
-		return nil, fmt.Errorf("stream: Snapshot after Finalize")
-	}
-	buf := make([]byte, 0, a.snapshotLen())
-	buf = append(buf, snapshotMagic...)
-	buf = append(buf, snapshotVersion, byte(a.p.Kind))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(a.p.Domain))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(a.p.Windows))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(a.p.K))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(a.p.WindowSize))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(a.p.WarmupWindows))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(a.p.Buckets))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(a.p.LambdaH))
-	buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(a.p.Eps))
-	buf = binary.BigEndian.AppendUint64(buf, a.p.Seed)
-	buf = binary.BigEndian.AppendUint64(buf, uint64(a.reports))
-	buf = binary.BigEndian.AppendUint64(buf, uint64(a.evictions))
-	buf = binary.BigEndian.AppendUint64(buf, a.decays)
-	buf = binary.BigEndian.AppendUint64(buf, uint64(a.overflow))
+// bodyLen returns the exact body length for this geometry; it reads only
+// the parameters, so DecodeBody may call it without the lock.
+func (a *Aggregator) bodyLen() int {
 	if a.p.Kind == Naive {
-		for _, c := range a.counts {
+		return paramsLen + clocksLen + 8*a.p.Domain
+	}
+	return paramsLen + clocksLen + cellLen*a.p.Buckets*a.p.LambdaH
+}
+
+// BodyLen refuses a finalized stream: a retired stream has nothing left to
+// recover into.
+func (k *streamKernel) BodyLen() (int, error) {
+	if k.finalized {
+		return 0, fmt.Errorf("stream: Snapshot after Finalize")
+	}
+	return k.bodyLen(), nil
+}
+
+// AppendBody appends the accumulated state (format above).
+func (k *streamKernel) AppendBody(buf []byte) []byte {
+	buf = k.appendParams(buf)
+	buf = binary.BigEndian.AppendUint64(buf, uint64(k.reports))
+	buf = binary.BigEndian.AppendUint64(buf, uint64(k.evictions))
+	buf = binary.BigEndian.AppendUint64(buf, k.decays)
+	buf = binary.BigEndian.AppendUint64(buf, uint64(k.overflow))
+	if k.p.Kind == Naive {
+		for _, c := range k.counts {
 			buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(c))
 		}
-		return buf, nil
+		return buf
 	}
-	for _, c := range a.cells {
+	for _, c := range k.cells {
 		used := byte(0)
 		if c.used {
 			used = 1
@@ -93,53 +99,27 @@ func (a *Aggregator) Snapshot() ([]byte, error) {
 		buf = binary.BigEndian.AppendUint32(buf, c.val)
 		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(c.cnt))
 	}
-	return buf, nil
+	return buf
 }
 
-// decodeSnapshot validates a blob against the receiver's parameters and
-// returns the decoded state without touching the receiver.
-func (a *Aggregator) decodeSnapshot(buf []byte) (*Aggregator, error) {
-	if len(buf) != a.snapshotLen() {
-		return nil, fmt.Errorf("stream: snapshot length %d, want %d", len(buf), a.snapshotLen())
+// DecodeBody validates a body against the receiver's parameters and
+// returns the decoded state as a fresh aggregator, without touching the
+// receiver.
+func (k *streamKernel) DecodeBody(buf []byte) (*Aggregator, error) {
+	a := k.Aggregator
+	if len(buf) != a.bodyLen() {
+		return nil, fmt.Errorf("stream: snapshot length %d, want %d", len(buf), a.bodyLen())
 	}
-	if string(buf[:4]) != snapshotMagic {
-		return nil, fmt.Errorf("stream: bad snapshot magic %q", buf[:4])
-	}
-	if buf[4] != snapshotVersion {
-		return nil, fmt.Errorf("stream: unsupported snapshot version %d", buf[4])
-	}
-	if Kind(buf[5]) != a.p.Kind {
-		return nil, fmt.Errorf("stream: snapshot kind %v does not match aggregator kind %v", Kind(buf[5]), a.p.Kind)
-	}
-	geom := []struct {
-		name string
-		got  uint32
-		want int
-	}{
-		{"domain", binary.BigEndian.Uint32(buf[6:]), a.p.Domain},
-		{"windows", binary.BigEndian.Uint32(buf[10:]), a.p.Windows},
-		{"k", binary.BigEndian.Uint32(buf[14:]), a.p.K},
-		{"windowSize", binary.BigEndian.Uint32(buf[18:]), a.p.WindowSize},
-		{"warmupWindows", binary.BigEndian.Uint32(buf[22:]), a.p.WarmupWindows},
-		{"buckets", binary.BigEndian.Uint32(buf[26:]), a.p.Buckets},
-		{"lambda", binary.BigEndian.Uint32(buf[30:]), a.p.LambdaH},
-	}
-	for _, g := range geom {
-		if int(g.got) != g.want {
-			return nil, fmt.Errorf("stream: snapshot %s %d does not match aggregator %d", g.name, g.got, g.want)
-		}
-	}
-	if bits := binary.BigEndian.Uint64(buf[34:]); bits != math.Float64bits(a.p.Eps) {
-		return nil, fmt.Errorf("stream: snapshot eps %v does not match aggregator %v", math.Float64frombits(bits), a.p.Eps)
-	}
-	if seed := binary.BigEndian.Uint64(buf[42:]); seed != a.p.Seed {
-		return nil, fmt.Errorf("stream: snapshot seed %d does not match aggregator %d", seed, a.p.Seed)
+	var params [paramsLen]byte
+	if !bytes.Equal(buf[:paramsLen], a.appendParams(params[:0])) {
+		return nil, fmt.Errorf("stream: snapshot parameters %x do not match aggregator %x", buf[:paramsLen], params)
 	}
 	other := a.NewAccumulator()
-	reports := binary.BigEndian.Uint64(buf[50:])
-	evictions := binary.BigEndian.Uint64(buf[58:])
-	decays := binary.BigEndian.Uint64(buf[66:])
-	overflow := binary.BigEndian.Uint64(buf[74:])
+	clocks := buf[paramsLen:]
+	reports := binary.BigEndian.Uint64(clocks)
+	evictions := binary.BigEndian.Uint64(clocks[8:])
+	decays := binary.BigEndian.Uint64(clocks[16:])
+	overflow := binary.BigEndian.Uint64(clocks[24:])
 	if reports > math.MaxInt32 || evictions > math.MaxInt32 || overflow > math.MaxInt32 {
 		return nil, fmt.Errorf("stream: snapshot counters out of range")
 	}
@@ -147,7 +127,7 @@ func (a *Aggregator) decodeSnapshot(buf []byte) (*Aggregator, error) {
 	other.evictions = int64(evictions)
 	other.decays = decays
 	other.overflow = int64(overflow)
-	body := buf[snapshotHdrLen:]
+	body := buf[paramsLen+clocksLen:]
 	if a.p.Kind == Naive {
 		var sum float64
 		for i := range other.counts {
@@ -203,35 +183,12 @@ func (a *Aggregator) decodeSnapshot(buf []byte) (*Aggregator, error) {
 	return other, nil
 }
 
-// Restore replaces this aggregator's accumulated state with a snapshot
-// produced by an aggregator with identical parameters. On error the state
-// is unchanged.
-func (a *Aggregator) Restore(buf []byte) error {
-	if a.finalized {
+// Replace installs a decoded state (DecodeBody's result).
+func (k *streamKernel) Replace(other *Aggregator) error {
+	if k.finalized {
 		return fmt.Errorf("stream: Restore after Finalize")
 	}
-	other, err := a.decodeSnapshot(buf)
-	if err != nil {
-		return err
-	}
-	a.counts = other.counts
-	a.cells = other.cells
-	a.reports = other.reports
-	a.evictions = other.evictions
-	a.decays = other.decays
-	a.overflow = other.overflow
+	k.counts, k.cells = other.counts, other.cells
+	k.reports, k.evictions, k.decays, k.overflow = other.reports, other.evictions, other.decays, other.overflow
 	return nil
-}
-
-// MergeSnapshot folds a sibling aggregator's snapshot into this one by
-// rehydrating it into a fresh shard and merging.
-func (a *Aggregator) MergeSnapshot(buf []byte) error {
-	if a.finalized {
-		return fmt.Errorf("stream: MergeSnapshot after Finalize")
-	}
-	other, err := a.decodeSnapshot(buf)
-	if err != nil {
-		return err
-	}
-	return a.Merge(other)
 }

@@ -26,8 +26,8 @@
 // k-RR inversion est = (obs − N·q)/(p − q).
 //
 // The Aggregator here is the single-threaded core; stream.Wire adapts it to
-// the unified proto surface through proto.Adapter, whose lock serializes
-// every call, and registers the streamhg codec.
+// the unified proto surface through proto.StateAdapter, whose lock
+// serializes every call, and registers the streamhg codec.
 package stream
 
 import (
@@ -177,7 +177,7 @@ type ValueEstimate struct {
 }
 
 // Aggregator is the streaming heavy-hitters core. It is not safe for
-// concurrent use — stream.Wire serializes it under proto.Adapter's lock for
+// concurrent use — stream.Wire serializes it under proto.StateAdapter's lock for
 // the generic TCP server. Determinism contract: for a fixed absorb order, every observable
 // (structure state, QueryTopK output, snapshots) is bit-identical at any
 // Workers count; all decay randomness is derived by counter-labeled hashing
@@ -487,7 +487,7 @@ func (a *Aggregator) compatible(other *Aggregator) error {
 }
 
 // NewAccumulator returns a fresh, empty aggregator with identical
-// parameters — the shard MergeSnapshot rehydrates foreign state into.
+// parameters — the shard a snapshot body decodes into.
 func (a *Aggregator) NewAccumulator() *Aggregator {
 	acc, err := New(a.p)
 	if err != nil {

@@ -18,6 +18,26 @@ func testParams() Params {
 	}
 }
 
+// newTestWire wraps a fresh aggregator in the wire adapter, whose
+// proto.StateAdapter is the snapshot surface; domains up to 256 fit one
+// item byte.
+func newTestWire(t *testing.T, p Params) *Wire {
+	t.Helper()
+	w, err := NewWire(p, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
+// bodyOff is where a snapshot body starts: after the 14-byte envelope
+// header. The state payload (counts or cells) follows the parameter and
+// clock sections.
+const (
+	bodyOff    = 14
+	payloadOff = bodyOff + paramsLen + clocksLen
+)
+
 // zipfStream draws n items from a zipf(s) distribution over [0, domain) and
 // returns the randomized reports plus the true histogram.
 func zipfStream(t *testing.T, a *Aggregator, n int, s float64, seed uint64) []int {
@@ -184,14 +204,8 @@ func TestMergeMidWindowSnapshots(t *testing.T) {
 			p := testParams()
 			p.Kind = kind
 			p.WindowSize = 1000
-			mk := func() *Aggregator {
-				a, err := New(p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return a
-			}
-			left, right, seq := mk(), mk(), mk()
+			lw, rw, mw := newTestWire(t, p), newTestWire(t, p), newTestWire(t, p)
+			left, right, seq, merged := lw.a, rw.a, newTestWire(t, p).a, mw.a
 			rng := rand.New(rand.NewPCG(4, 4))
 			// 1500 reports: both shards end mid-window (750 = 0.75 windows).
 			const n = 1500
@@ -213,19 +227,18 @@ func TestMergeMidWindowSnapshots(t *testing.T) {
 				t.Fatalf("left shard at window %d with %d reports, want mid-window 0 with %d",
 					left.CurrentWindow(), left.reports, n/2)
 			}
-			ls, err := left.Snapshot()
+			ls, err := lw.Snapshot()
 			if err != nil {
 				t.Fatal(err)
 			}
-			rs, err := right.Snapshot()
+			rs, err := rw.Snapshot()
 			if err != nil {
 				t.Fatal(err)
 			}
-			merged := mk()
-			if err := merged.MergeSnapshot(ls); err != nil {
+			if err := mw.MergeSnapshot(ls); err != nil {
 				t.Fatal(err)
 			}
-			if err := merged.MergeSnapshot(rs); err != nil {
+			if err := mw.MergeSnapshot(rs); err != nil {
 				t.Fatal(err)
 			}
 			if merged.reports != n {
@@ -475,17 +488,14 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Run(kind.String(), func(t *testing.T) {
 			p := testParams()
 			p.Kind = kind
-			a, err := New(p)
-			if err != nil {
-				t.Fatal(err)
-			}
+			aw, bw := newTestWire(t, p), newTestWire(t, p)
+			a, b := aw.a, bw.a
 			zipfStream(t, a, 3000, 1.2, 99)
-			snap, err := a.Snapshot()
+			snap, err := aw.Snapshot()
 			if err != nil {
 				t.Fatal(err)
 			}
-			b := a.NewAccumulator()
-			if err := b.Restore(snap); err != nil {
+			if err := bw.Restore(snap); err != nil {
 				t.Fatal(err)
 			}
 			if b.reports != a.reports || b.evictions != a.evictions ||
@@ -531,16 +541,14 @@ func TestSnapshotRoundTrip(t *testing.T) {
 // mismatches must fail without touching the receiver.
 func TestSnapshotValidation(t *testing.T) {
 	p := testParams()
-	a, err := New(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	aw := newTestWire(t, p)
+	a := aw.a
 	zipfStream(t, a, 2000, 1.2, 3)
-	snap, err := a.Snapshot()
+	snap, err := aw.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh := func() *Aggregator { return a.NewAccumulator() }
+	fresh := func() *Wire { return newTestWire(t, p) }
 
 	corrupt := func(name string, mutate func([]byte) []byte) {
 		t.Helper()
@@ -550,20 +558,20 @@ func TestSnapshotValidation(t *testing.T) {
 		if err := b.Restore(buf); err == nil {
 			t.Errorf("%s accepted", name)
 		}
-		if b.reports != 0 {
+		if b.a.reports != 0 {
 			t.Errorf("%s: failed restore mutated the receiver", name)
 		}
 	}
 	corrupt("truncated snapshot", func(b []byte) []byte { return b[:len(b)-1] })
 	corrupt("bad magic", func(b []byte) []byte { b[0] = 'X'; return b })
 	corrupt("future version", func(b []byte) []byte { b[4] = 99; return b })
-	corrupt("wrong kind", func(b []byte) []byte { b[5] = byte(Naive); return b })
-	corrupt("wrong domain", func(b []byte) []byte { b[6]++; return b })
-	corrupt("wrong seed", func(b []byte) []byte { b[49]++; return b })
+	corrupt("wrong kind", func(b []byte) []byte { b[bodyOff] = byte(Naive); return b })
+	corrupt("wrong domain", func(b []byte) []byte { b[bodyOff+1]++; return b })
+	corrupt("wrong seed", func(b []byte) []byte { b[bodyOff+44]++; return b })
 	// The unused-cell guard needs a sparse snapshot — the shared one fills
 	// every cell (2000 near-uniform observations over 16 cells).
 	sparse := fresh()
-	if err := sparse.Absorb(1); err != nil {
+	if err := sparse.a.Absorb(1); err != nil {
 		t.Fatal(err)
 	}
 	sparseSnap, err := sparse.Snapshot()
@@ -572,7 +580,7 @@ func TestSnapshotValidation(t *testing.T) {
 	}
 	{
 		buf := append([]byte(nil), sparseSnap...)
-		body := buf[snapshotHdrLen:]
+		body := buf[payloadOff:]
 		planted := false
 		for i := 0; i*cellLen < len(body); i++ {
 			rec := body[i*cellLen:]
@@ -591,7 +599,7 @@ func TestSnapshotValidation(t *testing.T) {
 	}
 	corrupt("cell in wrong bucket", func(b []byte) []byte {
 		// Move the first used cell's value out of its hash bucket.
-		body := b[snapshotHdrLen:]
+		body := b[payloadOff:]
 		for i := 0; i*cellLen < len(body); i++ {
 			rec := body[i*cellLen:]
 			if rec[0] != 1 {
@@ -613,17 +621,13 @@ func TestSnapshotValidation(t *testing.T) {
 	// Parameter mismatch: a differently-built receiver rejects the blob.
 	q := p
 	q.Eps = 2
-	other, err := New(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := other.Restore(snap); err == nil {
+	if err := newTestWire(t, q).Restore(snap); err == nil {
 		t.Error("snapshot restored into an aggregator with a different ε")
 	}
 
 	// Finalized aggregators neither produce nor accept snapshots.
 	done := fresh()
-	done.Finalize()
+	done.a.Finalize()
 	if _, err := done.Snapshot(); err == nil {
 		t.Error("Snapshot after Finalize accepted")
 	}
@@ -633,7 +637,7 @@ func TestSnapshotValidation(t *testing.T) {
 	if err := done.MergeSnapshot(snap); err == nil {
 		t.Error("MergeSnapshot after Finalize accepted")
 	}
-	if err := done.Absorb(1); err == nil {
+	if err := done.a.Absorb(1); err == nil {
 		t.Error("Absorb after Finalize accepted")
 	}
 }
@@ -643,21 +647,18 @@ func TestSnapshotValidation(t *testing.T) {
 func TestNaiveSnapshotSumGuard(t *testing.T) {
 	p := testParams()
 	p.Kind = Naive
-	a, err := New(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	zipfStream(t, a, 1000, 1.2, 13)
-	snap, err := a.Snapshot()
+	w := newTestWire(t, p)
+	zipfStream(t, w.a, 1000, 1.2, 13)
+	snap, err := w.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Inflate one count by a material amount without touching the report
 	// clock: the sum check must notice.
 	buf := append([]byte(nil), snap...)
-	c0 := math.Float64frombits(binary.BigEndian.Uint64(buf[snapshotHdrLen:]))
-	binary.BigEndian.PutUint64(buf[snapshotHdrLen:], math.Float64bits(c0+1000))
-	if err := a.NewAccumulator().Restore(buf); err == nil {
+	c0 := math.Float64frombits(binary.BigEndian.Uint64(buf[payloadOff:]))
+	binary.BigEndian.PutUint64(buf[payloadOff:], math.Float64bits(c0+1000))
+	if err := newTestWire(t, p).Restore(buf); err == nil {
 		t.Error("inconsistent counts/reports accepted")
 	}
 }

@@ -41,14 +41,15 @@ func init() {
 // mega-batch ingest, snapshot/merge fan-in, durable checkpoints and the
 // metrics sidecar unchanged. Items are width-itemBytes encodings of domain
 // ordinals, exactly like the other enumerable-domain protocols. The core
-// Aggregator is not safe for concurrent use; the embedded proto.Adapter
-// serializes every call on its own mutex.
+// Aggregator is not safe for concurrent use; the embedded
+// proto.StateAdapter serializes every call on its own mutex and serves the
+// snapshot capability (snapshot.go has the body codec).
 //
 // On top of the batch surface it implements proto.ContinuousQuerier:
 // QueryTopK answers over the live structure at any time, while Identify
 // keeps the repo-wide round semantics (answer, then retire the stream).
 type Wire struct {
-	proto.Adapter
+	proto.StateAdapter[*Aggregator]
 	a         *Aggregator
 	itemBytes int
 }
@@ -68,13 +69,21 @@ func NewWire(p Params, itemBytes int) (*Wire, error) {
 		return nil, err
 	}
 	k := &streamKernel{Aggregator: a, itemBytes: itemBytes}
-	return &Wire{Adapter: proto.NewAdapter(proto.IDStreamHG, nil, k), a: a, itemBytes: itemBytes}, nil
+	// Pre-envelope snapshots carry "LSGK" | 1 before the same body.
+	sa := proto.NewStateAdapter[*Aggregator](proto.IDStreamHG, nil, k, []byte("LSGK\x01"))
+	return &Wire{StateAdapter: sa, a: a, itemBytes: itemBytes}, nil
 }
 
-// streamKernel is Wire's proto.Kernel.
+// streamKernel is Wire's proto.StateCodec; Merge is the Aggregator's own.
 type streamKernel struct {
 	*Aggregator
 	itemBytes int
+}
+
+// Fingerprint mixes the item width into the Aggregator's digest, because
+// it shapes every answer's encoding.
+func (k *streamKernel) Fingerprint() uint64 {
+	return proto.Fingerprint("ldphh/stream.Wire/v1", uint64(k.itemBytes), k.Aggregator.Fingerprint())
 }
 
 // AbsorbPayload folds one k-ary RR ordinal; Absorb rejects values outside
@@ -162,30 +171,4 @@ func (w *Wire) MinRecoverableFrequency() (f float64) {
 		}
 	})
 	return f
-}
-
-// Fingerprint states the parameter digest snapshots and checkpoints are
-// pinned to (proto.Fingerprinted). The item width is mixed in because it
-// shapes every answer's encoding.
-func (w *Wire) Fingerprint() uint64 {
-	return proto.Fingerprint("ldphh/stream.Wire/v1", uint64(w.itemBytes), w.a.Fingerprint())
-}
-
-// Snapshot serializes the accumulated state (proto.Mergeable).
-func (w *Wire) Snapshot() (buf []byte, err error) {
-	w.Locked(func() { buf, err = w.a.Snapshot() })
-	return buf, err
-}
-
-// Restore rehydrates a checkpoint (proto.Mergeable).
-func (w *Wire) Restore(buf []byte) (err error) {
-	w.Locked(func() { err = w.a.Restore(buf) })
-	return err
-}
-
-// MergeSnapshot folds a sibling aggregator's snapshot into this one
-// (proto.Mergeable).
-func (w *Wire) MergeSnapshot(buf []byte) (err error) {
-	w.Locked(func() { err = w.a.MergeSnapshot(buf) })
-	return err
 }

@@ -80,9 +80,6 @@ func TestNewAllKinds(t *testing.T) {
 			if _, ok := ldphh.AsMergeable(h); ok != mergeableKinds[kind] {
 				t.Fatalf("Mergeable = %v, want %v", ok, mergeableKinds[kind])
 			}
-			if _, ok := proto.AsFingerprinted(h); ok != mergeableKinds[kind] {
-				t.Fatalf("Fingerprinted = %v, want %v", ok, mergeableKinds[kind])
-			}
 			if _, ok := ldphh.AsContinuousQuerier(h); ok != continuousKinds[kind] {
 				t.Fatalf("ContinuousQuerier = %v, want %v", ok, continuousKinds[kind])
 			}
@@ -218,18 +215,11 @@ func TestFingerprintsPinned(t *testing.T) {
 		ldphh.KindFedTrie:           0xcbd621da908fc50a,
 	}
 	for kind, fp := range want {
-		opts := []ldphh.Option{
-			ldphh.WithEps(4), ldphh.WithN(6000), ldphh.WithItemBytes(2),
-			ldphh.WithSeed(99), ldphh.WithDomainSize(64),
-		}
-		if kind == ldphh.KindHashtogram {
-			opts = append(opts, ldphh.WithCandidates([][]byte{ordinalItem(1, 2)}))
-		}
-		h, err := ldphh.New(kind, opts...)
+		h, err := ldphh.New(kind, pinnedOptions(kind)...)
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
-		f, ok := proto.AsFingerprinted(h)
+		f, ok := ldphh.AsMergeable(h)
 		if !ok {
 			t.Fatalf("%v states no fingerprint", kind)
 		}
