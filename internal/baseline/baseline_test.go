@@ -2,10 +2,13 @@ package baseline
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"math"
 	"math/rand/v2"
 	"testing"
 
+	"ldphh/internal/proto"
 	"ldphh/internal/workload"
 )
 
@@ -163,8 +166,94 @@ func TestBassilySmithRecoversHeavyHitters(t *testing.T) {
 	if len(est) > 64 {
 		t.Errorf("identify returned %d items above the noise threshold", len(est))
 	}
-	if err := bs.Absorb(BassilySmithReport{Row: 0, Bit: 1}); err == nil {
-		t.Error("Absorb after Identify accepted")
+}
+
+// lateCancel is a context whose Err turns non-nil from its second call on:
+// the adapter's entry check passes and the scan's first check, at ordinal
+// 0, cancels, deterministically and without sleeps.
+type lateCancel struct {
+	context.Context
+	calls int
+}
+
+func (c *lateCancel) Err() error {
+	c.calls++
+	if c.calls > 1 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestBassilySmithCancelledIdentifyKeepsRound pins the round lifecycle on
+// the one kernel that checks its context mid-scan: a scan cancelled after
+// the adapter's entry check leaves the round open, the next Absorb
+// succeeds, and the next Identify equals an uninterrupted aggregator's,
+// bit for bit. That successful Identify closes the round, so a further
+// Absorb is refused.
+func TestBassilySmithCancelledIdentifyKeepsRound(t *testing.T) {
+	const n = 2000
+	params := BassilySmithParams{Eps: 4, N: n, ItemBytes: 2, DomainSize: 4096, Proj: 512, Seed: 5}
+	mk := func() *BassilySmithWire {
+		w, err := NewBassilySmithWire(params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w
+	}
+	w, ref := mk(), mk()
+	rng := rand.New(rand.NewPCG(1, 2))
+	wrs := make([]proto.WireReport, n)
+	for i := range wrs {
+		x := uint64(7)
+		if i%2 == 1 {
+			x = uint64(rng.IntN(params.DomainSize))
+		}
+		var err error
+		if wrs[i], err = w.Report(ordinalBytes(x, 2), i, rng); err != nil {
+			t.Fatal(err)
+		}
+	}
+	last := wrs[n-1]
+	for _, agg := range []*BassilySmithWire{w, ref} {
+		if err := agg.AbsorbBatch(wrs[:n-1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	ctx := &lateCancel{Context: context.Background()}
+	if _, err := w.Identify(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Identify cancelled mid-scan: err = %v, want context.Canceled", err)
+	}
+	if ctx.calls < 2 {
+		t.Fatalf("the scan never checked the context (%d calls)", ctx.calls)
+	}
+	if err := w.Absorb(last); err != nil {
+		t.Fatalf("Absorb after a cancelled Identify: %v", err)
+	}
+	if err := ref.Absorb(last); err != nil {
+		t.Fatal(err)
+	}
+	got, err := w.Identify(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.Identify(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) == 0 {
+		t.Fatal("reference identified nothing; the comparison would be vacuous")
+	}
+	if len(got) != len(want) {
+		t.Fatalf("identified %d items, uninterrupted reference %d", len(got), len(want))
+	}
+	for i := range want {
+		if !bytes.Equal(got[i].Item, want[i].Item) || math.Float64bits(got[i].Count) != math.Float64bits(want[i].Count) {
+			t.Fatalf("estimate %d = %x:%v, reference %x:%v", i, got[i].Item, got[i].Count, want[i].Item, want[i].Count)
+		}
+	}
+	if err := w.Absorb(last); !errors.Is(err, proto.ErrRoundClosed) {
+		t.Fatalf("Absorb after Identify: err = %v, want ErrRoundClosed", err)
 	}
 }
 

@@ -77,7 +77,6 @@ type BassilySmith struct {
 	rr        ldp.BinaryRR
 	z         []float64
 	rowCounts []int
-	finalized bool
 }
 
 // NewBassilySmith constructs the server.
@@ -127,9 +126,6 @@ func (bs *BassilySmith) Report(x uint64, userIdx int, rng *rand.Rand) (BassilySm
 
 // Absorb folds one report into the accumulator.
 func (bs *BassilySmith) Absorb(rep BassilySmithReport) error {
-	if bs.finalized {
-		return fmt.Errorf("baseline: Absorb after Identify")
-	}
 	if rep.Row < 0 || rep.Row >= bs.p.Proj {
 		return fmt.Errorf("baseline: report row %d out of range", rep.Row)
 	}
@@ -171,9 +167,8 @@ func (bs *BassilySmith) Identify(minCount float64) []Estimate {
 // IdentifyContext is Identify with cancellation: the exhaustive scan is the
 // one super-linear server cost in the repository, so it checks the context
 // periodically (every 1024 ordinals) and aborts mid-scan when the deadline
-// passes or the caller cancels.
+// passes or the caller cancels. The scan only reads the accumulator.
 func (bs *BassilySmith) IdentifyContext(ctx context.Context, minCount float64) ([]Estimate, error) {
-	bs.finalized = true
 	var out []Estimate
 	for x := uint64(0); x < uint64(bs.p.DomainSize); x++ {
 		if x%1024 == 0 {

@@ -150,24 +150,19 @@ type BitstogramWire struct {
 	b *Bitstogram
 }
 
-// NewBitstogramWire constructs the protocol and its adapter; minCount is
-// the Identify floor (0 keeps everything).
-func NewBitstogramWire(params BitstogramParams, minCount float64) (*BitstogramWire, error) {
+// NewBitstogramWire constructs the protocol and its adapter.
+func NewBitstogramWire(params BitstogramParams) (*BitstogramWire, error) {
 	b, err := NewBitstogram(params)
 	if err != nil {
 		return nil, err
 	}
-	k := &bitstogramKernel{Bitstogram: b, minCount: minCount}
-	return &BitstogramWire{Adapter: proto.NewAdapter(proto.IDBitstogram, nil, k), b: b}, nil
+	return &BitstogramWire{Adapter: proto.NewAdapter(proto.IDBitstogram, bitstogramKernel{b}), b: b}, nil
 }
 
 // bitstogramKernel is BitstogramWire's proto.Kernel.
-type bitstogramKernel struct {
-	*Bitstogram
-	minCount float64
-}
+type bitstogramKernel struct{ *Bitstogram }
 
-func (k *bitstogramKernel) AbsorbPayload(p []byte) error {
+func (k bitstogramKernel) AbsorbPayload(p []byte) error {
 	rep, err := decodeBitstogramPayload(p)
 	if err != nil {
 		return err
@@ -175,9 +170,10 @@ func (k *bitstogramKernel) AbsorbPayload(p []byte) error {
 	return k.Absorb(rep)
 }
 
-// Identify reconstructs and confirms candidates.
-func (k *bitstogramKernel) Identify(context.Context) ([]proto.Estimate, error) {
-	return k.Bitstogram.Identify(k.minCount)
+// Identify reconstructs and confirms candidates, keeping every
+// non-negative estimate.
+func (k bitstogramKernel) Identify(context.Context) ([]proto.Estimate, error) {
+	return k.Bitstogram.Identify(0)
 }
 
 // Bitstogram exposes the wrapped protocol.
@@ -215,7 +211,7 @@ func NewTreeHistWire(params TreeHistParams) (*TreeHistWire, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &TreeHistWire{Adapter: proto.NewAdapter(proto.IDTreeHist, nil, treeHistKernel{t}), t: t}, nil
+	return &TreeHistWire{Adapter: proto.NewAdapter(proto.IDTreeHist, treeHistKernel{t}), t: t}, nil
 }
 
 // treeHistKernel is TreeHistWire's proto.Kernel.
@@ -264,28 +260,19 @@ type BassilySmithWire struct {
 	bs *BassilySmith
 }
 
-// NewBassilySmithWire constructs the protocol and its adapter. A zero
-// minCount defaults to the protocol's β = 0.05 error bound — without a
-// floor the exhaustive scan would emit a domain-sized list of noise.
-func NewBassilySmithWire(params BassilySmithParams, minCount float64) (*BassilySmithWire, error) {
+// NewBassilySmithWire constructs the protocol and its adapter.
+func NewBassilySmithWire(params BassilySmithParams) (*BassilySmithWire, error) {
 	bs, err := NewBassilySmith(params)
 	if err != nil {
 		return nil, err
 	}
-	if minCount == 0 {
-		minCount = bs.ErrorBound(0.05)
-	}
-	k := &bassilySmithKernel{BassilySmith: bs, minCount: minCount}
-	return &BassilySmithWire{Adapter: proto.NewAdapter(proto.IDBassilySmith, nil, k), bs: bs}, nil
+	return &BassilySmithWire{Adapter: proto.NewAdapter(proto.IDBassilySmith, bassilySmithKernel{bs}), bs: bs}, nil
 }
 
 // bassilySmithKernel is BassilySmithWire's proto.Kernel.
-type bassilySmithKernel struct {
-	*BassilySmith
-	minCount float64
-}
+type bassilySmithKernel struct{ *BassilySmith }
 
-func (k *bassilySmithKernel) AbsorbPayload(p []byte) error {
+func (k bassilySmithKernel) AbsorbPayload(p []byte) error {
 	rep, err := decodeBassilySmithPayload(p)
 	if err != nil {
 		return err
@@ -293,11 +280,13 @@ func (k *bassilySmithKernel) AbsorbPayload(p []byte) error {
 	return k.Absorb(rep)
 }
 
-// Identify runs the exhaustive O(|X|·Proj) scan. This is the one
-// super-linear Identify in the repository, so it honors context
-// cancellation periodically mid-scan, not just on entry.
-func (k *bassilySmithKernel) Identify(ctx context.Context) ([]proto.Estimate, error) {
-	return k.IdentifyContext(ctx, k.minCount)
+// Identify runs the exhaustive O(|X|·Proj) scan, floored at the β = 0.05
+// error bound: without a floor it would emit a domain-sized list of noise.
+// This is the one super-linear Identify in the repository, so it honors
+// context cancellation periodically mid-scan, not just on entry; the scan
+// only reads the state, so a cancelled one leaves the round open.
+func (k bassilySmithKernel) Identify(ctx context.Context) ([]proto.Estimate, error) {
+	return k.IdentifyContext(ctx, k.ErrorBound(0.05))
 }
 
 // BassilySmith exposes the wrapped protocol.

@@ -1,11 +1,11 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand/v2"
 	"sort"
-	"sync"
 
 	"ldphh/internal/dist"
 	"ldphh/internal/freqoracle"
@@ -34,11 +34,12 @@ type Estimate = proto.Estimate
 // each user call Report (the client-side computation), Absorb every report,
 // then call Identify once.
 //
-// Absorb, Identify and the snapshot methods are safe for concurrent use: a
-// single mutex guards the aggregation state. The PESWire adapter (a
-// proto.StateAdapter) takes that same mutex, so high-throughput ingestion
-// absorbs a whole wire batch under one acquisition and serializes with
-// direct calls.
+// Absorb, Identify and the snapshot methods are safe for concurrent use:
+// New builds the protocol's one PESWire, and every typed method calls
+// through its proto.StateAdapter, whose lock guards the aggregation state
+// and whose round lifecycle refuses them with proto.ErrRoundClosed once
+// Identify has succeeded. High-throughput ingestion absorbs a whole wire
+// batch under one acquisition of that lock.
 //
 // Identify itself fans out over a bounded pool of Params.Workers goroutines
 // (per-coordinate scan, per-bucket decode, per-candidate confirmation) and
@@ -53,12 +54,11 @@ type Protocol struct {
 	partHash hashing.KWise // user index -> coordinate group (public partition)
 	zbits    int
 
-	mu        sync.Mutex // guards everything below
-	direct    []*freqoracle.DirectHistogram
-	conf      *freqoracle.Hashtogram
-	groupN    []int
-	absorbed  int
-	finalized bool
+	w        *PESWire // the one adapter: its lock guards everything below
+	direct   []*freqoracle.DirectHistogram
+	conf     *freqoracle.Hashtogram
+	groupN   []int
+	absorbed int
 }
 
 // New constructs the protocol and draws all public randomness from
@@ -106,6 +106,7 @@ func New(params Params) (*Protocol, error) {
 	if err != nil {
 		return nil, err
 	}
+	pr.w = newPESWire(pr)
 	return pr, nil
 }
 
@@ -155,20 +156,14 @@ func (pr *Protocol) Report(x []byte, userIdx int, rng *rand.Rand) (Report, error
 	}, nil
 }
 
-// Absorb folds one user report into the server state. It serializes behind
-// the protocol's single mutex, the lock PESWire's adapter takes for batch
-// ingestion.
+// Absorb folds one user report into the server state through the
+// adapter's gate, the lock batch ingestion takes too.
 func (pr *Protocol) Absorb(rep Report) error {
-	pr.mu.Lock()
-	defer pr.mu.Unlock()
-	return pr.absorb(rep)
+	return pr.w.Gated(func() error { return pr.absorb(rep) })
 }
 
-// absorb is Absorb's body; the caller holds pr.mu.
+// absorb is Absorb's body; the caller holds the adapter lock.
 func (pr *Protocol) absorb(rep Report) error {
-	if pr.finalized {
-		return fmt.Errorf("core: Absorb after Identify")
-	}
 	if rep.M < 0 || rep.M >= pr.p.M {
 		return fmt.Errorf("core: report group %d out of range", rep.M)
 	}
@@ -195,8 +190,9 @@ type listEntry struct {
 const decodeStreamLabel = 0x6465636f64657221 // "decoder!"
 
 // Identify runs the server-side reconstruction (steps 2-6 of Algorithm 1)
-// and returns the estimates sorted by decreasing count. It finalizes the
-// protocol; further Absorb and MergeSnapshot calls fail.
+// and returns the estimates sorted by decreasing count. Its first success
+// closes the round: further Absorb, Identify and snapshot calls fail with
+// proto.ErrRoundClosed.
 //
 // Every stage fans out over at most Params.Workers goroutines, and the
 // output is bit-identical at any worker count: each coordinate's scan and
@@ -206,17 +202,11 @@ const decodeStreamLabel = 0x6465636f64657221 // "decoder!"
 // shared generator, and the final order is a strict total order (count
 // descending, item ascending) over deduplicated items.
 func (pr *Protocol) Identify() ([]Estimate, error) {
-	pr.mu.Lock()
-	defer pr.mu.Unlock()
-	return pr.identify()
+	return pr.w.Identify(context.Background())
 }
 
-// identify is Identify's body; the caller holds pr.mu.
+// identify is Identify's body; the caller holds the adapter lock.
 func (pr *Protocol) identify() ([]Estimate, error) {
-	if pr.finalized {
-		return nil, fmt.Errorf("core: Identify already ran")
-	}
-	pr.finalized = true
 	workers := pr.p.Workers
 	if workers < 1 {
 		workers = 1
@@ -361,20 +351,12 @@ func (pr *Protocol) EstimateFrequency(x []byte) float64 {
 }
 
 // TotalReports returns the number of absorbed reports.
-func (pr *Protocol) TotalReports() int {
-	pr.mu.Lock()
-	defer pr.mu.Unlock()
-	return pr.absorbed
-}
+func (pr *Protocol) TotalReports() int { return pr.w.TotalReports() }
 
 // SketchBytes returns the resident server memory across both phases.
-func (pr *Protocol) SketchBytes() int {
-	pr.mu.Lock()
-	defer pr.mu.Unlock()
-	return pr.sketchBytes()
-}
+func (pr *Protocol) SketchBytes() int { return pr.w.SketchBytes() }
 
-// sketchBytes is SketchBytes' body; the caller holds pr.mu.
+// sketchBytes is SketchBytes' body; the caller holds the adapter lock.
 func (pr *Protocol) sketchBytes() int {
 	total := pr.conf.SketchBytes()
 	for _, d := range pr.direct {

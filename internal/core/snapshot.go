@@ -73,20 +73,21 @@ func (pr *Protocol) Fingerprint() uint64 {
 // the per-coordinate DirectHistogram counters, the confirmation Hashtogram
 // counters, and the group occupancy the admission thresholds derive from.
 // The bytes restore only into a protocol with an equal Fingerprint, and
-// are the bytes Wire().Snapshot() produces: both go through one adapter.
-func (pr *Protocol) Snapshot() ([]byte, error) { return pr.Wire().Snapshot() }
+// are the bytes Wire().Snapshot() produces: both go through the one
+// adapter.
+func (pr *Protocol) Snapshot() ([]byte, error) { return pr.w.Snapshot() }
 
 // Restore replaces the protocol's accumulated state with a snapshot taken
 // from a protocol with an equal Fingerprint (checkpoint/resume). On error
 // the protocol is exactly as it was.
-func (pr *Protocol) Restore(buf []byte) error { return pr.Wire().Restore(buf) }
+func (pr *Protocol) Restore(buf []byte) error { return pr.w.Restore(buf) }
 
 // MergeSnapshot folds a child aggregator's snapshot into this protocol,
 // adding its counters to the running totals — the parent half of the
 // fan-in tree. The snapshot must come from a protocol with an equal
 // Fingerprint; it is validated outside the lock and folded under it, so
 // concurrent Absorb traffic interleaves safely.
-func (pr *Protocol) MergeSnapshot(buf []byte) error { return pr.Wire().MergeSnapshot(buf) }
+func (pr *Protocol) MergeSnapshot(buf []byte) error { return pr.w.MergeSnapshot(buf) }
 
 // MergeFrom folds another in-process protocol's accumulated state into this
 // one (both must share a Fingerprint; neither may have run Identify). It
@@ -112,22 +113,19 @@ type accumulator struct {
 }
 
 // The pesKernel methods below are PESWire's proto.StateCodec. BodyLen,
-// AppendBody, Replace and Merge run under the protocol mutex the adapter
-// holds; DecodeBody runs without it and reads only the oracle pointers and
-// their construction-time parameters, which never change.
+// AppendBody, Replace and Merge run under the adapter lock; DecodeBody
+// runs without it and reads only the oracle pointers and their
+// construction-time parameters, which never change.
 
 func (k pesKernel) Fingerprint() uint64 { return k.pr.Fingerprint() }
 
-func (k pesKernel) BodyLen() (int, error) {
+func (k pesKernel) BodyLen() int {
 	pr := k.pr
-	if pr.finalized {
-		return 0, fmt.Errorf("core: Snapshot after Identify")
-	}
 	n := 4 + 8 + 8*pr.p.M + 4 + pr.conf.SnapshotLen()
 	for _, d := range pr.direct {
 		n += 4 + d.SnapshotLen()
 	}
-	return n, nil
+	return n
 }
 
 func (k pesKernel) AppendBody(buf []byte) []byte {
@@ -235,12 +233,10 @@ func (k pesKernel) DecodeBody(buf []byte) (*accumulator, error) {
 
 // Replace swaps a decoded snapshot's counters into the existing oracles,
 // whose pointers stay put (DecodeBody reads them without the lock). The
-// oracles fail only after Identify, which the finalized check rules out.
+// oracles fail only once an Identify has finalized them and then failed in
+// list decode: a successful one closes the round before Replace can run.
 func (k pesKernel) Replace(acc *accumulator) error {
 	pr := k.pr
-	if pr.finalized {
-		return fmt.Errorf("core: Restore after Identify")
-	}
 	for m, d := range pr.direct {
 		if err := d.Replace(acc.direct[m]); err != nil {
 			return err
@@ -255,12 +251,9 @@ func (k pesKernel) Replace(acc *accumulator) error {
 }
 
 // Merge folds a decoded snapshot into the server state; as in Replace,
-// only the finalized check can fail.
+// only finalized oracles can fail it.
 func (k pesKernel) Merge(acc *accumulator) error {
 	pr := k.pr
-	if pr.finalized {
-		return fmt.Errorf("core: Merge after Identify")
-	}
 	for m, d := range pr.direct {
 		if err := d.Merge(acc.direct[m]); err != nil {
 			return err

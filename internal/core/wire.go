@@ -97,11 +97,12 @@ func DecodeReportWire(wr proto.WireReport) (Report, error) {
 }
 
 // PESWire adapts PrivateExpanderSketch to the unified
-// proto.Reporter/Aggregator/Mergeable surface. Its proto.StateAdapter takes
-// the protocol's own mutex, so adapter calls and direct calls on the
-// Protocol serialize on one lock; a batch is absorbed under one acquisition
-// of it. Fan-in trees go through MergeSnapshot instead, whose one
-// accumulator fold amortizes over a whole subtree.
+// proto.Reporter/Aggregator/Mergeable surface. Each Protocol owns exactly
+// one, built by New: its proto.StateAdapter holds the lock and the round
+// lifecycle for adapter calls and the Protocol's typed methods alike, and
+// a batch is absorbed under one acquisition of the lock. Fan-in trees go
+// through MergeSnapshot instead, whose one accumulator fold amortizes over
+// a whole subtree.
 type PESWire struct {
 	proto.StateAdapter[*accumulator]
 	pr *Protocol
@@ -116,16 +117,22 @@ func NewPESWire(params Params) (*PESWire, error) {
 	return pr.Wire(), nil
 }
 
-// Wire returns the unified-API adapter for an existing protocol instance.
-func (pr *Protocol) Wire() *PESWire {
+// newPESWire builds pr's one adapter; New calls it once the public
+// randomness the fingerprint digests is drawn.
+func newPESWire(pr *Protocol) *PESWire {
 	v1 := binary.BigEndian.AppendUint64([]byte("LPSK\x01"), pr.Fingerprint()) // pre-envelope header
-	a := proto.NewStateAdapter[*accumulator](proto.IDPrivateExpanderSketch, &pr.mu, pesKernel{pr}, v1)
-	return &PESWire{StateAdapter: a, pr: pr}
+	return &PESWire{
+		StateAdapter: proto.NewStateAdapter[*accumulator](proto.IDPrivateExpanderSketch, pesKernel{pr}, v1),
+		pr:           pr,
+	}
 }
 
+// Wire returns the protocol's unified-API adapter: the same one on every
+// call.
+func (pr *Protocol) Wire() *PESWire { return pr.w }
+
 // pesKernel is PESWire's proto.StateCodec: the protocol's unlocked bodies,
-// run under the protocol mutex the adapter holds (snapshot.go has the
-// snapshot half).
+// run under the adapter lock (snapshot.go has the snapshot half).
 type pesKernel struct{ pr *Protocol }
 
 func (k pesKernel) AbsorbPayload(p []byte) error {
@@ -168,11 +175,10 @@ type SmallDomainWire struct {
 }
 
 // NewSmallDomainWire constructs the protocol and its adapter. n is the
-// expected user count (sizing hint for the recovery floor); minCount drops
-// Identify output below the floor (0 keeps everything).
-func NewSmallDomainWire(eps float64, itemBytes, domainSize, n int, minCount float64) (*SmallDomainWire, error) {
+// expected user count (sizing hint for the recovery floor).
+func NewSmallDomainWire(eps float64, itemBytes, domainSize, n int) (*SmallDomainWire, error) {
 	w, err := freqoracle.NewDirectHistogramWireAs(
-		proto.IDSmallDomain, smallDomainWireVersion, eps, itemBytes, domainSize, n, minCount)
+		proto.IDSmallDomain, smallDomainWireVersion, eps, itemBytes, domainSize, n)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"fmt"
 	"math/rand/v2"
 	"os"
@@ -49,6 +51,53 @@ func TestFrameRoundtrip(t *testing.T) {
 		if got != rep {
 			t.Fatalf("roundtrip mismatch: %+v != %+v", got, rep)
 		}
+	}
+}
+
+// TestProtocolSharesItsWireLifecycle pins that a Protocol and its PESWire
+// are one aggregator: Wire returns the same adapter on every call, typed
+// and wire absorbs count into one tally, and an Identify on one path
+// closes the round for both.
+func TestProtocolSharesItsWireLifecycle(t *testing.T) {
+	pr, err := New(testParams(1000, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := pr.Wire()
+	if pr.Wire() != w {
+		t.Fatal("Wire built a second adapter")
+	}
+	rep, err := pr.Report([]byte{1, 2, 3, 4}, 0, rand.New(rand.NewPCG(1, 2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wr, err := EncodeReportWire(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pr.Absorb(rep); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Absorb(wr); err != nil {
+		t.Fatal(err)
+	}
+	if pr.TotalReports() != 2 || w.TotalReports() != 2 {
+		t.Fatalf("TotalReports %d (typed), %d (wire), want 2", pr.TotalReports(), w.TotalReports())
+	}
+	if _, err := w.Identify(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := pr.Absorb(rep); !errors.Is(err, proto.ErrRoundClosed) {
+		t.Errorf("typed Absorb after a wire Identify: err = %v, want ErrRoundClosed", err)
+	}
+	if _, err := pr.Identify(); !errors.Is(err, proto.ErrRoundClosed) {
+		t.Errorf("typed Identify after a wire Identify: err = %v, want ErrRoundClosed", err)
+	}
+	if _, err := pr.Snapshot(); !errors.Is(err, proto.ErrRoundClosed) {
+		t.Errorf("typed Snapshot after a wire Identify: err = %v, want ErrRoundClosed", err)
+	}
+	if pr.TotalReports() != 2 {
+		t.Errorf("TotalReports after Identify = %d, want 2", pr.TotalReports())
 	}
 }
 

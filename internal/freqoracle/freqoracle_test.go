@@ -263,7 +263,7 @@ func TestDirectHistogramValidation(t *testing.T) {
 // the absorbed count read under the adapter lock. Under -race it queries
 // the floor while another goroutine absorbs batches.
 func TestDirectHistogramWireFloorDuringIngest(t *testing.T) {
-	w, err := NewDirectHistogramWire(4, 2, 64, 0, 0)
+	w, err := NewDirectHistogramWire(4, 2, 64, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

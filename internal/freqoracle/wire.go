@@ -144,11 +144,12 @@ func OrdinalOf(x []byte, itemBytes, domain int) (uint64, error) {
 // proto.Reporter/Aggregator surface. A frequency oracle answers point
 // queries, not open-ended identification, so Identify estimates an explicit
 // candidate set fixed at construction (the "known dictionary" deployment —
-// e.g. a URL allowlist) and returns those reaching minCount. The oracle is
-// not safe for concurrent use; the embedded proto.StateAdapter serializes
-// every call on its own mutex and serves the snapshot capability, whose
-// body is the LHSK blob. Candidates and minCount shape Identify's query
-// set, never the accumulated state, so the fingerprint is the oracle's.
+// e.g. a URL allowlist) and returns those with a non-negative estimate. The
+// oracle is not safe for concurrent use; the embedded proto.StateAdapter
+// serializes every call on its own mutex and serves the snapshot
+// capability, whose body is the LHSK blob. Candidates shape Identify's
+// query set, never the accumulated state, so the fingerprint is the
+// oracle's.
 type HashtogramWire struct {
 	proto.StateAdapter[*Hashtogram]
 	h *Hashtogram
@@ -156,14 +157,14 @@ type HashtogramWire struct {
 
 // NewHashtogramWire constructs the adapter around a fresh oracle.
 // candidates is the Identify query set (may be nil for ingest-only use, in
-// which case Identify fails); minCount drops estimates below the floor.
-func NewHashtogramWire(params HashtogramParams, candidates [][]byte, minCount float64) (*HashtogramWire, error) {
+// which case Identify fails).
+func NewHashtogramWire(params HashtogramParams, candidates [][]byte) (*HashtogramWire, error) {
 	h, err := NewHashtogram(params)
 	if err != nil {
 		return nil, err
 	}
-	k := &hashtogramKernel{Hashtogram: h, candidates: candidates, minCount: minCount}
-	return &HashtogramWire{StateAdapter: proto.NewStateAdapter[*Hashtogram](proto.IDHashtogram, nil, k, nil), h: h}, nil
+	k := &hashtogramKernel{Hashtogram: h, candidates: candidates}
+	return &HashtogramWire{StateAdapter: proto.NewStateAdapter[*Hashtogram](proto.IDHashtogram, k, nil), h: h}, nil
 }
 
 // hashtogramKernel is HashtogramWire's proto.StateCodec; Fingerprint,
@@ -171,7 +172,6 @@ func NewHashtogramWire(params HashtogramParams, candidates [][]byte, minCount fl
 type hashtogramKernel struct {
 	*Hashtogram
 	candidates [][]byte
-	minCount   float64
 }
 
 func (k *hashtogramKernel) AbsorbPayload(p []byte) error {
@@ -182,18 +182,14 @@ func (k *hashtogramKernel) AbsorbPayload(p []byte) error {
 	return k.Absorb(rep)
 }
 
-func (k *hashtogramKernel) BodyLen() (int, error) {
-	if k.finalized {
-		return 0, fmt.Errorf("freqoracle: Snapshot after Finalize")
-	}
-	return k.SnapshotLen(), nil
-}
+func (k *hashtogramKernel) BodyLen() int { return k.SnapshotLen() }
 
 func (k *hashtogramKernel) AppendBody(dst []byte) []byte { return k.AppendSnapshot(dst) }
 
 func (k *hashtogramKernel) DecodeBody(b []byte) (*Hashtogram, error) { return k.DecodeSnapshot(b) }
 
-// Identify finalizes the oracle and estimates the candidate set.
+// Identify finalizes the oracle and estimates the candidate set. It fails
+// before touching the oracle when there is no candidate set.
 func (k *hashtogramKernel) Identify(context.Context) ([]proto.Estimate, error) {
 	if len(k.candidates) == 0 {
 		return nil, fmt.Errorf("freqoracle: Hashtogram Identify needs a candidate set (a frequency oracle cannot enumerate an open domain)")
@@ -201,7 +197,7 @@ func (k *hashtogramKernel) Identify(context.Context) ([]proto.Estimate, error) {
 	k.Finalize()
 	out := make([]proto.Estimate, 0, len(k.candidates))
 	for _, c := range k.candidates {
-		if est := k.Estimate(c); est >= k.minCount {
+		if est := k.Estimate(c); est >= 0 {
 			out = append(out, proto.Estimate{Item: append([]byte(nil), c...), Count: est})
 		}
 	}
@@ -246,14 +242,14 @@ type DirectHistogramWire struct {
 }
 
 // NewDirectHistogramWire constructs the adapter around a fresh oracle.
-func NewDirectHistogramWire(eps float64, itemBytes, domain int, n int, minCount float64) (*DirectHistogramWire, error) {
-	return NewDirectHistogramWireAs(proto.IDDirectHistogram, directWireVersion, eps, itemBytes, domain, n, minCount)
+func NewDirectHistogramWire(eps float64, itemBytes, domain int, n int) (*DirectHistogramWire, error) {
+	return NewDirectHistogramWireAs(proto.IDDirectHistogram, directWireVersion, eps, itemBytes, domain, n)
 }
 
 // NewDirectHistogramWireAs constructs the adapter under a different
 // registered codec identity whose payload layout is a bare DirectReport
 // (the smalldomain codec).
-func NewDirectHistogramWireAs(id, version byte, eps float64, itemBytes, domain, n int, minCount float64) (*DirectHistogramWire, error) {
+func NewDirectHistogramWireAs(id, version byte, eps float64, itemBytes, domain, n int) (*DirectHistogramWire, error) {
 	if itemBytes < 1 || itemBytes > 8 {
 		return nil, fmt.Errorf("freqoracle: DirectHistogramWire supports ItemBytes in [1,8], got %d", itemBytes)
 	}
@@ -264,9 +260,9 @@ func NewDirectHistogramWireAs(id, version byte, eps float64, itemBytes, domain, 
 	if err != nil {
 		return nil, err
 	}
-	k := &directKernel{DirectHistogram: d, id: id, itemBytes: itemBytes, minCount: minCount}
+	k := &directKernel{DirectHistogram: d, id: id, itemBytes: itemBytes}
 	return &DirectHistogramWire{
-		StateAdapter: proto.NewStateAdapter[*DirectHistogram](id, nil, k, nil),
+		StateAdapter: proto.NewStateAdapter[*DirectHistogram](id, k, nil),
 		d:            d, version: version, itemBytes: itemBytes, n: n,
 	}, nil
 }
@@ -277,7 +273,6 @@ type directKernel struct {
 	*DirectHistogram
 	id        byte
 	itemBytes int
-	minCount  float64
 }
 
 // Fingerprint mixes the codec ID and the item width into the oracle's
@@ -290,12 +285,7 @@ func (k *directKernel) Fingerprint() uint64 {
 		uint64(k.id), uint64(k.itemBytes), k.DirectHistogram.Fingerprint())
 }
 
-func (k *directKernel) BodyLen() (int, error) {
-	if k.finalized {
-		return 0, fmt.Errorf("freqoracle: Snapshot after Finalize")
-	}
-	return k.SnapshotLen(), nil
-}
+func (k *directKernel) BodyLen() int { return k.SnapshotLen() }
 
 func (k *directKernel) AppendBody(dst []byte) []byte { return k.AppendSnapshot(dst) }
 
@@ -309,10 +299,10 @@ func (k *directKernel) AbsorbPayload(p []byte) error {
 	return k.Absorb(rep)
 }
 
-// Identify reconstructs the histogram and returns every ordinal whose
-// estimate reaches minCount, sorted by decreasing estimate.
+// Identify reconstructs the histogram and returns every ordinal with a
+// non-negative estimate, sorted by decreasing estimate.
 func (k *directKernel) Identify(context.Context) ([]proto.Estimate, error) {
-	return k.IdentifyOrdinals(k.itemBytes, k.minCount), nil
+	return k.IdentifyOrdinals(k.itemBytes, 0), nil
 }
 
 // IdentifyOrdinals finalizes the histogram and returns every ordinal whose

@@ -47,7 +47,7 @@ type roundSnapshot struct {
 // the adapter lock; DecodeBody runs without it and reads only the
 // parameters.
 
-func (k roundKernel) BodyLen() (int, error) {
+func (k roundKernel) BodyLen() int {
 	n := 4 + 1 + 8 + 8 + 4 + 4 + 4
 	if !k.done {
 		n += k.hist.SnapshotLen()
@@ -58,7 +58,7 @@ func (k roundKernel) BodyLen() (int, error) {
 	for _, est := range k.estimates {
 		n += 2 + len(est.Item) + 8
 	}
-	return n, nil
+	return n
 }
 
 func (k roundKernel) AppendBody(buf []byte) []byte {

@@ -68,7 +68,7 @@ func NewWire(p Params) (*Wire, error) {
 	// Pre-envelope snapshots carry "LIRK" | 1 | fingerprint before the same
 	// body.
 	v1 := binary.BigEndian.AppendUint64([]byte("LIRK\x01"), eng.Fingerprint())
-	return &Wire{StateAdapter: proto.NewStateAdapter[*roundSnapshot](id, nil, roundKernel{eng}, v1), eng: eng}, nil
+	return &Wire{StateAdapter: proto.NewStateAdapter[*roundSnapshot](id, roundKernel{eng}, v1), eng: eng}, nil
 }
 
 // roundKernel is Wire's proto.StateCodec. Round and column range checks

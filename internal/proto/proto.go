@@ -139,9 +139,10 @@ type Reporter interface {
 }
 
 // Aggregator is the server side of a protocol: it absorbs wire reports in
-// any order and identifies the heavy hitters once the round closes.
-// Implementations must be safe for concurrent use — the generic TCP server
-// absorbs from many connections at once.
+// any order and identifies the heavy hitters once, which closes the round
+// (Adapter, the one implementation, then refuses state calls with
+// ErrRoundClosed). Implementations must be safe for concurrent use — the
+// generic TCP server absorbs from many connections at once.
 type Aggregator interface {
 	// ProtocolID returns the wire codec this aggregator speaks; Absorb
 	// rejects reports carrying any other ID.

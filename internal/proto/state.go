@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"sync"
 )
 
 // Every snapshot travels in one envelope (big endian):
@@ -29,10 +28,9 @@ type StateCodec[S any] interface {
 	// Fingerprint digests every parameter that shapes the state and the
 	// public randomness. It reads only construction-time state.
 	Fingerprint() uint64
-	// BodyLen returns the exact length of the body AppendBody writes, or
-	// the reason the state cannot be snapshotted (a retired round). Lock
+	// BodyLen returns the exact length of the body AppendBody writes. Lock
 	// held.
-	BodyLen() (int, error)
+	BodyLen() int
 	// AppendBody appends the body to dst. Lock held.
 	AppendBody(dst []byte) []byte
 	// DecodeBody parses and fully validates a body. It runs without the
@@ -48,21 +46,22 @@ type StateCodec[S any] interface {
 
 // StateAdapter is an Adapter that implements Mergeable, once, for every
 // snapshot-capable kind: the envelope, one exact-size allocation per
-// snapshot, and the lock discipline — encode and commit under the lock,
-// decode and validate outside it.
+// snapshot, and the lock discipline — encode and commit through the
+// adapter's gate, decode and validate outside it. Once Identify has closed
+// the round, Snapshot, Restore and MergeSnapshot fail with ErrRoundClosed.
 type StateAdapter[S any] struct {
 	Adapter
 	c  StateCodec[S]
 	v1 []byte
 }
 
-// NewStateAdapter builds the adapter for the registered codec id over c;
-// mu is as for NewAdapter. v1Header is the header a pre-envelope snapshot
-// of this kind carries before the same body (nil when the body keeps its
-// own header): Restore still accepts those, so checkpoints written before
-// the envelope existed recover.
-func NewStateAdapter[S any](id byte, mu *sync.Mutex, c StateCodec[S], v1Header []byte) StateAdapter[S] {
-	return StateAdapter[S]{Adapter: NewAdapter(id, mu, c), c: c, v1: v1Header}
+// NewStateAdapter builds the adapter for the registered codec id over c.
+// v1Header is the header a pre-envelope snapshot of this kind carries
+// before the same body (nil when the body keeps its own header): Restore
+// still accepts those, so checkpoints written before the envelope existed
+// recover.
+func NewStateAdapter[S any](id byte, c StateCodec[S], v1Header []byte) StateAdapter[S] {
+	return StateAdapter[S]{Adapter: NewAdapter(id, c), c: c, v1: v1Header}
 }
 
 // Fingerprint states the parameter digest snapshots and checkpoint files
@@ -71,18 +70,16 @@ func (a *StateAdapter[S]) Fingerprint() uint64 { return a.c.Fingerprint() }
 
 // Snapshot serializes the accumulated state into an envelope allocated
 // once, at its final size.
-func (a *StateAdapter[S]) Snapshot() ([]byte, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	n, err := a.c.BodyLen()
-	if err != nil {
-		return nil, err
-	}
-	buf := make([]byte, 0, envelopeBytes+n)
-	buf = append(buf, envelopeMagic...)
-	buf = append(buf, envelopeVersion, a.codec.ID)
-	buf = binary.BigEndian.AppendUint64(buf, a.c.Fingerprint())
-	return a.c.AppendBody(buf), nil
+func (a *StateAdapter[S]) Snapshot() (buf []byte, err error) {
+	err = a.Gated(func() error {
+		buf = make([]byte, 0, envelopeBytes+a.c.BodyLen())
+		buf = append(buf, envelopeMagic...)
+		buf = append(buf, envelopeVersion, a.codec.ID)
+		buf = binary.BigEndian.AppendUint64(buf, a.c.Fingerprint())
+		buf = a.c.AppendBody(buf)
+		return nil
+	})
+	return buf, err
 }
 
 // Restore replaces the accumulated state with a snapshot from an
@@ -96,7 +93,8 @@ func (a *StateAdapter[S]) Restore(buf []byte) error { return a.load(buf, true, a
 func (a *StateAdapter[S]) MergeSnapshot(buf []byte) error { return a.load(buf, false, a.c.Merge) }
 
 // load opens and decodes buf without the lock, then commits the decoded
-// state under it.
+// state through the gate, so a closed round refuses a snapshot once it has
+// decoded.
 func (a *StateAdapter[S]) load(buf []byte, v1 bool, commit func(S) error) error {
 	body, err := a.open(buf, v1)
 	if err != nil {
@@ -106,9 +104,7 @@ func (a *StateAdapter[S]) load(buf []byte, v1 bool, commit func(S) error) error 
 	if err != nil {
 		return err
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return commit(s)
+	return a.Gated(func() error { return commit(s) })
 }
 
 // open checks the envelope header and returns the body, a sub-slice of

@@ -78,7 +78,7 @@ func genericCases() []genericCase {
 			name: "smalldomain", n: 6000, itemBytes: 2,
 			build: func(t *testing.T) (proto.Reporter, proto.Aggregator) {
 				mk := func() *core.SmallDomainWire {
-					w, err := core.NewSmallDomainWire(4, 2, 64, 6000, 0)
+					w, err := core.NewSmallDomainWire(4, 2, 64, 6000)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -95,7 +95,7 @@ func genericCases() []genericCase {
 				candidates := [][]byte{ordItem(1, 3), ordItem(2, 3), ordItem(77, 3)}
 				mk := func() *freqoracle.HashtogramWire {
 					w, err := freqoracle.NewHashtogramWire(
-						freqoracle.HashtogramParams{Eps: 4, N: 6000, Seed: seed}, candidates, 0)
+						freqoracle.HashtogramParams{Eps: 4, N: 6000, Seed: seed}, candidates)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -110,7 +110,7 @@ func genericCases() []genericCase {
 			name: "directhistogram", n: 6000, itemBytes: 2,
 			build: func(t *testing.T) (proto.Reporter, proto.Aggregator) {
 				mk := func() *freqoracle.DirectHistogramWire {
-					w, err := freqoracle.NewDirectHistogramWire(4, 2, 64, 6000, 0)
+					w, err := freqoracle.NewDirectHistogramWire(4, 2, 64, 6000)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -126,7 +126,7 @@ func genericCases() []genericCase {
 			build: func(t *testing.T) (proto.Reporter, proto.Aggregator) {
 				mk := func() *baseline.BitstogramWire {
 					w, err := baseline.NewBitstogramWire(
-						baseline.BitstogramParams{Eps: 4, N: 20000, ItemBytes: 2, Seed: seed}, 0)
+						baseline.BitstogramParams{Eps: 4, N: 20000, ItemBytes: 2, Seed: seed})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -158,7 +158,7 @@ func genericCases() []genericCase {
 			build: func(t *testing.T) (proto.Reporter, proto.Aggregator) {
 				mk := func() *baseline.BassilySmithWire {
 					w, err := baseline.NewBassilySmithWire(
-						baseline.BassilySmithParams{Eps: 4, N: 8000, ItemBytes: 2, DomainSize: 256, Seed: seed}, 0)
+						baseline.BassilySmithParams{Eps: 4, N: 8000, ItemBytes: 2, DomainSize: 256, Seed: seed})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -286,7 +286,7 @@ func TestServerAllProtocols(t *testing.T) {
 // before any state changes.
 func TestServerRejectsForeignProtocol(t *testing.T) {
 	agg, err := baseline.NewBitstogramWire(
-		baseline.BitstogramParams{Eps: 2, N: 1000, ItemBytes: 2, Seed: 1}, 0)
+		baseline.BitstogramParams{Eps: 2, N: 1000, ItemBytes: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +365,7 @@ func TestSnapshotUnsupportedProtocol(t *testing.T) {
 // a property of the capability, not of one protocol.
 func TestMergeableGenericServer(t *testing.T) {
 	mk := func() *freqoracle.DirectHistogramWire {
-		w, err := freqoracle.NewDirectHistogramWire(2, 2, 32, 2000, 0)
+		w, err := freqoracle.NewDirectHistogramWire(2, 2, 32, 2000)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -449,9 +449,9 @@ func (s *Server) waitCtx(ctx context.Context) error {
 // finalCheckpoint persists the shutdown checkpoint: everything absorbed is
 // on disk before the process exits, so a restart resumes the round with
 // zero loss. Skipped when checkpointing is off, when nothing changed since
-// the last checkpoint, or when the round was already retired by Identify
-// (aggregators reject Snapshot after finalization, and a finished round
-// has nothing left to recover into).
+// the last checkpoint, or when an Identify succeeded (the adapter refuses
+// Snapshot once Identify has closed the round, and a finished round has
+// nothing left to recover into).
 func (s *Server) finalCheckpoint() error {
 	if s.ckpt == nil || s.metrics.identifies.Load() > s.metrics.identifyErrors.Load() {
 		return nil

@@ -208,7 +208,7 @@ func TestSnapshotCommandErrors(t *testing.T) {
 	t.Run("merge across parameters and kinds", func(t *testing.T) {
 		hashtogram := func(eps float64, seed uint64) func() (proto.Protocol, error) {
 			return func() (proto.Protocol, error) {
-				return freqoracle.NewHashtogramWire(freqoracle.HashtogramParams{Eps: eps, N: 1000, Seed: seed}, nil, 0)
+				return freqoracle.NewHashtogramWire(freqoracle.HashtogramParams{Eps: eps, N: 1000, Seed: seed}, nil)
 			}
 		}
 		streamhg := func(itemBytes int) func() (proto.Protocol, error) {
@@ -226,9 +226,9 @@ func TestSnapshotCommandErrors(t *testing.T) {
 			{"hashtogram across seeds", hashtogram(4, 1), hashtogram(4, 2), 2},
 			{"hashtogram across eps", hashtogram(4, 1), hashtogram(2, 1), 2},
 			{"smalldomain into directhistogram", func() (proto.Protocol, error) {
-				return core.NewSmallDomainWire(4, 2, 64, 1000, 0)
+				return core.NewSmallDomainWire(4, 2, 64, 1000)
 			}, func() (proto.Protocol, error) {
-				return freqoracle.NewDirectHistogramWire(4, 2, 64, 1000, 0)
+				return freqoracle.NewDirectHistogramWire(4, 2, 64, 1000)
 			}, 2},
 			{"streamhg across item widths", streamhg(1), streamhg(2), 1},
 		}

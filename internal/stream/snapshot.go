@@ -9,8 +9,8 @@ import (
 	"ldphh/internal/proto"
 )
 
-// The streaming aggregator serializes its accumulated (non-finalized) state
-// into a snapshot body so the aggregation server can checkpoint a running
+// The streaming aggregator serializes its accumulated state into a
+// snapshot body so the aggregation server can checkpoint a running
 // stream, resume after a crash, or ship a leaf's state to a parent that
 // folds it in with Merge. The public randomness (bucket hash, decay coins)
 // is NOT serialized — it is reproducible from the parameters — so a
@@ -68,14 +68,8 @@ func (a *Aggregator) bodyLen() int {
 	return paramsLen + clocksLen + cellLen*a.p.Buckets*a.p.LambdaH
 }
 
-// BodyLen refuses a finalized stream: a retired stream has nothing left to
-// recover into.
-func (k *streamKernel) BodyLen() (int, error) {
-	if k.finalized {
-		return 0, fmt.Errorf("stream: Snapshot after Finalize")
-	}
-	return k.bodyLen(), nil
-}
+// BodyLen returns the body length for this geometry.
+func (k *streamKernel) BodyLen() int { return k.bodyLen() }
 
 // AppendBody appends the accumulated state (format above).
 func (k *streamKernel) AppendBody(buf []byte) []byte {
@@ -185,9 +179,6 @@ func (k *streamKernel) DecodeBody(buf []byte) (*Aggregator, error) {
 
 // Replace installs a decoded state (DecodeBody's result).
 func (k *streamKernel) Replace(other *Aggregator) error {
-	if k.finalized {
-		return fmt.Errorf("stream: Restore after Finalize")
-	}
 	k.counts, k.cells = other.counts, other.cells
 	k.reports, k.evictions, k.decays, k.overflow = other.reports, other.evictions, other.decays, other.overflow
 	return nil

@@ -196,7 +196,6 @@ type Aggregator struct {
 	evictions int64  // BasicHG cells evicted by decay
 	decays    uint64 // decay attempts; the label of the decay randomness
 	overflow  int64  // warmup reports dropped on a full bucket
-	finalized bool
 }
 
 // New constructs a streaming aggregator. HeavyGuardian geometry left zero is
@@ -247,18 +246,8 @@ func (a *Aggregator) Evictions() int64 { return a.evictions }
 // bucket was already full (always 0 for Naive).
 func (a *Aggregator) Overflow() int64 { return a.overflow }
 
-// Finalized reports whether Finalize retired the stream.
-func (a *Aggregator) Finalized() bool { return a.finalized }
-
-// Finalize retires the stream: further Absorb/Merge/Snapshot calls fail,
-// queries keep answering over the frozen state.
-func (a *Aggregator) Finalize() { a.finalized = true }
-
 // Absorb folds one randomized report (a domain ordinal) into the structure.
 func (a *Aggregator) Absorb(v uint32) error {
-	if a.finalized {
-		return fmt.Errorf("stream: aggregator is finalized")
-	}
 	if int64(v) >= int64(a.p.Domain) {
 		return fmt.Errorf("stream: report value %d outside domain %d", v, a.p.Domain)
 	}
@@ -414,15 +403,12 @@ func (a *Aggregator) SketchBytes() int {
 }
 
 // Merge folds another aggregator's structure into this one. Both must be
-// unfinalized and built from identical parameters (Workers excepted — it
-// shapes no state). Naive merges exactly (counts add, so split-ingest-merge
-// is bit-identical to sequential ingest); BasicHG folds the other's tracked
-// cells in: matching values add, free cells fill, and an incoming cell
-// heavier than the bucket's weakest takes its slot (counted as an eviction).
+// built from identical parameters (Workers excepted — it shapes no state).
+// Naive merges exactly (counts add, so split-ingest-merge is bit-identical
+// to sequential ingest); BasicHG folds the other's tracked cells in:
+// matching values add, free cells fill, and an incoming cell heavier than
+// the bucket's weakest takes its slot (counted as an eviction).
 func (a *Aggregator) Merge(other *Aggregator) error {
-	if a.finalized || other.finalized {
-		return fmt.Errorf("stream: cannot merge finalized aggregators")
-	}
 	if err := a.compatible(other); err != nil {
 		return err
 	}

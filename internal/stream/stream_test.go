@@ -1,12 +1,15 @@
 package stream
 
 import (
+	"context"
 	"encoding/binary"
+	"errors"
 	"math"
 	"math/rand/v2"
 	"testing"
 
 	"ldphh/internal/ldp"
+	"ldphh/internal/proto"
 )
 
 // testParams returns a small BasicHG configuration the edge-case tests
@@ -625,20 +628,23 @@ func TestSnapshotValidation(t *testing.T) {
 		t.Error("snapshot restored into an aggregator with a different ε")
 	}
 
-	// Finalized aggregators neither produce nor accept snapshots.
+	// A round Identify has closed neither produces nor accepts snapshots.
 	done := fresh()
-	done.a.Finalize()
-	if _, err := done.Snapshot(); err == nil {
-		t.Error("Snapshot after Finalize accepted")
+	if _, err := done.Identify(context.Background()); err != nil {
+		t.Fatal(err)
 	}
-	if err := done.Restore(snap); err == nil {
-		t.Error("Restore after Finalize accepted")
+	if _, err := done.Snapshot(); !errors.Is(err, proto.ErrRoundClosed) {
+		t.Errorf("Snapshot after Identify: err = %v, want ErrRoundClosed", err)
 	}
-	if err := done.MergeSnapshot(snap); err == nil {
-		t.Error("MergeSnapshot after Finalize accepted")
+	if err := done.Restore(snap); !errors.Is(err, proto.ErrRoundClosed) {
+		t.Errorf("Restore after Identify: err = %v, want ErrRoundClosed", err)
 	}
-	if err := done.a.Absorb(1); err == nil {
-		t.Error("Absorb after Finalize accepted")
+	if err := done.MergeSnapshot(snap); !errors.Is(err, proto.ErrRoundClosed) {
+		t.Errorf("MergeSnapshot after Identify: err = %v, want ErrRoundClosed", err)
+	}
+	wr := proto.NewWireReport(proto.IDStreamHG, wireVersion, []byte{0, 0, 0, 1})
+	if err := done.Absorb(wr); !errors.Is(err, proto.ErrRoundClosed) {
+		t.Errorf("Absorb after Identify: err = %v, want ErrRoundClosed", err)
 	}
 }
 

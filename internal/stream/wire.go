@@ -47,7 +47,8 @@ func init() {
 //
 // On top of the batch surface it implements proto.ContinuousQuerier:
 // QueryTopK answers over the live structure at any time, while Identify
-// keeps the repo-wide round semantics (answer, then retire the stream).
+// keeps the repo-wide round semantics (answer, then the adapter closes the
+// round).
 type Wire struct {
 	proto.StateAdapter[*Aggregator]
 	a         *Aggregator
@@ -70,8 +71,10 @@ func NewWire(p Params, itemBytes int) (*Wire, error) {
 	}
 	k := &streamKernel{Aggregator: a, itemBytes: itemBytes}
 	// Pre-envelope snapshots carry "LSGK" | 1 before the same body.
-	sa := proto.NewStateAdapter[*Aggregator](proto.IDStreamHG, nil, k, []byte("LSGK\x01"))
-	return &Wire{StateAdapter: sa, a: a, itemBytes: itemBytes}, nil
+	return &Wire{
+		StateAdapter: proto.NewStateAdapter[*Aggregator](proto.IDStreamHG, k, []byte("LSGK\x01")),
+		a:            a, itemBytes: itemBytes,
+	}, nil
 }
 
 // streamKernel is Wire's proto.StateCodec; Merge is the Aggregator's own.
@@ -92,14 +95,11 @@ func (k *streamKernel) AbsorbPayload(p []byte) error {
 	return k.Absorb(binary.BigEndian.Uint32(p))
 }
 
-// Identify answers the configured top-k and retires the stream: the
-// round-closing semantics every batch protocol shares (further ingestion
-// fails, the final checkpoint is skipped). Use QueryTopK to read the
-// structure while the stream runs.
+// Identify answers the configured top-k; the adapter then closes the
+// round, as for every kind (further ingestion fails, the final checkpoint
+// is skipped). Use QueryTopK to read the structure while the stream runs.
 func (k *streamKernel) Identify(context.Context) ([]proto.Estimate, error) {
-	est := estimates(k.QueryTopK(k.p.K), k.itemBytes)
-	k.Finalize()
-	return est, nil
+	return estimates(k.QueryTopK(k.p.K), k.itemBytes), nil
 }
 
 // Aggregator exposes the wrapped core (for in-process inspection; callers

@@ -82,6 +82,13 @@ func AsInteractive(a Aggregator) (Interactive, bool) { return proto.AsInteractiv
 // across the whole discovery.
 var ErrNotInRound = interactive.ErrNotInRound
 
+// ErrRoundClosed is returned, wrapped with the kind's name, by Absorb,
+// AbsorbBatch, Identify, Snapshot, Restore and MergeSnapshot once an
+// Identify has succeeded, for every kind: the protocols are one-shot, so
+// callers keep the first answer. A failed or cancelled Identify closes
+// nothing; tallies, capability reads and point queries keep answering.
+var ErrRoundClosed = proto.ErrRoundClosed
+
 // RoundRand returns the deterministic per-(round, user) device generator
 // for the interactive kinds: replaying a fleet at any concurrency with
 // these generators produces bit-identical reports.

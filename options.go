@@ -75,15 +75,10 @@ type config struct {
 	workers    int
 	y          int
 	domainSize int
-	minCount   float64
 	candidates [][]byte
 	windows    int
 	topK       int
 	windowSize int
-	streamKind stream.Kind
-	rounds     int
-	bitsPerRnd int
-	theta      float64
 }
 
 // Option configures New.
@@ -120,11 +115,6 @@ func WithY(y int) Option { return func(c *config) { c.y = y } }
 // explicitly.
 func WithDomainSize(size int) Option { return func(c *config) { c.domainSize = size } }
 
-// WithMinCount drops Identify output below the floor (0 keeps everything,
-// except KindBassilySmith, which defaults to its β = 0.05 error bound — an
-// unfloored exhaustive scan would return a domain-sized list of noise).
-func WithMinCount(m float64) Option { return func(c *config) { c.minCount = m } }
-
 // WithCandidates sets the Identify query set for the candidate-based kinds:
 // protocols that cannot enumerate an open domain and instead estimate a
 // known dictionary (KindHashtogram today; any future oracle-style kind
@@ -148,28 +138,6 @@ func WithTopK(k int) Option { return func(c *config) { c.topK = k } }
 // WithN is set, else 4096). The first window is the bounded structure's
 // warmup phase.
 func WithWindowSize(n int) Option { return func(c *config) { c.windowSize = n } }
-
-// WithRounds sets the interactive round count g (KindPEM, KindFedTrie; 0
-// derives ceil(8·ItemBytes/bitsPerRound)). Users are partitioned into g
-// groups by public randomness and each group reports in exactly one round,
-// so the per-user budget stays ε across the whole discovery.
-func WithRounds(g int) Option { return func(c *config) { c.rounds = g } }
-
-// WithBitsPerRound sets the per-round prefix extension γ (KindPEM,
-// KindFedTrie; default 4): round i reports against candidates of the first
-// γ·(i+1) item bits.
-func WithBitsPerRound(bits int) Option { return func(c *config) { c.bitsPerRnd = bits } }
-
-// WithTheta sets the federated-trie survival threshold (KindFedTrie): a
-// prefix advances to the next round only when its population-scaled vote
-// reaches θ. Zero derives the round's β = 0.05 error bound.
-func WithTheta(theta float64) Option { return func(c *config) { c.theta = theta } }
-
-// WithStreamNaive selects the streaming full-histogram structure instead of
-// the default bounded HeavyGuardian one (KindStreamHG): O(domain) memory,
-// the accuracy baseline the bounded structure is judged against. Both
-// absorb identical wire reports.
-func WithStreamNaive() Option { return func(c *config) { c.streamKind = stream.Naive } }
 
 // New constructs a protocol instance of the given kind through the unified
 // proto surface: the result is both the device side (Report) and the
@@ -199,21 +167,21 @@ func New(kind Kind, opts ...Option) (Protocol, error) {
 		if err != nil {
 			return nil, err
 		}
-		return core.NewSmallDomainWire(cfg.eps, cfg.itemBytes, size, cfg.n, cfg.minCount)
+		return core.NewSmallDomainWire(cfg.eps, cfg.itemBytes, size, cfg.n)
 	case KindHashtogram:
 		return freqoracle.NewHashtogramWire(freqoracle.HashtogramParams{
 			Eps: cfg.eps, N: cfg.n, Seed: cfg.seed,
-		}, cfg.candidates, cfg.minCount)
+		}, cfg.candidates)
 	case KindDirectHistogram:
 		size, err := cfg.domain(kind)
 		if err != nil {
 			return nil, err
 		}
-		return freqoracle.NewDirectHistogramWire(cfg.eps, cfg.itemBytes, size, cfg.n, cfg.minCount)
+		return freqoracle.NewDirectHistogramWire(cfg.eps, cfg.itemBytes, size, cfg.n)
 	case KindBitstogram:
 		return baseline.NewBitstogramWire(baseline.BitstogramParams{
 			Eps: cfg.eps, N: cfg.n, ItemBytes: cfg.itemBytes, Seed: cfg.seed,
-		}, cfg.minCount)
+		})
 	case KindTreeHist:
 		return baseline.NewTreeHistWire(baseline.TreeHistParams{
 			Eps: cfg.eps, N: cfg.n, ItemBytes: cfg.itemBytes, Seed: cfg.seed,
@@ -226,7 +194,7 @@ func New(kind Kind, opts ...Option) (Protocol, error) {
 		return baseline.NewBassilySmithWire(baseline.BassilySmithParams{
 			Eps: cfg.eps, N: cfg.n, ItemBytes: cfg.itemBytes,
 			DomainSize: size, Seed: cfg.seed,
-		}, cfg.minCount)
+		})
 	case KindStreamHG:
 		size, err := cfg.domain(kind)
 		if err != nil {
@@ -246,12 +214,8 @@ func New(kind Kind, opts ...Option) (Protocol, error) {
 				windowSize = 4096
 			}
 		}
-		sk := cfg.streamKind
-		if sk == 0 {
-			sk = stream.BasicHG
-		}
 		return stream.NewWire(stream.Params{
-			Kind: sk, Eps: cfg.eps, Windows: windows, K: topK,
+			Kind: stream.BasicHG, Eps: cfg.eps, Windows: windows, K: topK,
 			Domain: size, WindowSize: windowSize, WarmupWindows: 1,
 			N: cfg.n, Seed: cfg.seed, Workers: cfg.workers,
 		}, cfg.itemBytes)
@@ -265,8 +229,7 @@ func New(kind Kind, opts ...Option) (Protocol, error) {
 		}
 		return interactive.NewWire(interactive.Params{
 			Mode: mode, Eps: cfg.eps, N: cfg.n, ItemBytes: cfg.itemBytes,
-			Rounds: cfg.rounds, BitsPerRound: cfg.bitsPerRnd, TopK: cfg.topK,
-			Theta: cfg.theta, Seed: cfg.seed, Workers: cfg.workers,
+			TopK: cfg.topK, Seed: cfg.seed, Workers: cfg.workers,
 		})
 	default:
 		return nil, fmt.Errorf("ldphh: unknown protocol kind %v", kind)

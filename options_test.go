@@ -6,6 +6,8 @@ import (
 	"errors"
 	"math/rand/v2"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"ldphh"
@@ -29,7 +31,8 @@ func ordinalItem(v uint64, w int) []byte {
 // snapshot/merge, fingerprint, answer continuous queries, run rounds) and
 // the adapter contract every kind shares: codec-derived BytesPerReport,
 // valid-prefix batch absorption, named rejection of another kind's frame,
-// and a cancelled Identify that leaves the round intact.
+// a cancelled or failed Identify that leaves the round intact, and a
+// successful one that closes it.
 func TestNewAllKinds(t *testing.T) {
 	// Every mergeable kind, and only those, also states a fingerprint.
 	mergeableKinds := map[ldphh.Kind]bool{
@@ -64,6 +67,16 @@ func TestNewAllKinds(t *testing.T) {
 				ldphh.WithSeed(99), ldphh.WithDomainSize(64),
 			}
 			if kind == ldphh.KindHashtogram {
+				// Without candidates Identify fails, and closes nothing.
+				bare, err := ldphh.New(kind, opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wr, err := bare.Report(heavy, 0, rand.New(rand.NewPCG(1, 2)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				failedIdentifyKeepsRound(t, bare, wr)
 				opts = append(opts, ldphh.WithCandidates([][]byte{heavy, ordinalItem(2, 2)}))
 			}
 			h, err := ldphh.New(kind, opts...)
@@ -157,7 +170,10 @@ func TestNewAllKinds(t *testing.T) {
 						}
 						wrs = append(wrs, wr)
 					}
-					absorb(wrs)
+					// Before the final round commits Identify fails, and
+					// closes nothing.
+					failedIdentifyKeepsRound(t, h, wrs[0])
+					absorb(wrs[1:])
 					if _, err := it.AdvanceRound(); err != nil {
 						t.Fatal(err)
 					}
@@ -184,6 +200,15 @@ func TestNewAllKinds(t *testing.T) {
 			if got := h.TotalReports(); got != n {
 				t.Fatalf("cancelled Identify changed TotalReports to %d, want %d", got, n)
 			}
+			m, mergeable := ldphh.AsMergeable(h)
+			var snap []byte
+			var fp uint64
+			if mergeable {
+				if snap, err = m.Snapshot(); err != nil {
+					t.Fatal(err)
+				}
+				fp = m.Fingerprint()
+			}
 			est, err := h.Identify(context.Background())
 			if err != nil {
 				t.Fatal(err)
@@ -197,7 +222,156 @@ func TestNewAllKinds(t *testing.T) {
 			if !found {
 				t.Errorf("planted heavy item (%d of %d users) not identified", trueHeavy, n)
 			}
+
+			// The first successful Identify closed the round: every call
+			// that reads or writes the accumulated state is refused, while
+			// the tallies and capability reads keep answering.
+			refused := func(call string, err error) {
+				t.Helper()
+				if !errors.Is(err, ldphh.ErrRoundClosed) {
+					t.Errorf("%s after Identify: err = %v, want ErrRoundClosed", call, err)
+				}
+			}
+			own := proto.NewWireReport(codec.ID, codec.Version, make([]byte, codec.PayloadBytes))
+			_, err = h.Identify(context.Background())
+			refused("Identify", err)
+			refused("Absorb", h.Absorb(own))
+			refused("AbsorbBatch", h.AbsorbBatch([]ldphh.WireReport{own}))
+			if mergeable {
+				_, err := m.Snapshot()
+				refused("Snapshot", err)
+				refused("Restore", m.Restore(snap))
+				refused("MergeSnapshot", m.MergeSnapshot(snap))
+				if got := m.Fingerprint(); got != fp {
+					t.Errorf("Fingerprint after Identify %#x, want %#x", got, fp)
+				}
+			}
+			if got := h.TotalReports(); got != n {
+				t.Errorf("TotalReports after Identify = %d, want %d", got, n)
+			}
+			if h.SketchBytes() <= 0 || h.BytesPerReport() != codec.PayloadBytes || h.ProtocolID() != codec.ID {
+				t.Error("Table 1 reads changed after Identify")
+			}
+			if f := h.(ldphh.Calibrated).MinRecoverableFrequency(); !(f > 0) {
+				t.Errorf("MinRecoverableFrequency after Identify = %v", f)
+			}
+			if cq, ok := ldphh.AsContinuousQuerier(h); ok {
+				if _, err := cq.QueryTopK(context.Background(), 0); err != nil {
+					t.Errorf("QueryTopK after Identify: %v", err)
+				}
+				if st := cq.StreamStats(); st.TopK == 0 {
+					t.Errorf("StreamStats after Identify = %+v", st)
+				}
+			}
+			if it != nil && !it.RoundState().Done {
+				t.Error("RoundState after Identify is not Done")
+			}
 		})
+	}
+}
+
+// TestIdentifyConcurrentAllKinds races one Identify against several
+// goroutines' AbsorbBatch calls on every kind. A batch either lands whole
+// or is refused whole with ErrRoundClosed, so TotalReports equals the
+// frames of the accepted batches. The interactive kinds cannot identify
+// while a round is open: there Identify fails, closes nothing, and every
+// batch lands.
+func TestIdentifyConcurrentAllKinds(t *testing.T) {
+	const (
+		n       = 4096
+		senders = 4
+		batches = 8
+	)
+	for _, kind := range ldphh.Kinds() {
+		t.Run(kind.String(), func(t *testing.T) {
+			opts := []ldphh.Option{
+				ldphh.WithEps(4), ldphh.WithN(n), ldphh.WithItemBytes(2),
+				ldphh.WithSeed(7), ldphh.WithDomainSize(64),
+			}
+			if kind == ldphh.KindHashtogram {
+				opts = append(opts, ldphh.WithCandidates([][]byte{ordinalItem(1, 2)}))
+			}
+			h, err := ldphh.New(kind, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, interactive := ldphh.AsInteractive(h)
+			var frames []ldphh.WireReport
+			for i := 0; i < n; i++ {
+				rng := ldphh.RoundRand(7, 0, i)
+				wr, err := h.Report(ordinalItem(uint64(1+i%8), 2), i, rng)
+				if errors.Is(err, ldphh.ErrNotInRound) {
+					continue
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				frames = append(frames, wr)
+			}
+			size := (len(frames) + senders*batches - 1) / (senders * batches)
+
+			var accepted atomic.Int64
+			var wg sync.WaitGroup
+			start := make(chan struct{})
+			for s := 0; s < senders; s++ {
+				wg.Add(1)
+				go func(s int) {
+					defer wg.Done()
+					<-start
+					for b := s * batches; b < (s+1)*batches && b*size < len(frames); b++ {
+						batch := frames[b*size : min((b+1)*size, len(frames))]
+						switch err := h.AbsorbBatch(batch); {
+						case err == nil:
+							accepted.Add(int64(len(batch)))
+						case !errors.Is(err, ldphh.ErrRoundClosed):
+							t.Errorf("AbsorbBatch: %v", err)
+						}
+					}
+				}(s)
+			}
+			identified := make(chan error, 1)
+			go func() {
+				<-start
+				_, err := h.Identify(context.Background())
+				identified <- err
+			}()
+			close(start)
+			wg.Wait()
+			err = <-identified
+			switch {
+			case interactive && (err == nil || errors.Is(err, ldphh.ErrRoundClosed)):
+				t.Fatalf("Identify with a round open: err = %v, want a failure that closes nothing", err)
+			case interactive && accepted.Load() != int64(len(frames)):
+				t.Fatalf("accepted %d of %d frames with the round open", accepted.Load(), len(frames))
+			case !interactive && err != nil:
+				t.Fatal(err)
+			}
+			if got := h.TotalReports(); int64(got) != accepted.Load() {
+				t.Fatalf("TotalReports = %d, accepted batches carried %d frames", got, accepted.Load())
+			}
+		})
+	}
+}
+
+// failedIdentifyKeepsRound checks that an Identify on h fails and closes
+// nothing: wr, one of h's own frames, is absorbed afterwards and h still
+// snapshots when it can.
+func failedIdentifyKeepsRound(t *testing.T, h ldphh.Protocol, wr ldphh.WireReport) {
+	t.Helper()
+	if _, err := h.Identify(context.Background()); err == nil || errors.Is(err, ldphh.ErrRoundClosed) {
+		t.Fatalf("Identify: err = %v, want a failure that leaves the round open", err)
+	}
+	before := h.TotalReports()
+	if err := h.Absorb(wr); err != nil {
+		t.Fatalf("Absorb after a failed Identify: %v", err)
+	}
+	if got := h.TotalReports(); got != before+1 {
+		t.Fatalf("TotalReports %d after absorbing one report onto %d", got, before)
+	}
+	if m, ok := ldphh.AsMergeable(h); ok {
+		if _, err := m.Snapshot(); err != nil {
+			t.Fatalf("Snapshot after a failed Identify: %v", err)
+		}
 	}
 }
 
