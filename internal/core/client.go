@@ -9,8 +9,10 @@ import (
 // from the same Params the server uses — the Seed pins all shared public
 // randomness, so a client built on a device and a server built in the
 // aggregation service agree on every hash function and code without
-// exchanging anything beyond Params. The client holds no server state and
-// no other user's data.
+// exchanging anything beyond Params. The client holds no other user's
+// data, but it is not small: NewClient builds a whole Protocol, empty
+// server counters included, so its memory is the server's SketchBytes
+// (about 256 MiB at ε = 4, N = 10^6 and 4-byte items).
 type Client struct {
 	proto *Protocol
 }

@@ -345,7 +345,8 @@ func (pr *Protocol) threshold(m int) float64 {
 }
 
 // EstimateFrequency exposes the confirmation oracle for ad-hoc queries
-// after Identify (the protocol is a frequency oracle too, Definition 3.2).
+// after a successful Identify, whose closed round refuses every write (the
+// protocol is a frequency oracle too, Definition 3.2).
 func (pr *Protocol) EstimateFrequency(x []byte) float64 {
 	return pr.conf.Estimate(x)
 }

@@ -233,8 +233,8 @@ func (k pesKernel) DecodeBody(buf []byte) (*accumulator, error) {
 
 // Replace swaps a decoded snapshot's counters into the existing oracles,
 // whose pointers stay put (DecodeBody reads them without the lock). The
-// oracles fail only once an Identify has finalized them and then failed in
-// list decode: a successful one closes the round before Replace can run.
+// oracles' Replace fails only on a parameter mismatch, which DecodeBody
+// rules out by decoding through the receiver's own oracles.
 func (k pesKernel) Replace(acc *accumulator) error {
 	pr := k.pr
 	for m, d := range pr.direct {
@@ -251,7 +251,7 @@ func (k pesKernel) Replace(acc *accumulator) error {
 }
 
 // Merge folds a decoded snapshot into the server state; as in Replace,
-// only finalized oracles can fail it.
+// only a parameter mismatch could fail the oracles' Merge.
 func (k pesKernel) Merge(acc *accumulator) error {
 	pr := k.pr
 	for m, d := range pr.direct {

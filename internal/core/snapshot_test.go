@@ -218,6 +218,54 @@ func TestProtocolSnapshotRestoreResume(t *testing.T) {
 	assertIdenticalEstimates(t, identifyAll(t, b), identifyAll(t, c))
 }
 
+// TestUnclosedIdentifyKeepsOraclesAbsorbing: a reconstruction that
+// finalizes every oracle but is never seen to succeed by the adapter (here
+// the kernel body pr.identify, standing in for an Identify that fails or
+// is cancelled after finalizing) leaves the round open and every oracle
+// absorbing. The rest of the stream, a Snapshot and the real Identify then
+// match an aggregator that never ran it, bit for bit.
+func TestUnclosedIdentifyKeepsOraclesAbsorbing(t *testing.T) {
+	const n = 12000
+	params := snapTestParams(77)
+	reports := snapTestReports(t, params, n)
+	absorb := func(pr *Protocol, reports []Report) {
+		t.Helper()
+		for _, rep := range reports {
+			if err := pr.Absorb(rep); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	pr, err := New(params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	absorb(pr, reports[:n/2])
+	if _, err := pr.identify(); err != nil {
+		t.Fatal(err)
+	}
+	absorb(pr, reports[n/2:])
+	snap, err := pr.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ref, err := New(params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	absorb(ref, reports)
+	refSnap, err := ref.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(snap, refSnap) {
+		t.Fatal("snapshot after the unclosed Identify differs from the reference's")
+	}
+	assertIdenticalEstimates(t, identifyAll(t, pr), identifyAll(t, ref))
+}
+
 func TestProtocolSnapshotValidation(t *testing.T) {
 	params := snapTestParams(5)
 	pr, err := New(params)

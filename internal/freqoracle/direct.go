@@ -20,14 +20,13 @@ import (
 // size — at server memory O(Domain), exactly the Theorem 3.8 trade-off that
 // PrivateExpanderSketch exploits per coordinate.
 type DirectHistogram struct {
-	eps       float64
-	domain    int
-	t         int
-	rand      ldp.HadamardBit
-	acc       []int64 // running sums of ±1 reports (exact integer tallies)
-	n         int
-	hist      []float64
-	finalized bool
+	eps    float64
+	domain int
+	t      int
+	rand   ldp.HadamardBit
+	acc    []int64 // running sums of ±1 reports (exact integer tallies)
+	n      int
+	hist   []float64 // the last Finalize's view; nil before the first
 }
 
 // DirectReport is one user's message: a Hadamard column and a ±1 bit.
@@ -95,9 +94,6 @@ func (d *DirectHistogram) NewAccumulator() *DirectHistogram {
 // use; callers that parallelize should absorb into per-worker
 // NewAccumulator shards and Merge.
 func (d *DirectHistogram) Absorb(rep DirectReport) error {
-	if d.finalized {
-		return fmt.Errorf("freqoracle: Absorb after Finalize")
-	}
 	if int(rep.Col) >= d.t {
 		return fmt.Errorf("freqoracle: report column %d out of range", rep.Col)
 	}
@@ -109,11 +105,10 @@ func (d *DirectHistogram) Absorb(rep DirectReport) error {
 	return nil
 }
 
-// Finalize reconstructs the full estimated histogram.
+// Finalize rebuilds the estimated histogram from the counters as they
+// stand, into a fresh view that the read methods answer from until the
+// next Finalize. It must not run concurrently with them.
 func (d *DirectHistogram) Finalize() {
-	if d.finalized {
-		return
-	}
 	// The int64 tallies convert exactly (|cell| <= n << 2^53), so the
 	// transform input is bit-identical to the historical float64 accumulator.
 	v := make([]float64, d.t)
@@ -126,13 +121,12 @@ func (d *DirectHistogram) Finalize() {
 		v[i] *= c
 	}
 	d.hist = v
-	d.finalized = true
 }
 
-// Estimate returns the estimated multiplicity of x. Must be called after
-// Finalize.
+// Estimate returns the estimated multiplicity of x as of the last
+// Finalize. Must be called after Finalize.
 func (d *DirectHistogram) Estimate(x uint64) float64 {
-	if !d.finalized {
+	if d.hist == nil {
 		panic("freqoracle: Estimate before Finalize")
 	}
 	if x >= uint64(d.domain) {
@@ -143,19 +137,19 @@ func (d *DirectHistogram) Estimate(x uint64) float64 {
 
 // Histogram returns the full estimated histogram over [0, Domain) (a copy).
 func (d *DirectHistogram) Histogram() []float64 {
-	if !d.finalized {
+	if d.hist == nil {
 		panic("freqoracle: Histogram before Finalize")
 	}
 	return append([]float64(nil), d.hist[:d.domain]...)
 }
 
-// HistogramView returns the finalized estimated histogram over [0, Domain)
-// without copying. The caller must treat the slice as read-only; it stays
-// valid (and immutable — Absorb and Merge fail after Finalize) for the
-// oracle's lifetime. Identify's parallel per-coordinate scan reads through
-// this view so a large-domain scan costs no O(Domain) copy per coordinate.
+// HistogramView returns the last Finalize's estimated histogram over
+// [0, Domain) without copying. The caller must treat the slice as
+// read-only; it never changes, because every Finalize builds a fresh view.
+// Identify's parallel per-coordinate scan reads through this view so a
+// large-domain scan costs no O(Domain) copy per coordinate.
 func (d *DirectHistogram) HistogramView() []float64 {
-	if !d.finalized {
+	if d.hist == nil {
 		panic("freqoracle: HistogramView before Finalize")
 	}
 	return d.hist[:d.domain]
@@ -164,12 +158,9 @@ func (d *DirectHistogram) HistogramView() []float64 {
 // TotalReports returns the number of absorbed reports.
 func (d *DirectHistogram) TotalReports() int { return d.n }
 
-// Merge folds another accumulator with identical parameters into this one;
-// neither may be finalized.
+// Merge folds another accumulator with identical parameters into this
+// one's counters.
 func (d *DirectHistogram) Merge(other *DirectHistogram) error {
-	if d.finalized || other.finalized {
-		return fmt.Errorf("freqoracle: Merge after Finalize")
-	}
 	if d.eps != other.eps || d.domain != other.domain || d.t != other.t {
 		return fmt.Errorf("freqoracle: Merge of differently-parameterized histograms")
 	}
@@ -183,7 +174,7 @@ func (d *DirectHistogram) Merge(other *DirectHistogram) error {
 // SketchBytes returns the resident server state in bytes.
 func (d *DirectHistogram) SketchBytes() int {
 	b := 8 * d.t
-	if d.finalized {
+	if d.hist != nil {
 		b *= 2
 	}
 	return b

@@ -2,6 +2,7 @@ package freqoracle
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"testing"
 )
@@ -149,6 +150,120 @@ func TestDirectHistogramSnapshotMergeEquivalence(t *testing.T) {
 	}
 }
 
+// TestRefinalizeEquivalence pins Finalize as a repeatable view build: an
+// oracle finalized part-way through a stream keeps absorbing and merging,
+// answers from that view until it is finalized again, and its second
+// Finalize gives estimates bit-identical to an oracle that saw the whole
+// stream and was finalized once. A HistogramView taken before the second
+// Finalize never changes.
+func TestRefinalizeEquivalence(t *testing.T) {
+	t.Run("hashtogram", func(t *testing.T) {
+		// Five reports leave most of the 24 rows empty at the first
+		// Finalize, so answering from the view means skipping rows the live
+		// counters have since filled.
+		const n, first = 4000, 5
+		params := HashtogramParams{Eps: 2, N: n, Seed: 21}
+		fresh := func() *Hashtogram {
+			h, err := NewHashtogram(params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return h
+		}
+		absorb := func(h *Hashtogram, reports []HashtogramReport) *Hashtogram {
+			for _, rep := range reports {
+				if err := h.Absorb(rep); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return h
+		}
+		same := func(stage string, got *Hashtogram, reports []HashtogramReport) {
+			t.Helper()
+			want := absorb(fresh(), reports)
+			want.Finalize()
+			for _, q := range [][]byte{key(1), key(2), key(1 << 41)} {
+				ge, gs := got.EstimateWithSpread(q)
+				we, ws := want.EstimateWithSpread(q)
+				if math.Float64bits(got.Estimate(q)) != math.Float64bits(we) ||
+					math.Float64bits(ge) != math.Float64bits(we) || math.Float64bits(gs) != math.Float64bits(ws) {
+					t.Fatalf("%s: query %x = (%v, %v), want (%v, %v)", stage, q, ge, gs, we, ws)
+				}
+			}
+		}
+		live := fresh()
+		rng := rand.New(rand.NewPCG(21, 22))
+		reports := make([]HashtogramReport, n)
+		for i, x := range buildPopulation(n, map[uint64]int{1: 900}).items {
+			reports[i] = live.Report(x, i, rng)
+		}
+
+		absorb(live, reports[:first]).Finalize()
+		absorb(live, reports[first:n/2])
+		if err := live.Merge(absorb(live.NewAccumulator(), reports[n/2:])); err != nil {
+			t.Fatal(err)
+		}
+		same("before the second Finalize", live, reports[:first])
+		live.Finalize()
+		same("after the second Finalize", live, reports)
+	})
+
+	t.Run("direct", func(t *testing.T) {
+		const domain, n = 48, 6000
+		fresh := func() *DirectHistogram {
+			d, err := NewDirectHistogram(1.2, domain)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return d
+		}
+		absorb := func(d *DirectHistogram, reports []DirectReport) *DirectHistogram {
+			for _, rep := range reports {
+				if err := d.Absorb(rep); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return d
+		}
+		same := func(stage string, got *DirectHistogram, reports []DirectReport) {
+			t.Helper()
+			want := absorb(fresh(), reports)
+			want.Finalize()
+			for v := uint64(0); v < domain; v++ {
+				if g, w := got.Estimate(v), want.Estimate(v); math.Float64bits(g) != math.Float64bits(w) {
+					t.Fatalf("%s: value %d = %v, want %v", stage, v, g, w)
+				}
+			}
+		}
+		live := fresh()
+		rng := rand.New(rand.NewPCG(23, 24))
+		reports := make([]DirectReport, n)
+		for i := range reports {
+			rep, err := live.Report(uint64(i%7), rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reports[i] = rep
+		}
+
+		absorb(live, reports[:n/2]).Finalize()
+		view := live.HistogramView()
+		saved := append([]float64(nil), view...)
+		absorb(live, reports[n/2:3*n/4])
+		if err := live.Merge(absorb(live.NewAccumulator(), reports[3*n/4:])); err != nil {
+			t.Fatal(err)
+		}
+		same("before the second Finalize", live, reports[:n/2])
+		live.Finalize()
+		same("after the second Finalize", live, reports)
+		for i, v := range view {
+			if math.Float64bits(v) != math.Float64bits(saved[i]) {
+				t.Fatalf("earlier HistogramView cell %d changed from %v to %v", i, saved[i], v)
+			}
+		}
+	})
+}
+
 func TestDirectHistogramSnapshotRestoreResume(t *testing.T) {
 	// Checkpoint/resume: absorb half, snapshot, restore into a fresh
 	// instance, absorb the rest; identical to the uninterrupted run.
@@ -264,13 +379,13 @@ func TestDirectSnapshotValidation(t *testing.T) {
 			}
 		})
 	}
-	// After finalize, both directions reject.
+	// Finalize retires nothing: both directions still work.
 	d.Finalize()
-	if _, err := d.Snapshot(); err == nil {
-		t.Error("snapshot after finalize accepted")
+	if _, err := d.Snapshot(); err != nil {
+		t.Errorf("snapshot after finalize: %v", err)
 	}
-	if err := d.Restore(snap); err == nil {
-		t.Error("restore after finalize accepted")
+	if err := d.Restore(snap); err != nil {
+		t.Errorf("restore after finalize: %v", err)
 	}
 }
 

@@ -131,10 +131,10 @@ func TestHashtogramValidation(t *testing.T) {
 		t.Error("bad bit accepted")
 	}
 	h.Finalize()
-	if err := h.Absorb(HashtogramReport{Row: 0, Col: 0, Bit: 1}); err == nil {
-		t.Error("Absorb after Finalize accepted")
+	if err := h.Absorb(HashtogramReport{Row: 0, Col: 0, Bit: 1}); err != nil {
+		t.Errorf("Absorb after Finalize: %v", err)
 	}
-	h.Finalize() // idempotent
+	h.Finalize() // repeatable
 }
 
 func TestHashtogramEmpty(t *testing.T) {
@@ -469,7 +469,6 @@ func BenchmarkDirectHistogramFinalize1M(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d.finalized = false
 		d.Finalize()
 	}
 }

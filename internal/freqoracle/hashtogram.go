@@ -96,10 +96,9 @@ type Hashtogram struct {
 	acc       []int64 // [row*T + col] running sums of ±1 reports
 	rowCounts []int
 	total     int         // running sum of rowCounts, kept in lockstep
-	est       [][]float64 // [row][bucket] finalized estimates
-	scale     []float64   // [row] n/rowCounts[row] (0 for empty rows), frozen at Finalize
-	finalized bool
-	scratch   sync.Pool // *[]float64 per-query row-estimate buffers (Estimate runs concurrently)
+	est       [][]float64 // [row][bucket] estimates of the last Finalize (nil before it)
+	scale     []float64   // [row] n/rowCounts[row] at that Finalize, 0 exactly for empty rows
+	scratch   sync.Pool   // *[]float64 per-query row-estimate buffers (Estimate runs concurrently)
 }
 
 // NewHashtogram constructs the server and draws the public randomness from
@@ -174,9 +173,6 @@ func (h *Hashtogram) NewAccumulator() *Hashtogram {
 // callers that parallelize should absorb into per-worker NewAccumulator
 // shards and Merge.
 func (h *Hashtogram) Absorb(rep HashtogramReport) error {
-	if h.finalized {
-		return fmt.Errorf("freqoracle: Absorb after Finalize")
-	}
 	if rep.Row < 0 || rep.Row >= h.p.Rows {
 		return fmt.Errorf("freqoracle: report row %d out of range", rep.Row)
 	}
@@ -192,28 +188,27 @@ func (h *Hashtogram) Absorb(rep HashtogramReport) error {
 	return nil
 }
 
-// Finalize reconstructs per-row bucket histograms (one FWHT per row, all
-// rows concurrently) and freezes the sketch.
+// Finalize rebuilds per-row bucket histograms (one FWHT per row, all rows
+// concurrently) from the counters as they stand, into a fresh view that
+// Estimate answers from until the next Finalize. It must not run
+// concurrently with Estimate.
 func (h *Hashtogram) Finalize() { h.FinalizeWorkers(h.p.Rows) }
 
 // FinalizeWorkers is Finalize with the row transforms bounded to at most
 // workers concurrent goroutines; workers <= 1 runs fully serially with no
 // goroutine at all. The reconstruction is per-row independent, so the
-// frozen sketch is bit-identical at every bound — the knob only caps
+// view is bit-identical at every bound — the knob only caps
 // concurrency and the transient per-worker O(T) scratch buffer, which is
 // how core.Protocol.Identify keeps its Params.Workers contract over the
 // confirmation oracle.
 func (h *Hashtogram) FinalizeWorkers(workers int) {
-	if h.finalized {
-		return
-	}
-	h.est = make([][]float64, h.p.Rows)
+	est := make([][]float64, h.p.Rows)
 	// One slab holds every row's estimate vector: a single rows×T allocation
 	// sliced per row instead of R separate copies, so finalization does not
-	// fragment the heap and the frozen sketch stays cache-contiguous. The
-	// int64 tallies convert exactly (|cell| <= reports << 2^53), so the
-	// transform input — and therefore the frozen sketch — is bit-identical
-	// to the historical float64 accumulator.
+	// fragment the heap and the view stays cache-contiguous. The int64
+	// tallies convert exactly (|cell| <= reports << 2^53), so the transform
+	// input — and therefore the view — is bit-identical to the historical
+	// float64 accumulator.
 	slab := make([]float64, h.p.Rows*h.p.T)
 	par.Range(h.p.Rows, workers, func(r int) {
 		v := slab[r*h.p.T : (r+1)*h.p.T : (r+1)*h.p.T]
@@ -226,18 +221,19 @@ func (h *Hashtogram) FinalizeWorkers(workers int) {
 		for j := range v {
 			v[j] *= c
 		}
-		h.est[r] = v
+		est[r] = v
 	})
-	// Counters are frozen from here on, so the per-row n/rowCounts rescale
-	// Estimate applied per query folds into one precomputed factor per row.
-	h.scale = make([]float64, h.p.Rows)
+	// The per-row n/rowCounts rescale is fixed for the view's lifetime, so
+	// it folds into one precomputed factor per row. n >= c, so a row's
+	// factor is 0 exactly when the row is empty.
+	scale := make([]float64, h.p.Rows)
 	n := float64(h.total)
 	for r, c := range h.rowCounts {
 		if c > 0 {
-			h.scale[r] = n / float64(c)
+			scale[r] = n / float64(c)
 		}
 	}
-	h.finalized = true
+	h.est, h.scale = est, scale
 }
 
 // TotalReports returns the number of absorbed reports. The count is
@@ -247,12 +243,9 @@ func (h *Hashtogram) TotalReports() int { return h.total }
 
 // Merge folds another aggregator's accumulated state into this one. Both
 // must be built from identical parameters (same Seed, so same public
-// randomness) and neither may be finalized. This is what lets intermediate
-// aggregators pre-combine report batches before shipping them upstream.
+// randomness). This is what lets intermediate aggregators pre-combine
+// report batches before shipping them upstream.
 func (h *Hashtogram) Merge(other *Hashtogram) error {
-	if h.finalized || other.finalized {
-		return fmt.Errorf("freqoracle: Merge after Finalize")
-	}
 	if h.p != other.p {
 		return fmt.Errorf("freqoracle: Merge of differently-parameterized sketches")
 	}
@@ -268,13 +261,15 @@ func (h *Hashtogram) Merge(other *Hashtogram) error {
 
 // rowEstimates appends the rescaled signed per-row estimates for x to dst
 // and returns it sorted — the shared row loop behind Estimate and
-// EstimateWithSpread. Rows with no reports are skipped; the sort makes the
-// result directly consumable by dist.QuantileSorted, which is what keeps
-// the query allocation-free. Must only be called after Finalize.
+// EstimateWithSpread. It reads only the last Finalize's view, never the
+// live counters, and skips the rows that were empty then (scale 0); the
+// sort makes the result directly consumable by dist.QuantileSorted, which
+// is what keeps the query allocation-free. Must only be called after
+// Finalize.
 func (h *Hashtogram) rowEstimates(x []byte, dst []float64) []float64 {
 	key := h.fold.Fold(x)
 	for r := 0; r < h.p.Rows; r++ {
-		if h.rowCounts[r] == 0 {
+		if h.scale[r] == 0 {
 			continue
 		}
 		bucket := h.hs[r].Range(key, h.p.T)
@@ -297,16 +292,14 @@ func (h *Hashtogram) getScratch() *[]float64 {
 	return &buf
 }
 
-// Estimate returns the estimated multiplicity of x among the absorbed
-// reports: the median over rows of the rescaled signed bucket estimates.
-// Must be called after Finalize. Safe for concurrent use (the frozen sketch
-// is read-only; per-query scratch comes from an internal pool).
+// Estimate returns the estimated multiplicity of x among the reports the
+// last Finalize saw: the median over rows of the rescaled signed bucket
+// estimates (0 when no row held a report). Must be called after Finalize.
+// Safe for concurrent use with other Estimate calls, not with Finalize
+// (the view is read-only; per-query scratch comes from an internal pool).
 func (h *Hashtogram) Estimate(x []byte) float64 {
-	if !h.finalized {
+	if h.est == nil {
 		panic("freqoracle: Estimate before Finalize")
-	}
-	if h.total == 0 {
-		return 0
 	}
 	buf := h.getScratch()
 	vals := h.rowEstimates(x, (*buf)[:0])
@@ -323,11 +316,8 @@ func (h *Hashtogram) Estimate(x []byte) float64 {
 // interquartile range of the per-row estimates, a data-driven uncertainty
 // indicator (wide spread flags heavy hash collisions or low row occupancy).
 func (h *Hashtogram) EstimateWithSpread(x []byte) (est, iqr float64) {
-	if !h.finalized {
+	if h.est == nil {
 		panic("freqoracle: EstimateWithSpread before Finalize")
-	}
-	if h.total == 0 {
-		return 0, 0
 	}
 	buf := h.getScratch()
 	vals := h.rowEstimates(x, (*buf)[:0])
@@ -344,7 +334,7 @@ func (h *Hashtogram) EstimateWithSpread(x []byte) (est, iqr float64) {
 // (the Table 1 "server memory" metric).
 func (h *Hashtogram) SketchBytes() int {
 	per := 8 * h.p.T * h.p.Rows // acc
-	if h.finalized {
+	if h.est != nil {
 		per *= 2 // est
 	}
 	return per + 8*h.p.Rows

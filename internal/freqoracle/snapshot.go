@@ -9,7 +9,7 @@ import (
 	"ldphh/internal/proto"
 )
 
-// The oracles serialize their accumulated (non-finalized) state into small
+// The oracles serialize their accumulated counters into small
 // versioned binary snapshots so an aggregation server can checkpoint
 // mid-collection, resume after a restart, or ship its state to a parent
 // aggregator that folds it in with Merge. The public randomness is NOT
@@ -88,9 +88,6 @@ func (h *Hashtogram) AppendSnapshot(dst []byte) []byte {
 
 // Snapshot serializes the Hashtogram's accumulated state (format above).
 func (h *Hashtogram) Snapshot() ([]byte, error) {
-	if h.finalized {
-		return nil, fmt.Errorf("freqoracle: Snapshot after Finalize")
-	}
 	return h.AppendSnapshot(make([]byte, 0, h.SnapshotLen())), nil
 }
 
@@ -144,9 +141,6 @@ func (h *Hashtogram) DecodeSnapshot(buf []byte) (*Hashtogram, error) {
 // this sketch — the sketch's accumulated state, adopting its counters
 // without a copy; acc must not be used afterwards.
 func (h *Hashtogram) Replace(acc *Hashtogram) error {
-	if h.finalized {
-		return fmt.Errorf("freqoracle: Restore after Finalize")
-	}
 	if h.p != acc.p {
 		return fmt.Errorf("freqoracle: Replace with a differently-parameterized sketch")
 	}
@@ -216,9 +210,6 @@ func (d *DirectHistogram) AppendSnapshot(dst []byte) []byte {
 // Snapshot serializes the DirectHistogram's accumulated state (format
 // above).
 func (d *DirectHistogram) Snapshot() ([]byte, error) {
-	if d.finalized {
-		return nil, fmt.Errorf("freqoracle: Snapshot after Finalize")
-	}
 	return d.AppendSnapshot(make([]byte, 0, d.SnapshotLen())), nil
 }
 
@@ -256,9 +247,6 @@ func (d *DirectHistogram) DecodeSnapshot(buf []byte) (*DirectHistogram, error) {
 // this oracle — the oracle's accumulated state, adopting its counters
 // without a copy; acc must not be used afterwards.
 func (d *DirectHistogram) Replace(acc *DirectHistogram) error {
-	if d.finalized {
-		return fmt.Errorf("freqoracle: Restore after Finalize")
-	}
 	if d.eps != acc.eps || d.domain != acc.domain || d.t != acc.t {
 		return fmt.Errorf("freqoracle: Replace with a differently-parameterized histogram")
 	}

@@ -205,7 +205,8 @@ func (k *hashtogramKernel) Identify(context.Context) ([]proto.Estimate, error) {
 	return out, nil
 }
 
-// Oracle exposes the wrapped Hashtogram (for post-Identify point queries).
+// Oracle exposes the wrapped Hashtogram for point queries after a
+// successful Identify, whose closed round refuses every write.
 func (w *HashtogramWire) Oracle() *Hashtogram { return w.h }
 
 // Report computes user userIdx's wire report for item x.

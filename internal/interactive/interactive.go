@@ -17,9 +17,9 @@
 // 1708.06674), the federated trie keeps every prefix whose vote clears the
 // threshold θ (Zhu et al., arXiv 1902.08534) — and extends each survivor by
 // the next BitsPerRound bits to form the next round's candidate set. The
-// transition is validate-then-commit: the live accumulator is never
-// finalized in place (finalization is irreversible), so a failed advance
-// leaves the open round absorbing.
+// transition is validate-then-commit: finalizing only derives a view from
+// the round's counters, so a failed advance leaves the open round
+// absorbing.
 //
 // Determinism contract: the same absorbed multiset of reports produces the
 // bit-identical round transition and final estimate list at every worker
@@ -348,26 +348,19 @@ func (e *Engine) threshold(scale float64) float64 {
 
 // AdvanceRound finalizes the open round and opens the next one (or commits
 // the final answer), returning the new broadcast state. Validate-then-
-// commit: the live accumulator is merged into a scratch oracle and the
-// scratch is finalized, so any failure leaves the open round absorbing
-// exactly as before.
+// commit: finalizing only derives a view from the round's counters, so any
+// failure leaves the open round absorbing exactly as before.
 func (e *Engine) AdvanceRound() (proto.RoundState, error) {
 	if e.done {
 		return proto.RoundState{}, errors.New("interactive: AdvanceRound after the final round committed")
-	}
-	// Scratch finalization (Finalize is irreversible; never run it on the
-	// live accumulator).
-	scratch := e.hist.NewAccumulator()
-	if err := scratch.Merge(e.hist); err != nil {
-		return proto.RoundState{}, err
 	}
 	scale := 1.0
 	if e.roundReports > 0 {
 		scale = float64(e.p.N) / float64(e.roundReports)
 	}
-	theta := e.threshold(scale) // reads the live hist's ErrorBound; compute before any commit
-	scratch.Finalize()
-	view := scratch.HistogramView() // len(cands)+1; the last cell is "other"
+	theta := e.threshold(scale)
+	e.hist.Finalize()
+	view := e.hist.HistogramView() // len(cands)+1; the last cell is "other"
 
 	// Population-scaled votes per candidate. Each slot is written exactly
 	// once by a pure function of its index, so the scan is deterministic at

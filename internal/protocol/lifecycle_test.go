@@ -474,6 +474,78 @@ func TestPeriodicCheckpointLoop(t *testing.T) {
 	}
 }
 
+// TestPeriodicCheckpointQuietAfterIdentify: once a TCP Identify has
+// closed the round, the periodic loop has nothing left to save. The
+// adapter's refusal is no checkpoint failure: it must not be counted or
+// surface as last_checkpoint_error on every tick, and Close must succeed.
+func TestPeriodicCheckpointQuietAfterIdentify(t *testing.T) {
+	const interval = 20 * time.Millisecond
+	ctx := context.Background()
+	agg, err := core.NewPESWire(treeParams(93))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewGenericServer(agg, "127.0.0.1:0",
+		WithCheckpointDir(t.TempDir()), WithCheckpointInterval(interval))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Hold the checkpoint lock until the round is closed and ticks have
+	// fired, so the first periodic checkpoint is sure to meet a closed round
+	// with the batch still uncovered.
+	srv.ckptMu.Lock()
+	if err := SendWireBatch(ctx, srv.Addr(), wireReports(t, 93, 2000)); err != nil {
+		srv.ckptMu.Unlock()
+		t.Fatal(err)
+	}
+	if _, err := RequestIdentifyContext(ctx, srv.Addr()); err != nil {
+		srv.ckptMu.Unlock()
+		t.Fatal(err)
+	}
+	time.Sleep(3 * interval)
+	srv.ckptMu.Unlock()
+	time.Sleep(5 * interval) // at least three more ticks
+	m := srv.Metrics()
+	if n := m.checkpointErrors.Load(); n != 0 {
+		t.Errorf("%d checkpoint errors after Identify closed the round (last: %q)", n, m.lastCkptErr.Load())
+	}
+	if last := m.lastCkptErr.Load().(string); last != "" {
+		t.Errorf("last_checkpoint_error = %q, want empty", last)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatalf("Close after Identify = %v, want nil", err)
+	}
+}
+
+// TestGracefulShutdownAfterInProcessIdentify: an Identify called in
+// process on a served aggregator closes the round just as one over TCP
+// does, so the shutdown checkpoint has nothing left to save and Close
+// returns nil.
+func TestGracefulShutdownAfterInProcessIdentify(t *testing.T) {
+	ctx := context.Background()
+	agg, err := core.NewPESWire(treeParams(95))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewGenericServer(agg, "127.0.0.1:0",
+		WithCheckpointDir(t.TempDir()), WithCheckpointInterval(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := SendWireBatch(ctx, srv.Addr(), wireReports(t, 95, 2000)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := agg.Identify(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatalf("Close after an in-process Identify = %v, want nil", err)
+	}
+	if n := srv.Metrics().checkpointErrors.Load(); n != 0 {
+		t.Fatalf("%d checkpoint errors after Identify closed the round", n)
+	}
+}
+
 // TestMetricsEndpoints exercises the operability sidecar end to end:
 // /healthz JSON while serving, Prometheus text on /metrics, and the
 // sidecar's teardown with the server.

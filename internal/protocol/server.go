@@ -291,7 +291,8 @@ func (s *Server) openCheckpoints() error {
 // checkpointLoop persists the aggregator state on a timer. Failures are
 // recorded in the metrics (checkpoint_errors_total, /healthz
 // last_checkpoint_error) and retried on the next tick — a transient disk
-// error must not kill the ingest plane.
+// error must not kill the ingest plane. The loop ends once Identify has
+// closed the round: nothing is left to save.
 func (s *Server) checkpointLoop(interval time.Duration) {
 	defer s.wg.Done()
 	t := time.NewTicker(interval)
@@ -301,8 +302,8 @@ func (s *Server) checkpointLoop(interval time.Duration) {
 		case <-s.closed:
 			return
 		case <-t.C:
-			if s.metrics.CheckpointLag() > 0 {
-				s.takeCheckpoint() //nolint:errcheck // recorded in metrics, retried next tick
+			if s.metrics.CheckpointLag() > 0 && errors.Is(s.takeCheckpoint(), proto.ErrRoundClosed) {
+				return
 			}
 		}
 	}
@@ -311,7 +312,8 @@ func (s *Server) checkpointLoop(interval time.Duration) {
 // takeCheckpoint snapshots the aggregator and durably persists it as the
 // next checkpoint. The absorbed-report counter is sampled before the
 // snapshot, so the recorded lag can only overcount, never undercount,
-// what the file covers.
+// what the file covers. A round closed by Identify is no checkpoint error:
+// the adapter's proto.ErrRoundClosed is returned uncounted.
 func (s *Server) takeCheckpoint() error {
 	s.ckptMu.Lock()
 	defer s.ckptMu.Unlock()
@@ -321,6 +323,9 @@ func (s *Server) takeCheckpoint() error {
 func (s *Server) takeCheckpointLocked() error {
 	absorbed := s.metrics.reportsAbsorbed.Load()
 	snap, err := s.merge.Snapshot()
+	if errors.Is(err, proto.ErrRoundClosed) {
+		return err
+	}
 	if err != nil {
 		s.metrics.noteCheckpointError(err)
 		return err
@@ -338,8 +343,9 @@ func (s *Server) takeCheckpointLocked() error {
 // maybeCheckpointSync implements the ack-coupled durability policy
 // (WithCheckpointEvery): called after a report command absorbs and before
 // its acknowledgment goes out. When the threshold is crossed the
-// checkpoint happens here, synchronously — an error fails the command, so
-// the client never receives an ack for state that is not on disk. The lag
+// checkpoint happens here, synchronously — an error (a closed round's
+// included) fails the command, so the client never receives an ack for
+// state that is not on disk. The lag
 // is rechecked under the checkpoint lock because a concurrent connection
 // may have just covered this one's reports.
 func (s *Server) maybeCheckpointSync() error {
@@ -448,19 +454,22 @@ func (s *Server) waitCtx(ctx context.Context) error {
 
 // finalCheckpoint persists the shutdown checkpoint: everything absorbed is
 // on disk before the process exits, so a restart resumes the round with
-// zero loss. Skipped when checkpointing is off, when nothing changed since
-// the last checkpoint, or when an Identify succeeded (the adapter refuses
-// Snapshot once Identify has closed the round, and a finished round has
-// nothing left to recover into).
+// zero loss. Skipped when checkpointing is off or nothing changed since the
+// last checkpoint. A round that Identify closed, over TCP or in process,
+// has nothing left to save: the adapter's proto.ErrRoundClosed is no
+// shutdown error.
 func (s *Server) finalCheckpoint() error {
-	if s.ckpt == nil || s.metrics.identifies.Load() > s.metrics.identifyErrors.Load() {
+	if s.ckpt == nil {
 		return nil
 	}
 	if s.metrics.CheckpointLag() == 0 &&
 		(s.metrics.checkpointSeq.Load() > 0 || s.metrics.reportsAbsorbed.Load() == 0) {
 		return nil
 	}
-	return s.takeCheckpoint()
+	if err := s.takeCheckpoint(); !errors.Is(err, proto.ErrRoundClosed) {
+		return err
+	}
+	return nil
 }
 
 // isTemporary reports whether an Accept error is worth retrying (EMFILE/

@@ -120,7 +120,9 @@ func NewHeavyHitters(params Params) (*HeavyHitters, error) {
 }
 
 // Client is the device-side half of the protocol, constructed from Params
-// alone (no server state needed).
+// alone. It is not lightweight: NewClient builds a whole protocol instance,
+// empty server counters included (about 256 MiB at ε = 4, N = 10^6 and
+// 4-byte items).
 type Client = core.Client
 
 // NewClient derives the client side deterministically from params.
