@@ -258,9 +258,9 @@ func BenchmarkIdentify(b *testing.B) {
 }
 
 // BenchmarkMerge measures the root side of a two-tier aggregation tree:
-// absorbing k leaf snapshots (decode + validate + one locked accumulator
-// fold each) that together carry 2^18 reports — so Mreports_per_s here is
-// the fan-in cost per report.
+// merging k leaf snapshots (each validated outside the lock, then added
+// under it straight from its bytes) that together carry 2^18 reports — so
+// Mreports_per_s here is the fan-in cost per report.
 func BenchmarkMerge(b *testing.B) {
 	const total = 1 << 18
 	reports := ingestReports(b, total)

@@ -1,10 +1,11 @@
 package core
 
-// Benchmark for the steps 2-3 admission scan — the per-coordinate argmax
-// kernel Identify spends its scan phase in. The protocol is built and
-// absorbed once outside the timer; the measured loop replays the full
-// M-coordinate scan against the frozen per-coordinate oracles, which is
-// exactly the work par.Range distributes inside Identify.
+// Benchmarks for the steps 2-3 admission scan — the per-coordinate argmax
+// kernel Identify spends its scan phase in — and for the root's side of a
+// fan-in step, MergeSnapshot. The protocol is built and absorbed once
+// outside the timer; the scan loop replays the full M-coordinate scan
+// against the frozen per-coordinate oracles, which is exactly the work
+// par.Range distributes inside Identify.
 
 import (
 	"encoding/binary"
@@ -14,7 +15,9 @@ import (
 	"ldphh/internal/listrec"
 )
 
-func benchScanProtocol(b *testing.B) *Protocol {
+// benchProtocol returns a protocol that has absorbed 30000 reports of 512
+// distinct items.
+func benchProtocol(b *testing.B) *Protocol {
 	b.Helper()
 	pr, err := New(Params{Eps: 4, N: 30000, ItemBytes: 4, Y: 64, Seed: 42})
 	if err != nil {
@@ -32,6 +35,11 @@ func benchScanProtocol(b *testing.B) *Protocol {
 			b.Fatal(err)
 		}
 	}
+	return pr
+}
+
+func benchScanProtocol(b *testing.B) *Protocol {
+	pr := benchProtocol(b)
 	for m := range pr.direct {
 		pr.direct[m].Finalize()
 	}
@@ -53,4 +61,27 @@ func BenchmarkPESArgmaxScan(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(pr.p.M*cells), "cells/op")
+}
+
+// BenchmarkPESMergeSnapshot validates one leaf snapshot and commits it
+// into a root's counters per op, both over the root's Params.Workers pool;
+// MB/s is snapshot bytes merged per second.
+func BenchmarkPESMergeSnapshot(b *testing.B) {
+	leaf := benchProtocol(b)
+	snap, err := leaf.Snapshot()
+	if err != nil {
+		b.Fatal(err)
+	}
+	root, err := New(leaf.Params())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(snap)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := root.MergeSnapshot(snap); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -59,12 +59,15 @@ type Params struct {
 	ConfT    int
 
 	// Workers bounds the goroutine pool Identify uses for the per-coordinate
-	// argmax scan, the per-bucket decode, the confirmation estimates and the
-	// final sort. 0 derives runtime.GOMAXPROCS(0); 1 forces the serial path.
-	// Workers is a pure throughput knob: Identify output is bit-identical at
-	// every worker count (see the package determinism contract in doc.go),
-	// and the field does not influence any public randomness, so clients and
-	// servers may disagree on it freely.
+	// finalize and argmax scan, the per-bucket decode, the confirmation
+	// estimates and the final sort, and the pool Restore and MergeSnapshot
+	// use to validate a snapshot's oracle blobs and add them, straight from
+	// the snapshot bytes, into the counters. 0 derives runtime.GOMAXPROCS(0);
+	// 1 forces the serial path. Workers is a pure throughput knob: Identify
+	// output, snapshot bytes and load errors are bit-identical at every
+	// worker count (see the package determinism contract in doc.go), and the
+	// field does not influence any public randomness, so clients and servers
+	// may disagree on it freely.
 	Workers int
 
 	Seed uint64 // public randomness seed

@@ -211,16 +211,7 @@ func (pr *Protocol) identify() ([]Estimate, error) {
 	if workers < 1 {
 		workers = 1
 	}
-	// Finalize the per-coordinate oracles. Each Finalize holds an O(cells)
-	// scratch buffer during its transform, so cap the pool at one worker
-	// when cells is large to bound peak memory, exactly as the serial path
-	// always did.
-	cells := pr.p.CellsPerCoordinate(pr.zbits)
-	finWorkers := workers
-	if cells > 1<<20 {
-		finWorkers = 1
-	}
-	par.Range(pr.p.M, finWorkers, func(m int) { pr.direct[m].Finalize() })
+	par.Range(pr.p.M, workers, func(m int) { pr.direct[m].Finalize() })
 
 	// Steps 2-3: per (m, b, y) arg-max over z, threshold, top-cap lists.
 	// Coordinates are independent — worker m reads only its own oracle and

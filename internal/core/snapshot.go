@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"math"
 
-	"ldphh/internal/freqoracle"
+	"ldphh/internal/par"
 	"ldphh/internal/proto"
 )
 
@@ -103,19 +103,42 @@ func (pr *Protocol) MergeFrom(other *Protocol) error {
 	return pr.MergeSnapshot(snap)
 }
 
-// accumulator is a decoded snapshot: a private copy of the protocol's
-// counters sharing its (read-only) public randomness.
+// accumulator is a validated snapshot body: its group counts and report
+// total, and views into the caller's buffer of its M+1 oracle blobs (the M
+// coordinates', then the confirmation oracle's). The adapter commits it
+// within the Restore or MergeSnapshot call that decoded it, so the views
+// never outlive the caller's loan of the buffer.
 type accumulator struct {
-	direct   []*freqoracle.DirectHistogram
-	conf     *freqoracle.Hashtogram
 	groupN   []int
 	absorbed int
+	blobs    [][]byte
+}
+
+// snapshotOracle is what the PES codec needs of the M+1 oracles whose
+// blobs make up a snapshot body: the coordinate DirectHistograms and the
+// confirmation Hashtogram.
+type snapshotOracle interface {
+	CheckSnapshot(blob []byte) (reports int, err error)
+	AddSnapshot(blob []byte)
+	Reset()
+}
+
+// oracle returns the oracle of blob i: coordinate i's for i < M, the
+// confirmation oracle for i = M.
+func (pr *Protocol) oracle(i int) snapshotOracle {
+	if i < pr.p.M {
+		return pr.direct[i]
+	}
+	return pr.conf
 }
 
 // The pesKernel methods below are PESWire's proto.StateCodec. BodyLen,
 // AppendBody, Replace and Merge run under the adapter lock; DecodeBody
 // runs without it and reads only the oracle pointers and their
-// construction-time parameters, which never change.
+// construction-time parameters, which never change. DecodeBody, Replace
+// and Merge each hand the M+1 blobs out whole to a pool of Params.Workers
+// goroutines; a goroutine writes only its blob's oracle or error slot, so
+// state and errors are the same at every worker count.
 
 func (k pesKernel) Fingerprint() uint64 { return k.pr.Fingerprint() }
 
@@ -143,13 +166,15 @@ func (k pesKernel) AppendBody(buf []byte) []byte {
 	return pr.conf.AppendSnapshot(buf)
 }
 
-// DecodeBody validates a snapshot body end to end and materializes it as
-// a fresh accumulator, decoding each oracle blob once. Every structural,
-// shape, range and cross-consistency check happens here, so Replace and
-// Merge commit without a failure path. Rejected inputs: a coordinate count
-// other than M, truncated or oversized buffers, negative counters,
-// non-finite accumulator values, and group/oracle report tallies that
-// disagree with each other.
+// DecodeBody validates a snapshot body end to end without copying its
+// counters: the header and the blob framing serially, then the M+1 oracle
+// blobs concurrently, returning the lowest-index blob's error at every
+// worker count. Every structural, shape, range and cross-consistency check
+// happens here, so Replace and Merge commit without a failure path.
+// Rejected inputs: a coordinate count other than M, truncated or oversized
+// buffers, negative counters, non-finite, non-integral or oversized
+// accumulator values, and group/oracle report tallies that disagree with
+// each other.
 func (k pesKernel) DecodeBody(buf []byte) (*accumulator, error) {
 	pr := k.pr
 	const header = 4 + 8
@@ -168,9 +193,9 @@ func (k pesKernel) DecodeBody(buf []byte) (*accumulator, error) {
 		return nil, fmt.Errorf("core: snapshot truncated in group counts")
 	}
 	acc := &accumulator{
-		direct:   make([]*freqoracle.DirectHistogram, pr.p.M),
 		groupN:   make([]int, pr.p.M),
 		absorbed: int(absorbed),
+		blobs:    make([][]byte, pr.p.M+1),
 	}
 	var sum uint64
 	for m := range acc.groupN {
@@ -188,7 +213,7 @@ func (k pesKernel) DecodeBody(buf []byte) (*accumulator, error) {
 	if sum != absorbed {
 		return nil, fmt.Errorf("core: snapshot group counts sum to %d, total says %d", sum, absorbed)
 	}
-	nextBlob := func() ([]byte, error) {
+	for i := range acc.blobs {
 		if len(buf) < off+4 {
 			return nil, fmt.Errorf("core: snapshot truncated in blob length")
 		}
@@ -197,71 +222,66 @@ func (k pesKernel) DecodeBody(buf []byte) (*accumulator, error) {
 		if n > len(buf)-off {
 			return nil, fmt.Errorf("core: snapshot blob length %d exceeds remaining %d", n, len(buf)-off)
 		}
-		blob := buf[off : off+n]
+		acc.blobs[i] = buf[off : off+n]
 		off += n
-		return blob, nil
-	}
-	for m, d := range pr.direct {
-		blob, err := nextBlob()
-		if err != nil {
-			return nil, err
-		}
-		if acc.direct[m], err = d.DecodeSnapshot(blob); err != nil {
-			return nil, fmt.Errorf("core: snapshot coordinate %d: %w", m, err)
-		}
-		if got := acc.direct[m].TotalReports(); got != acc.groupN[m] {
-			return nil, fmt.Errorf("core: snapshot coordinate %d holds %d reports, group count says %d",
-				m, got, acc.groupN[m])
-		}
-	}
-	blob, err := nextBlob()
-	if err != nil {
-		return nil, err
-	}
-	if acc.conf, err = pr.conf.DecodeSnapshot(blob); err != nil {
-		return nil, fmt.Errorf("core: snapshot confirmation oracle: %w", err)
-	}
-	if got := acc.conf.TotalReports(); uint64(got) != absorbed {
-		return nil, fmt.Errorf("core: snapshot confirmation oracle holds %d reports, total says %d",
-			got, absorbed)
 	}
 	if off != len(buf) {
 		return nil, fmt.Errorf("core: snapshot has %d trailing bytes", len(buf)-off)
 	}
+	errs := make([]error, len(acc.blobs))
+	par.Range(len(acc.blobs), pr.p.Workers, func(i int) { errs[i] = k.checkBlob(acc, i) })
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
 	return acc, nil
 }
 
-// Replace swaps a decoded snapshot's counters into the existing oracles,
-// whose pointers stay put (DecodeBody reads them without the lock). The
-// oracles' Replace fails only on a parameter mismatch, which DecodeBody
-// rules out by decoding through the receiver's own oracles.
+// checkBlob validates blob i of acc against its oracle's shape and its
+// report count against the body's group count or total.
+func (k pesKernel) checkBlob(acc *accumulator, i int) error {
+	pr := k.pr
+	got, err := pr.oracle(i).CheckSnapshot(acc.blobs[i])
+	if i == pr.p.M {
+		if err != nil {
+			return fmt.Errorf("core: snapshot confirmation oracle: %w", err)
+		}
+		if got != acc.absorbed {
+			return fmt.Errorf("core: snapshot confirmation oracle holds %d reports, total says %d",
+				got, acc.absorbed)
+		}
+		return nil
+	}
+	if err != nil {
+		return fmt.Errorf("core: snapshot coordinate %d: %w", i, err)
+	}
+	if got != acc.groupN[i] {
+		return fmt.Errorf("core: snapshot coordinate %d holds %d reports, group count says %d",
+			i, got, acc.groupN[i])
+	}
+	return nil
+}
+
+// Replace zeroes each oracle's counters in place and adds its validated
+// blob; the oracle pointers stay put, since DecodeBody reads them without
+// the lock.
 func (k pesKernel) Replace(acc *accumulator) error {
 	pr := k.pr
-	for m, d := range pr.direct {
-		if err := d.Replace(acc.direct[m]); err != nil {
-			return err
-		}
-	}
-	if err := pr.conf.Replace(acc.conf); err != nil {
-		return err
-	}
+	par.Range(len(acc.blobs), pr.p.Workers, func(i int) {
+		o := pr.oracle(i)
+		o.Reset()
+		o.AddSnapshot(acc.blobs[i])
+	})
 	copy(pr.groupN, acc.groupN)
 	pr.absorbed = acc.absorbed
 	return nil
 }
 
-// Merge folds a decoded snapshot into the server state; as in Replace,
-// only a parameter mismatch could fail the oracles' Merge.
+// Merge adds a validated snapshot's counters into the server state.
 func (k pesKernel) Merge(acc *accumulator) error {
 	pr := k.pr
-	for m, d := range pr.direct {
-		if err := d.Merge(acc.direct[m]); err != nil {
-			return err
-		}
-	}
-	if err := pr.conf.Merge(acc.conf); err != nil {
-		return err
-	}
+	par.Range(len(acc.blobs), pr.p.Workers, func(i int) { pr.oracle(i).AddSnapshot(acc.blobs[i]) })
 	for m, n := range acc.groupN {
 		pr.groupN[m] += n
 	}

@@ -2,8 +2,12 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand/v2"
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -13,7 +17,7 @@ func snapTestParams(seed uint64) Params {
 
 // snapTestReports builds a deterministic planted report stream: items 1 and
 // 2 are heavy, the tail is spread thin, so Identify has real output to
-// compare bit for bit.
+// compare bit for bit. Items are params.ItemBytes wide, at least 2.
 func snapTestReports(t testing.TB, params Params, n int) []Report {
 	t.Helper()
 	proto, err := New(params)
@@ -22,24 +26,36 @@ func snapTestReports(t testing.TB, params Params, n int) []Report {
 	}
 	rng := rand.New(rand.NewPCG(21, 22))
 	reports := make([]Report, n)
+	item := make([]byte, params.ItemBytes)
+	last := len(item) - 1
 	for i := range reports {
-		var item [4]byte
+		clear(item)
 		switch {
 		case i%10 < 4:
-			item[3] = 1
+			item[last] = 1
 		case i%10 < 7:
-			item[3] = 2
+			item[last] = 2
 		default:
-			item[2] = byte(i % 97)
-			item[3] = byte(i % 251)
+			item[last-1] = byte(i % 97)
+			item[last] = byte(i % 251)
 		}
-		rep, err := proto.Report(item[:], i, rng)
+		rep, err := proto.Report(item, i, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
 		reports[i] = rep
 	}
 	return reports
+}
+
+// snapBlobOffset returns the offset of blob i — coordinate i's LDSK blob,
+// or the confirmation oracle's LHSK blob for i = M — in pr's snapshot:
+// past the 14-byte envelope, the body's m u32, absorbed u64 and group
+// counts, and i earlier length-prefixed LDSK blobs and blob i's own length.
+// A blob's first cell sits 29 bytes in (LDSK: 21-byte header and n u64), a
+// confirmation blob's first row count 13 bytes in.
+func snapBlobOffset(pr *Protocol, i int) int {
+	return 14 + 4 + 8 + 8*pr.p.M + 4 + i*(4+pr.direct[0].SnapshotLen())
 }
 
 func identifyAll(t testing.TB, pr *Protocol) []Estimate {
@@ -68,7 +84,10 @@ func assertIdenticalEstimates(t *testing.T, got, want []Estimate) {
 // property: for k ∈ {1, 2, 4} leaf aggregators each ingesting a share of
 // the same report stream, root Identify after snapshot+merge is
 // bit-identical — same items, same order, same float64 counts — to a
-// single aggregator ingesting everything sequentially.
+// single aggregator ingesting everything sequentially. The workers
+// subtests repeat the fan-in at several worker counts (see
+// checkMergeWorkers), once over a geometry above 2^20 cells per
+// coordinate.
 func TestProtocolMergeEquivalence(t *testing.T) {
 	const n = 20000
 	params := snapTestParams(2024)
@@ -120,6 +139,134 @@ func TestProtocolMergeEquivalence(t *testing.T) {
 			}
 			assertIdenticalEstimates(t, identifyAll(t, root), want)
 		})
+	}
+	t.Run("workers", func(t *testing.T) { checkMergeWorkers(t, params, reports) })
+	t.Run("workers_large", func(t *testing.T) {
+		if testing.Short() {
+			t.Skip("64 MiB snapshots")
+		}
+		params := Params{Eps: 4, N: n, ItemBytes: 2, Y: 1024, Seed: 2024}
+		if cells := checkMergeWorkers(t, params, snapTestReports(t, params, n)); cells <= 1<<20 {
+			t.Fatalf("large geometry has %d cells per coordinate, want more than 2^20", cells)
+		}
+	})
+}
+
+// checkMergeWorkers merges a leaf's snapshot into a root holding the rest
+// of the reports, and restores the sequential aggregator's snapshot, at
+// Workers ∈ {1, 3, GOMAXPROCS}: both must hold the sequential aggregator's
+// Snapshot bytes and identify its estimates. A snapshot corrupted in two
+// coordinates must first fail both loads with the same error, the lower
+// coordinate's, at every worker count. It returns the geometry's cells per
+// coordinate.
+func checkMergeWorkers(t *testing.T, params Params, reports []Report) int {
+	absorbed := func(workers int, reports []Report) *Protocol {
+		t.Helper()
+		p := params
+		p.Workers = workers
+		pr, err := New(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rep := range reports {
+			if err := pr.Absorb(rep); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return pr
+	}
+	snapshot := func(pr *Protocol) []byte {
+		t.Helper()
+		snap, err := pr.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snap
+	}
+	seq := absorbed(0, reports)
+	cells := seq.p.CellsPerCoordinate(seq.zbits)
+	wantSnap := snapshot(seq)
+	want := identifyAll(t, seq)
+	if len(want) == 0 {
+		t.Fatal("sequential round identified nothing; the equivalence check would be vacuous")
+	}
+	half := len(reports) / 2
+	leafSnap := snapshot(absorbed(0, reports[half:]))
+
+	// Coordinates 1 and M-1 each get a cell above their report count.
+	corrupt := append([]byte(nil), wantSnap...)
+	for _, c := range []int{1, seq.p.M - 1} {
+		binary.BigEndian.PutUint64(corrupt[snapBlobOffset(seq, c)+29:], math.Float64bits(1<<40))
+	}
+
+	matches := func(workers int, pr *Protocol, how string) {
+		t.Helper()
+		if !bytes.Equal(snapshot(pr), wantSnap) {
+			t.Fatalf("workers=%d: snapshot after %s differs from the sequential aggregator's", workers, how)
+		}
+		assertIdenticalEstimates(t, identifyAll(t, pr), want)
+	}
+	var wantErr string
+	for _, workers := range []int{1, 3, runtime.GOMAXPROCS(0)} {
+		root := absorbed(workers, reports[:half])
+		mergeErr, restoreErr := root.MergeSnapshot(corrupt), root.Restore(corrupt)
+		if mergeErr == nil || restoreErr == nil {
+			t.Fatalf("workers=%d: corrupt snapshot accepted (merge %v, restore %v)", workers, mergeErr, restoreErr)
+		}
+		if wantErr == "" {
+			wantErr = mergeErr.Error()
+			if !strings.Contains(wantErr, "coordinate 1:") {
+				t.Fatalf("corrupt snapshot error %q does not name coordinate 1", wantErr)
+			}
+		}
+		if mergeErr.Error() != wantErr || restoreErr.Error() != wantErr {
+			t.Fatalf("workers=%d: errors %q / %q, want %q", workers, mergeErr, restoreErr, wantErr)
+		}
+		if err := root.MergeSnapshot(leafSnap); err != nil {
+			t.Fatal(err)
+		}
+		matches(workers, root, "merge")
+
+		restored := absorbed(workers, reports[:100])
+		if err := restored.Restore(wantSnap); err != nil {
+			t.Fatal(err)
+		}
+		matches(workers, restored, "restore")
+	}
+	return cells
+}
+
+// TestMergeSnapshotAddsFromSnapshotBytes pins the fan-in's memory cost:
+// MergeSnapshot validates and adds the counters straight from the
+// snapshot bytes, so one merge allocates a small fraction of the snapshot
+// it reads, where a decoded copy would allocate all of it again.
+func TestMergeSnapshotAddsFromSnapshotBytes(t *testing.T) {
+	params := snapTestParams(41)
+	leaf, err := New(params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rep := range snapTestReports(t, params, 2000) {
+		if err := leaf.Absorb(rep); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap, err := leaf.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	root, err := New(params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := root.MergeSnapshot(snap); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(len(snap)/16); got >= limit {
+		t.Fatalf("MergeSnapshot of a %d-byte snapshot allocated %d bytes, want under %d", len(snap), got, limit)
 	}
 }
 
@@ -344,8 +491,13 @@ func TestProtocolSnapshotValidation(t *testing.T) {
 		}
 	})
 	// Offsets: the 14-byte envelope ("LSNP" | version | protocol ID |
-	// fingerprint), then the body's m u32 at 14, absorbed u64 at 18 and
-	// the group counts from 26.
+	// fingerprint), then the body's m u32 at 14, absorbed u64 at 18, the
+	// group counts from 26, and the blobs (see snapBlobOffset).
+	m := pr.p.M
+	setCell := func(b []byte, coord int, v float64) []byte {
+		binary.BigEndian.PutUint64(b[snapBlobOffset(pr, coord)+29:], math.Float64bits(v))
+		return b
+	}
 	corruptions := []struct {
 		name   string
 		mutate func([]byte) []byte
@@ -365,10 +517,27 @@ func TestProtocolSnapshotValidation(t *testing.T) {
 			copy(b[len(b)-8:], []byte{0x7f, 0xf8, 0, 0, 0, 0, 0, 1})
 			return b
 		}},
+		{"infinite cell in coordinate 0", func(b []byte) []byte { return setCell(b, 0, math.Inf(1)) }},
+		{"non-integral cell in last coordinate", func(b []byte) []byte { return setCell(b, m-1, 0.5) }},
+		{"cell above its coordinate's report count", func(b []byte) []byte {
+			return setCell(b, 0, float64(binary.BigEndian.Uint64(b[26:])+1))
+		}},
+		{"corrupt confirmation row count", func(b []byte) []byte { b[snapBlobOffset(pr, m)+13+7] ^= 1; return b }},
 	}
 	for _, tc := range corruptions {
 		t.Run(tc.name, func(t *testing.T) {
+			// Atomicity: a failed load leaves a protocol that already holds
+			// reports exactly as it was, so no counter was half committed.
 			p := fresh()
+			for _, rep := range reports[:200] {
+				if err := p.Absorb(rep); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before, err := p.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
 			buf := tc.mutate(append([]byte(nil), snap...))
 			if err := p.Restore(buf); err == nil {
 				t.Fatalf("%s accepted", tc.name)
@@ -376,9 +545,8 @@ func TestProtocolSnapshotValidation(t *testing.T) {
 			if err := p.MergeSnapshot(buf); err == nil {
 				t.Fatalf("%s accepted by MergeSnapshot", tc.name)
 			}
-			// Atomicity: the failed restore left no partial state behind.
-			if p.TotalReports() != 0 {
-				t.Errorf("%s mutated protocol state on failure", tc.name)
+			if after, err := p.Snapshot(); err != nil || !bytes.Equal(after, before) {
+				t.Errorf("%s mutated protocol state on failure (Snapshot err %v)", tc.name, err)
 			}
 		})
 	}

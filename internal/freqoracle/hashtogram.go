@@ -197,10 +197,10 @@ func (h *Hashtogram) Finalize() { h.FinalizeWorkers(h.p.Rows) }
 // FinalizeWorkers is Finalize with the row transforms bounded to at most
 // workers concurrent goroutines; workers <= 1 runs fully serially with no
 // goroutine at all. The reconstruction is per-row independent, so the
-// view is bit-identical at every bound — the knob only caps
-// concurrency and the transient per-worker O(T) scratch buffer, which is
-// how core.Protocol.Identify keeps its Params.Workers contract over the
-// confirmation oracle.
+// view is bit-identical at every bound — the knob only caps concurrency
+// (memory is the one rows×T view slab, allocated up front at any bound),
+// which is how core.Protocol.Identify keeps its Params.Workers contract
+// over the confirmation oracle.
 func (h *Hashtogram) FinalizeWorkers(workers int) {
 	est := make([][]float64, h.p.Rows)
 	// One slab holds every row's estimate vector: a single rows×T allocation

@@ -18,12 +18,14 @@ import (
 // Restore validates the embedded shape against the receiver and rejects
 // mismatches.
 //
-// Restore is atomic: DecodeSnapshot parses and validates the whole
-// snapshot (header, counter ranges, float finiteness) into a fresh
-// accumulator in one pass, and only then does Replace swap its counters
-// in, so a failed Restore leaves the oracle exactly as it was. The header
-// is fixed by the receiver's shape, so it is checked as one byte
-// comparison against the receiver's own.
+// Loading is split into two primitives. CheckSnapshot makes every check
+// (header, counter ranges, float finiteness, each cell within its report
+// count) without allocating and without touching the receiver's counters;
+// AddSnapshot then adds a checked snapshot's counters into the receiver
+// and cannot fail. DecodeSnapshot is the two over a fresh accumulator, and
+// Restore swaps that accumulator in, so a failed Restore leaves the oracle
+// exactly as it was. The header is fixed by the receiver's shape, so it is
+// checked as one byte comparison against the receiver's own.
 //
 // Hashtogram format "LHSK" version 1 (big endian), pinned by
 // TestSnapshotGoldenBytes:
@@ -97,43 +99,74 @@ func (h *Hashtogram) Snapshot() ([]byte, error) {
 // (or non-integral) values can only be corruption.
 const maxSnapshotTally = uint64(1) << 53
 
-// DecodeSnapshot parses and validates a snapshot produced by a sketch with
-// identical parameters into a fresh accumulator, in one pass; the receiver
-// is untouched. Row counts, and their sum, are checked against
-// maxSnapshotTally on the raw uint64 before any int conversion.
-func (h *Hashtogram) DecodeSnapshot(buf []byte) (*Hashtogram, error) {
+// CheckSnapshot validates a snapshot produced by a sketch with identical
+// parameters and returns its report count, without allocating. Row
+// counts, and their sum, are checked against maxSnapshotTally on the raw
+// uint64 before any int conversion, and every cell against its row's
+// count: each report moves one cell of its row by ±1. It reads only the
+// sketch's construction-time parameters, never its counters, so it may run
+// concurrently with Absorb.
+func (h *Hashtogram) CheckSnapshot(buf []byte) (reports int, err error) {
 	if want := h.SnapshotLen(); len(buf) != want {
-		return nil, fmt.Errorf("freqoracle: snapshot length %d, want %d", len(buf), want)
+		return 0, fmt.Errorf("freqoracle: snapshot length %d, want %d", len(buf), want)
 	}
 	var hdr [hashtogramHeaderLen]byte
 	if !bytes.Equal(buf[:hashtogramHeaderLen], h.appendHeader(hdr[:0])) {
-		return nil, fmt.Errorf("freqoracle: snapshot header %x does not match sketch %x (magic, version or shape)",
+		return 0, fmt.Errorf("freqoracle: snapshot header %x does not match sketch %x (magic, version or shape)",
 			buf[:hashtogramHeaderLen], hdr)
 	}
-	acc := h.NewAccumulator()
-	off := hashtogramHeaderLen
+	counts := buf[hashtogramHeaderLen : hashtogramHeaderLen+8*h.p.Rows]
+	cells := buf[hashtogramHeaderLen+8*h.p.Rows:]
 	var sum uint64
-	for r := range acc.rowCounts {
-		c := binary.BigEndian.Uint64(buf[off:])
+	for r := 0; r < h.p.Rows; r++ {
+		c := binary.BigEndian.Uint64(counts[8*r:])
 		if c > maxSnapshotTally {
-			return nil, fmt.Errorf("freqoracle: snapshot row %d count %d exceeds report-tally bound %d", r, c, maxSnapshotTally)
+			return 0, fmt.Errorf("freqoracle: snapshot row %d count %d exceeds report-tally bound %d", r, c, maxSnapshotTally)
 		}
 		sum += c
 		if sum > maxSnapshotTally {
-			return nil, fmt.Errorf("freqoracle: snapshot total report count exceeds bound %d", maxSnapshotTally)
+			return 0, fmt.Errorf("freqoracle: snapshot total report count exceeds bound %d", maxSnapshotTally)
 		}
-		acc.rowCounts[r] = int(c)
+	}
+	for r := 0; r < h.p.Rows; r++ {
+		row := cells[8*r*h.p.T : 8*(r+1)*h.p.T]
+		if err := checkCells(row, r*h.p.T, binary.BigEndian.Uint64(counts[8*r:])); err != nil {
+			return 0, err
+		}
+	}
+	return int(sum), nil
+}
+
+// AddSnapshot adds the counters of a snapshot CheckSnapshot accepted —
+// cells, row counts and total — into the sketch's own. It cannot fail;
+// buf must have passed CheckSnapshot on a sketch with identical parameters.
+func (h *Hashtogram) AddSnapshot(buf []byte) {
+	off := hashtogramHeaderLen
+	for r := range h.rowCounts {
+		c := int(binary.BigEndian.Uint64(buf[off:]))
+		h.rowCounts[r] += c
+		h.total += c
 		off += 8
 	}
-	acc.total = int(sum)
-	for j := range acc.acc {
-		v := math.Float64frombits(binary.BigEndian.Uint64(buf[off:]))
-		if err := validTally(v); err != nil {
-			return nil, err
-		}
-		acc.acc[j] = int64(v)
-		off += 8
+	addCells(h.acc, buf[off:])
+}
+
+// Reset zeroes the sketch's counters in place.
+func (h *Hashtogram) Reset() {
+	clear(h.acc)
+	clear(h.rowCounts)
+	h.total = 0
+}
+
+// DecodeSnapshot parses and validates a snapshot produced by a sketch with
+// identical parameters into a fresh accumulator; the receiver is
+// untouched.
+func (h *Hashtogram) DecodeSnapshot(buf []byte) (*Hashtogram, error) {
+	if _, err := h.CheckSnapshot(buf); err != nil {
+		return nil, err
 	}
+	acc := h.NewAccumulator()
+	acc.AddSnapshot(buf)
 	return acc, nil
 }
 
@@ -157,6 +190,37 @@ func (h *Hashtogram) Restore(buf []byte) error {
 		return err
 	}
 	return h.Replace(acc)
+}
+
+// checkCells checks the big-endian float64 cells of one oracle row (all of
+// a DirectHistogram), the first of which is accumulator cell first,
+// recorded over reports reports: each must be a validTally of magnitude at
+// most reports. +0, the common cell, passes both checks on its bits alone.
+func checkCells(cells []byte, first int, reports uint64) error {
+	limit := float64(reports)
+	for j := 0; j+8 <= len(cells); j += 8 {
+		bits := binary.BigEndian.Uint64(cells[j:])
+		if bits == 0 {
+			continue
+		}
+		v := math.Float64frombits(bits)
+		if err := validTally(v); err != nil {
+			return err
+		}
+		if math.Abs(v) > limit {
+			return fmt.Errorf("freqoracle: snapshot cell %d value %v exceeds its report count %d", first+j/8, v, reports)
+		}
+	}
+	return nil
+}
+
+// addCells adds checked big-endian float64 cells into acc. Every checked
+// cell is an exact integer, so the int64 conversion is lossless.
+func addCells(acc []int64, cells []byte) {
+	cells = cells[:8*len(acc)]
+	for j := range acc {
+		acc[j] += int64(math.Float64frombits(binary.BigEndian.Uint64(cells[8*j:])))
+	}
 }
 
 // validTally accepts exactly the float64 values an accumulator cell can
@@ -213,33 +277,53 @@ func (d *DirectHistogram) Snapshot() ([]byte, error) {
 	return d.AppendSnapshot(make([]byte, 0, d.SnapshotLen())), nil
 }
 
-// DecodeSnapshot parses and validates a snapshot produced by an oracle
-// with identical parameters into a fresh accumulator, in one pass; the
-// receiver is untouched.
-func (d *DirectHistogram) DecodeSnapshot(buf []byte) (*DirectHistogram, error) {
+// CheckSnapshot validates a snapshot produced by an oracle with identical
+// parameters and returns its report count, without allocating. Every cell
+// must be within the report count: each report moves one cell by ±1. It
+// reads only the oracle's construction-time parameters, never its
+// counters, so it may run concurrently with Absorb.
+func (d *DirectHistogram) CheckSnapshot(buf []byte) (reports int, err error) {
 	if want := d.SnapshotLen(); len(buf) != want {
-		return nil, fmt.Errorf("freqoracle: snapshot length %d, want %d", len(buf), want)
+		return 0, fmt.Errorf("freqoracle: snapshot length %d, want %d", len(buf), want)
 	}
 	var hdr [directHeaderLen]byte
 	if !bytes.Equal(buf[:directHeaderLen], d.appendHeader(hdr[:0])) {
-		return nil, fmt.Errorf("freqoracle: snapshot header %x does not match histogram %x (magic, version, shape or eps)",
+		return 0, fmt.Errorf("freqoracle: snapshot header %x does not match histogram %x (magic, version, shape or eps)",
 			buf[:directHeaderLen], hdr)
 	}
 	n := binary.BigEndian.Uint64(buf[directHeaderLen:])
 	if n > maxSnapshotTally {
-		return nil, fmt.Errorf("freqoracle: snapshot report count %d exceeds report-tally bound %d", n, maxSnapshotTally)
+		return 0, fmt.Errorf("freqoracle: snapshot report count %d exceeds report-tally bound %d", n, maxSnapshotTally)
+	}
+	if err := checkCells(buf[directHeaderLen+8:], 0, n); err != nil {
+		return 0, err
+	}
+	return int(n), nil
+}
+
+// AddSnapshot adds the counters of a snapshot CheckSnapshot accepted —
+// cells and report count — into the oracle's own. It cannot fail; buf
+// must have passed CheckSnapshot on an oracle with identical parameters.
+func (d *DirectHistogram) AddSnapshot(buf []byte) {
+	d.n += int(binary.BigEndian.Uint64(buf[directHeaderLen:]))
+	addCells(d.acc, buf[directHeaderLen+8:])
+}
+
+// Reset zeroes the oracle's counters in place.
+func (d *DirectHistogram) Reset() {
+	clear(d.acc)
+	d.n = 0
+}
+
+// DecodeSnapshot parses and validates a snapshot produced by an oracle
+// with identical parameters into a fresh accumulator; the receiver is
+// untouched.
+func (d *DirectHistogram) DecodeSnapshot(buf []byte) (*DirectHistogram, error) {
+	if _, err := d.CheckSnapshot(buf); err != nil {
+		return nil, err
 	}
 	acc := d.NewAccumulator()
-	acc.n = int(n)
-	off := directHeaderLen + 8
-	for j := range acc.acc {
-		v := math.Float64frombits(binary.BigEndian.Uint64(buf[off:]))
-		if err := validTally(v); err != nil {
-			return nil, err
-		}
-		acc.acc[j] = int64(v)
-		off += 8
-	}
+	acc.AddSnapshot(buf)
 	return acc, nil
 }
 

@@ -5,7 +5,8 @@ package freqoracle
 // uint64 (or raw float64 bits) before any int conversion, so corrupted
 // oversized values can never wrap or lose precision on the way into the
 // int64 accumulators. The same mutations live as named seeds under
-// testdata/fuzz/FuzzRestoreSnapshot/.
+// testdata/fuzz/FuzzRestoreSnapshot/. Each report moves one cell by ±1, so
+// a cell beyond its oracle's (or its row's) report count is rejected too.
 
 import (
 	"encoding/binary"
@@ -36,6 +37,7 @@ func TestHashtogramRestoreRejectsOversizedCounters(t *testing.T) {
 		{"cell beyond 2^53", 29, math.Float64bits(float64(uint64(1) << 54)), "not an integral report tally"},
 		{"non-integral cell", 29, math.Float64bits(2.5), "not an integral report tally"},
 		{"negative-zero cell", 29, math.Float64bits(math.Copysign(0, -1)), "not canonical"},
+		{"cell above its empty row's count", 29, math.Float64bits(-7), "exceeds its report count 0"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -79,6 +81,7 @@ func TestDirectRestoreRejectsOversizedCounters(t *testing.T) {
 		{"n beyond 2^53", 21, uint64(1)<<53 + 1, "exceeds report-tally bound"},
 		{"cell beyond 2^53", 29, math.Float64bits(float64(uint64(1) << 54)), "not an integral report tally"},
 		{"non-integral cell", 29, math.Float64bits(1.5), "not an integral report tally"},
+		{"cell above the report count", 29, math.Float64bits(5), "exceeds its report count 0"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -22,7 +22,9 @@ const (
 
 // StateCodec is the per-kind snapshot body codec behind a StateAdapter, on
 // top of the Kernel the adapter absorbs through. S is the kind's decoded
-// state, built without touching the live state.
+// state, built without touching the live state. S may keep views into the
+// body: the adapter commits it within the Restore or MergeSnapshot call
+// that decoded it, and drops it after.
 type StateCodec[S any] interface {
 	Kernel
 	// Fingerprint digests every parameter that shapes the state and the

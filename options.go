@@ -101,7 +101,9 @@ func WithItemBytes(b int) Option { return func(c *config) { c.itemBytes = b } }
 func WithSeed(seed uint64) Option { return func(c *config) { c.seed = seed } }
 
 // WithWorkers bounds the Identify worker pool (PrivateExpanderSketch; 0
-// derives GOMAXPROCS). Output is bit-identical at every worker count.
+// derives GOMAXPROCS), and the pool that validates a snapshot and adds it,
+// straight from the snapshot bytes, on Restore and MergeSnapshot. Output
+// is bit-identical at every worker count.
 func WithWorkers(w int) Option { return func(c *config) { c.workers = w } }
 
 // WithY sets the per-coordinate hash range (PrivateExpanderSketch; 0
