@@ -35,30 +35,18 @@ func init() {
 		Name:         "bitstogram",
 		Version:      bitstogramWireVersion,
 		PayloadBytes: bitstogramPayloadBytes,
-		Validate: func(p []byte) error {
-			_, err := decodeBitstogramPayload(p)
-			return err
-		},
 	})
 	proto.Register(proto.Codec{
 		ID:           proto.IDTreeHist,
 		Name:         "treehist",
 		Version:      treeHistWireVersion,
 		PayloadBytes: treeHistPayloadBytes,
-		Validate: func(p []byte) error {
-			_, err := decodeTreeHistPayload(p)
-			return err
-		},
 	})
 	proto.Register(proto.Codec{
 		ID:           proto.IDBassilySmith,
 		Name:         "bassilysmith",
 		Version:      bassilySmithWireVersion,
 		PayloadBytes: bassilySmithPayloadBytes,
-		Validate: func(p []byte) error {
-			_, err := decodeBassilySmithPayload(p)
-			return err
-		},
 	})
 }
 

@@ -34,20 +34,12 @@ func init() {
 		Name:         "pes",
 		Version:      pesWireVersion,
 		PayloadBytes: ReportPayloadBytes,
-		Validate: func(p []byte) error {
-			_, err := DecodeReportPayload(p)
-			return err
-		},
 	})
 	proto.Register(proto.Codec{
 		ID:           proto.IDSmallDomain,
 		Name:         "smalldomain",
 		Version:      smallDomainWireVersion,
 		PayloadBytes: freqoracle.DirectReportPayloadBytes,
-		Validate: func(p []byte) error {
-			_, err := freqoracle.DecodeDirectReport(p)
-			return err
-		},
 	})
 }
 
@@ -101,8 +93,8 @@ func DecodeReportWire(wr proto.WireReport) (Report, error) {
 // one, built by New: its proto.StateAdapter holds the lock and the round
 // lifecycle for adapter calls and the Protocol's typed methods alike, and
 // a batch is absorbed under one acquisition of the lock. Fan-in trees go
-// through MergeSnapshot instead, whose one accumulator fold amortizes over
-// a whole subtree.
+// through MergeSnapshot instead, which adds a whole subtree's M+1 oracle
+// blobs straight from the snapshot bytes.
 type PESWire struct {
 	proto.StateAdapter[*accumulator]
 	pr *Protocol

@@ -76,10 +76,11 @@ func (d *DirectHistogram) Report(x uint64, rng *rand.Rand) (DirectReport, error)
 	return DirectReport{Col: uint32(col), Bit: int8(bit)}, nil
 }
 
-// NewAccumulator returns an empty shard with this oracle's parameters and
-// private counters. Shards absorb reports independently — one per ingestion
-// worker, no locking — and fold back into the parent (or each other) with
-// Merge when their batches end.
+// NewAccumulator returns an empty oracle with this one's parameters and
+// counters of its own; Merge folds it back into any oracle with identical
+// parameters. Aggregators absorb straight into their oracles and load
+// snapshots with CheckSnapshot and AddSnapshot, so this in-memory
+// copy-and-fold is for callers that keep separate oracles.
 func (d *DirectHistogram) NewAccumulator() *DirectHistogram {
 	return &DirectHistogram{
 		eps:    d.eps,
@@ -90,9 +91,9 @@ func (d *DirectHistogram) NewAccumulator() *DirectHistogram {
 	}
 }
 
-// Absorb folds one report into the accumulator. Not safe for concurrent
-// use; callers that parallelize should absorb into per-worker
-// NewAccumulator shards and Merge.
+// Absorb folds one report into the oracle, checking its column and bit.
+// Not safe for concurrent use: every aggregator that owns one serializes
+// it under its adapter lock.
 func (d *DirectHistogram) Absorb(rep DirectReport) error {
 	if int(rep.Col) >= d.t {
 		return fmt.Errorf("freqoracle: report column %d out of range", rep.Col)

@@ -149,13 +149,12 @@ func (h *Hashtogram) Report(x []byte, userIdx int, rng *rand.Rand) HashtogramRep
 	return HashtogramReport{Row: row, Col: uint32(col), Bit: int8(bit)}
 }
 
-// NewAccumulator returns an empty shard that absorbs reports for this
-// sketch without touching its state: the shard shares the sketch's public
-// randomness (hash families are read-only after construction) but owns
-// private counters, so any number of shards can Absorb concurrently — one
-// per ingestion worker — and be folded back with Merge when their batches
-// end. This is the per-shard half of the concurrent ingestion path; the
-// sketch itself still serializes Absorb and Merge callers.
+// NewAccumulator returns an empty sketch with this one's parameters and
+// public randomness (the hash families are shared, read-only after
+// construction) and counters of its own; Merge folds it back into any
+// sketch with identical parameters. Aggregators absorb straight into their
+// one sketch and load snapshots with CheckSnapshot and AddSnapshot, so
+// this in-memory copy-and-fold is for callers that keep separate sketches.
 func (h *Hashtogram) NewAccumulator() *Hashtogram {
 	return &Hashtogram{
 		p:         h.p,
@@ -169,9 +168,9 @@ func (h *Hashtogram) NewAccumulator() *Hashtogram {
 	}
 }
 
-// Absorb folds one report into the sketch. Not safe for concurrent use;
-// callers that parallelize should absorb into per-worker NewAccumulator
-// shards and Merge.
+// Absorb folds one report into the sketch, checking its row, column and
+// bit. Not safe for concurrent use: every aggregator that owns one
+// serializes it under its adapter lock.
 func (h *Hashtogram) Absorb(rep HashtogramReport) error {
 	if rep.Row < 0 || rep.Row >= h.p.Rows {
 		return fmt.Errorf("freqoracle: report row %d out of range", rep.Row)

@@ -12,20 +12,24 @@ import (
 // The oracles serialize their accumulated counters into small
 // versioned binary snapshots so an aggregation server can checkpoint
 // mid-collection, resume after a restart, or ship its state to a parent
-// aggregator that folds it in with Merge. The public randomness is NOT
+// aggregator that adds it to its own. The public randomness is NOT
 // serialized — it is reproducible from the construction parameters — so a
 // snapshot is only loadable into an oracle built from identical parameters;
-// Restore validates the embedded shape against the receiver and rejects
-// mismatches.
+// CheckSnapshot validates the embedded shape against the receiver and
+// rejects mismatches. The blobs are the whole snapshot body of the
+// hashtogram, directhistogram and smalldomain kinds, and nest inside the
+// PES and interactive bodies.
 //
-// Loading is split into two primitives. CheckSnapshot makes every check
-// (header, counter ranges, float finiteness, each cell within its report
-// count) without allocating and without touching the receiver's counters;
-// AddSnapshot then adds a checked snapshot's counters into the receiver
-// and cannot fail. DecodeSnapshot is the two over a fresh accumulator, and
-// Restore swaps that accumulator in, so a failed Restore leaves the oracle
-// exactly as it was. The header is fixed by the receiver's shape, so it is
-// checked as one byte comparison against the receiver's own.
+// Loading is split into two primitives, and every load of a blob, inside
+// any body, goes through both. CheckSnapshot makes every check
+// (header, counter ranges, float finiteness, and the cells of the oracle,
+// or of each Hashtogram row, summing in absolute value to at most their
+// report count) in place, without allocating and without touching the
+// receiver's counters; AddSnapshot then adds a checked snapshot's counters
+// straight from its bytes and cannot fail. Restore is CheckSnapshot, then
+// Reset and AddSnapshot, so a failed Restore leaves the oracle exactly as
+// it was. The header is fixed by the receiver's shape, so it is checked as
+// one byte comparison against the receiver's own.
 //
 // Hashtogram format "LHSK" version 1 (big endian), pinned by
 // TestSnapshotGoldenBytes:
@@ -102,8 +106,9 @@ const maxSnapshotTally = uint64(1) << 53
 // CheckSnapshot validates a snapshot produced by a sketch with identical
 // parameters and returns its report count, without allocating. Row
 // counts, and their sum, are checked against maxSnapshotTally on the raw
-// uint64 before any int conversion, and every cell against its row's
-// count: each report moves one cell of its row by ±1. It reads only the
+// uint64 before any int conversion, and each row's cells against its
+// count: each report moves one cell of its row by ±1, so a row's absolute
+// cells sum to at most the reports it counts. It reads only the
 // sketch's construction-time parameters, never its counters, so it may run
 // concurrently with Absorb.
 func (h *Hashtogram) CheckSnapshot(buf []byte) (reports int, err error) {
@@ -158,46 +163,28 @@ func (h *Hashtogram) Reset() {
 	h.total = 0
 }
 
-// DecodeSnapshot parses and validates a snapshot produced by a sketch with
-// identical parameters into a fresh accumulator; the receiver is
-// untouched.
-func (h *Hashtogram) DecodeSnapshot(buf []byte) (*Hashtogram, error) {
-	if _, err := h.CheckSnapshot(buf); err != nil {
-		return nil, err
-	}
-	acc := h.NewAccumulator()
-	acc.AddSnapshot(buf)
-	return acc, nil
-}
-
-// Replace makes acc — a DecodeSnapshot result or NewAccumulator shard of
-// this sketch — the sketch's accumulated state, adopting its counters
-// without a copy; acc must not be used afterwards.
-func (h *Hashtogram) Replace(acc *Hashtogram) error {
-	if h.p != acc.p {
-		return fmt.Errorf("freqoracle: Replace with a differently-parameterized sketch")
-	}
-	h.acc, h.rowCounts, h.total = acc.acc, acc.rowCounts, acc.total
-	return nil
-}
-
 // Restore loads a snapshot produced by a sketch with identical parameters,
 // replacing this sketch's accumulated state. On error the state is
 // unchanged.
 func (h *Hashtogram) Restore(buf []byte) error {
-	acc, err := h.DecodeSnapshot(buf)
-	if err != nil {
+	if _, err := h.CheckSnapshot(buf); err != nil {
 		return err
 	}
-	return h.Replace(acc)
+	h.Reset()
+	h.AddSnapshot(buf)
+	return nil
 }
 
 // checkCells checks the big-endian float64 cells of one oracle row (all of
 // a DirectHistogram), the first of which is accumulator cell first,
-// recorded over reports reports: each must be a validTally of magnitude at
-// most reports. +0, the common cell, passes both checks on its bits alone.
+// recorded over reports reports: each must be a validTally, and their
+// absolute values must sum to at most reports, since each report moves one
+// cell by ±1. That sum bounds every single cell too. +0, the common cell,
+// passes both checks on its bits alone. The sum stays below 2^54: it is
+// checked after every addend, and reports and each addend are at most
+// maxSnapshotTally.
 func checkCells(cells []byte, first int, reports uint64) error {
-	limit := float64(reports)
+	var sum uint64
 	for j := 0; j+8 <= len(cells); j += 8 {
 		bits := binary.BigEndian.Uint64(cells[j:])
 		if bits == 0 {
@@ -207,8 +194,9 @@ func checkCells(cells []byte, first int, reports uint64) error {
 		if err := validTally(v); err != nil {
 			return err
 		}
-		if math.Abs(v) > limit {
-			return fmt.Errorf("freqoracle: snapshot cell %d value %v exceeds its report count %d", first+j/8, v, reports)
+		if sum += uint64(int64(math.Abs(v))); sum > reports {
+			return fmt.Errorf("freqoracle: snapshot cell %d lifts the absolute cell sum to %d, which exceeds its report count %d",
+				first+j/8, sum, reports)
 		}
 	}
 	return nil
@@ -278,10 +266,10 @@ func (d *DirectHistogram) Snapshot() ([]byte, error) {
 }
 
 // CheckSnapshot validates a snapshot produced by an oracle with identical
-// parameters and returns its report count, without allocating. Every cell
-// must be within the report count: each report moves one cell by ±1. It
-// reads only the oracle's construction-time parameters, never its
-// counters, so it may run concurrently with Absorb.
+// parameters and returns its report count, without allocating. The
+// absolute cells must sum to at most the report count: each report moves
+// one cell by ±1. It reads only the oracle's construction-time parameters,
+// never its counters, so it may run concurrently with Absorb.
 func (d *DirectHistogram) CheckSnapshot(buf []byte) (reports int, err error) {
 	if want := d.SnapshotLen(); len(buf) != want {
 		return 0, fmt.Errorf("freqoracle: snapshot length %d, want %d", len(buf), want)
@@ -315,36 +303,14 @@ func (d *DirectHistogram) Reset() {
 	d.n = 0
 }
 
-// DecodeSnapshot parses and validates a snapshot produced by an oracle
-// with identical parameters into a fresh accumulator; the receiver is
-// untouched.
-func (d *DirectHistogram) DecodeSnapshot(buf []byte) (*DirectHistogram, error) {
-	if _, err := d.CheckSnapshot(buf); err != nil {
-		return nil, err
-	}
-	acc := d.NewAccumulator()
-	acc.AddSnapshot(buf)
-	return acc, nil
-}
-
-// Replace makes acc — a DecodeSnapshot result or NewAccumulator shard of
-// this oracle — the oracle's accumulated state, adopting its counters
-// without a copy; acc must not be used afterwards.
-func (d *DirectHistogram) Replace(acc *DirectHistogram) error {
-	if d.eps != acc.eps || d.domain != acc.domain || d.t != acc.t {
-		return fmt.Errorf("freqoracle: Replace with a differently-parameterized histogram")
-	}
-	d.acc, d.n = acc.acc, acc.n
-	return nil
-}
-
 // Restore loads a snapshot produced by an oracle with identical parameters,
 // replacing this oracle's accumulated state. On error the state is
 // unchanged.
 func (d *DirectHistogram) Restore(buf []byte) error {
-	acc, err := d.DecodeSnapshot(buf)
-	if err != nil {
+	if _, err := d.CheckSnapshot(buf); err != nil {
 		return err
 	}
-	return d.Replace(acc)
+	d.Reset()
+	d.AddSnapshot(buf)
+	return nil
 }

@@ -6,7 +6,8 @@ package freqoracle
 // oversized values can never wrap or lose precision on the way into the
 // int64 accumulators. The same mutations live as named seeds under
 // testdata/fuzz/FuzzRestoreSnapshot/. Each report moves one cell by ±1, so
-// a cell beyond its oracle's (or its row's) report count is rejected too.
+// cells whose absolute values sum beyond their oracle's (or their row's)
+// report count are rejected too, even when each cell alone is in bound.
 
 import (
 	"encoding/binary"
@@ -58,6 +59,17 @@ func TestHashtogramRestoreRejectsOversizedCounters(t *testing.T) {
 			t.Fatalf("Restore = %v, want total-report-count error", err)
 		}
 	})
+	t.Run("row cells summing beyond the row's count", func(t *testing.T) {
+		snap := append([]byte(nil), base...)
+		binary.BigEndian.PutUint64(snap[13:], 1) // row 0 counts one report,
+		for off := 29; off < 61; off += 8 {      // but holds four -1 cells
+			binary.BigEndian.PutUint64(snap[off:], math.Float64bits(-1))
+		}
+		err := mk().Restore(snap)
+		if err == nil || !strings.Contains(err.Error(), "exceeds its report count 1") {
+			t.Fatalf("Restore = %v, want error containing %q", err, "exceeds its report count 1")
+		}
+	})
 }
 
 func TestDirectRestoreRejectsOversizedCounters(t *testing.T) {
@@ -93,4 +105,15 @@ func TestDirectRestoreRejectsOversizedCounters(t *testing.T) {
 			}
 		})
 	}
+	t.Run("cells summing beyond the report count", func(t *testing.T) {
+		snap := append([]byte(nil), base...)
+		binary.BigEndian.PutUint64(snap[21:], 1) // one report,
+		for off := 29; off < 61; off += 8 {      // but four +1 cells
+			binary.BigEndian.PutUint64(snap[off:], math.Float64bits(1))
+		}
+		err := mk().Restore(snap)
+		if err == nil || !strings.Contains(err.Error(), "exceeds its report count 1") {
+			t.Fatalf("Restore = %v, want error containing %q", err, "exceeds its report count 1")
+		}
+	})
 }

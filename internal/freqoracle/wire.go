@@ -96,20 +96,12 @@ func init() {
 		Name:         "hashtogram",
 		Version:      hashtogramWireVersion,
 		PayloadBytes: HashtogramReportPayloadBytes,
-		Validate: func(p []byte) error {
-			_, err := DecodeHashtogramReport(p)
-			return err
-		},
 	})
 	proto.Register(proto.Codec{
 		ID:           proto.IDDirectHistogram,
 		Name:         "directhistogram",
 		Version:      directWireVersion,
 		PayloadBytes: DirectReportPayloadBytes,
-		Validate: func(p []byte) error {
-			_, err := DecodeDirectReport(p)
-			return err
-		},
 	})
 }
 
@@ -151,7 +143,7 @@ func OrdinalOf(x []byte, itemBytes, domain int) (uint64, error) {
 // query set, never the accumulated state, so the fingerprint is the
 // oracle's.
 type HashtogramWire struct {
-	proto.StateAdapter[*Hashtogram]
+	proto.StateAdapter[[]byte]
 	h *Hashtogram
 }
 
@@ -164,11 +156,12 @@ func NewHashtogramWire(params HashtogramParams, candidates [][]byte) (*Hashtogra
 		return nil, err
 	}
 	k := &hashtogramKernel{Hashtogram: h, candidates: candidates}
-	return &HashtogramWire{StateAdapter: proto.NewStateAdapter[*Hashtogram](proto.IDHashtogram, k, nil), h: h}, nil
+	return &HashtogramWire{StateAdapter: proto.NewStateAdapter[[]byte](proto.IDHashtogram, k, nil), h: h}, nil
 }
 
-// hashtogramKernel is HashtogramWire's proto.StateCodec; Fingerprint,
-// Replace and Merge are the oracle's own.
+// hashtogramKernel is HashtogramWire's proto.StateCodec; Fingerprint is
+// the oracle's own. Its decoded state is the LHSK body itself, checked in
+// place and added straight from the snapshot bytes.
 type hashtogramKernel struct {
 	*Hashtogram
 	candidates [][]byte
@@ -186,7 +179,21 @@ func (k *hashtogramKernel) BodyLen() int { return k.SnapshotLen() }
 
 func (k *hashtogramKernel) AppendBody(dst []byte) []byte { return k.AppendSnapshot(dst) }
 
-func (k *hashtogramKernel) DecodeBody(b []byte) (*Hashtogram, error) { return k.DecodeSnapshot(b) }
+func (k *hashtogramKernel) DecodeBody(b []byte) ([]byte, error) {
+	_, err := k.CheckSnapshot(b)
+	return b, err
+}
+
+func (k *hashtogramKernel) Replace(b []byte) error {
+	k.Reset()
+	k.AddSnapshot(b)
+	return nil
+}
+
+func (k *hashtogramKernel) Merge(b []byte) error {
+	k.AddSnapshot(b)
+	return nil
+}
 
 // Identify finalizes the oracle and estimates the candidate set. It fails
 // before touching the oracle when there is no candidate set.
@@ -235,7 +242,7 @@ func (w *HashtogramWire) MinRecoverableFrequency() float64 { return w.h.ErrorBou
 // payload is a bare DirectReport: core.SmallDomainWire is this adapter
 // under the smalldomain protocol identity (NewDirectHistogramWireAs).
 type DirectHistogramWire struct {
-	proto.StateAdapter[*DirectHistogram]
+	proto.StateAdapter[[]byte]
 	d         *DirectHistogram
 	version   byte
 	itemBytes int
@@ -263,13 +270,14 @@ func NewDirectHistogramWireAs(id, version byte, eps float64, itemBytes, domain, 
 	}
 	k := &directKernel{DirectHistogram: d, id: id, itemBytes: itemBytes}
 	return &DirectHistogramWire{
-		StateAdapter: proto.NewStateAdapter[*DirectHistogram](id, k, nil),
+		StateAdapter: proto.NewStateAdapter[[]byte](id, k, nil),
 		d:            d, version: version, itemBytes: itemBytes, n: n,
 	}, nil
 }
 
-// directKernel is DirectHistogramWire's proto.StateCodec; Replace and Merge
-// are the oracle's own.
+// directKernel is DirectHistogramWire's proto.StateCodec. Its decoded
+// state is the LDSK body itself, checked in place and added straight from
+// the snapshot bytes.
 type directKernel struct {
 	*DirectHistogram
 	id        byte
@@ -290,7 +298,21 @@ func (k *directKernel) BodyLen() int { return k.SnapshotLen() }
 
 func (k *directKernel) AppendBody(dst []byte) []byte { return k.AppendSnapshot(dst) }
 
-func (k *directKernel) DecodeBody(b []byte) (*DirectHistogram, error) { return k.DecodeSnapshot(b) }
+func (k *directKernel) DecodeBody(b []byte) ([]byte, error) {
+	_, err := k.CheckSnapshot(b)
+	return b, err
+}
+
+func (k *directKernel) Replace(b []byte) error {
+	k.Reset()
+	k.AddSnapshot(b)
+	return nil
+}
+
+func (k *directKernel) Merge(b []byte) error {
+	k.AddSnapshot(b)
+	return nil
+}
 
 func (k *directKernel) AbsorbPayload(p []byte) error {
 	rep, err := DecodeDirectReport(p)

@@ -31,14 +31,18 @@ import (
 // the report-count cross-check — before any engine state changes, so a
 // failed load leaves the open round exactly as it was.
 
-// roundSnapshot is a decoded and validated body, not yet installed.
+// roundSnapshot is a decoded and validated body, not yet installed. An
+// open round's LDSK blob stays a view into the body, checked in place
+// against the empty round oracle built for the snapshot's candidates;
+// Replace adds it into that oracle, Merge into the live one.
 type roundSnapshot struct {
 	round        int
 	done         bool
 	roundReports int
 	absorbed     int
 	cands        [][]byte
-	hist         *freqoracle.DirectHistogram // nil once done
+	hist         *freqoracle.DirectHistogram // empty round oracle; nil once done
+	blob         []byte                      // hist's checked LDSK blob
 	estimates    []proto.Estimate
 }
 
@@ -92,7 +96,7 @@ func (k roundKernel) AppendBody(buf []byte) []byte {
 }
 
 // DecodeBody parses a body and validates it against the engine's
-// parameters, building (but not installing) the round oracle.
+// parameters, building (but not installing or filling) the round oracle.
 func (k roundKernel) DecodeBody(buf []byte) (*roundSnapshot, error) {
 	e := k.Engine
 	const fixed = 4 + 1 + 8 + 8 + 4
@@ -140,7 +144,7 @@ func (k roundKernel) DecodeBody(buf []byte) (*roundSnapshot, error) {
 	if histLen > len(buf)-off {
 		return nil, fmt.Errorf("interactive: snapshot oracle blob truncated: want %d bytes, have %d", histLen, len(buf)-off)
 	}
-	hist := buf[off : off+histLen]
+	d.blob = buf[off : off+histLen]
 	off += histLen
 	if len(buf)-off < 4 {
 		return nil, errors.New("interactive: snapshot estimate count truncated")
@@ -173,7 +177,7 @@ func (k roundKernel) DecodeBody(buf []byte) (*roundSnapshot, error) {
 		return nil, fmt.Errorf("interactive: snapshot has %d trailing bytes", len(buf)-off)
 	}
 	if d.done {
-		if len(d.cands) != 0 || len(hist) != 0 {
+		if len(d.cands) != 0 || len(d.blob) != 0 {
 			return nil, errors.New("interactive: done snapshot carries round state")
 		}
 		for _, est := range d.estimates {
@@ -192,23 +196,27 @@ func (k roundKernel) DecodeBody(buf []byte) (*roundSnapshot, error) {
 	if err := validateCandidates(d.cands, e.bitsAt(d.round)); err != nil {
 		return nil, err
 	}
-	shape, err := freqoracle.NewDirectHistogram(e.p.Eps, len(d.cands)+1)
+	var err error
+	if d.hist, err = freqoracle.NewDirectHistogram(e.p.Eps, len(d.cands)+1); err != nil {
+		return nil, err
+	}
+	got, err := d.hist.CheckSnapshot(d.blob)
 	if err != nil {
 		return nil, err
 	}
-	if d.hist, err = shape.DecodeSnapshot(hist); err != nil {
-		return nil, err
-	}
-	if d.hist.TotalReports() != d.roundReports {
-		return nil, fmt.Errorf("interactive: snapshot oracle holds %d reports, header says %d",
-			d.hist.TotalReports(), d.roundReports)
+	if got != d.roundReports {
+		return nil, fmt.Errorf("interactive: snapshot oracle holds %d reports, header says %d", got, d.roundReports)
 	}
 	return d, nil
 }
 
-// Replace installs a decoded round position; DecodeBody guarantees a done
-// one carries no round state and an open one no estimates.
+// Replace fills the snapshot's round oracle from its blob and installs
+// the decoded round position; DecodeBody guarantees a done one carries no
+// round state and an open one no estimates.
 func (k roundKernel) Replace(d *roundSnapshot) error {
+	if d.hist != nil {
+		d.hist.AddSnapshot(d.blob)
+	}
 	e := k.Engine
 	e.round = d.round
 	e.done = d.done
@@ -244,9 +252,9 @@ func (k roundKernel) Merge(d *roundSnapshot) error {
 			return fmt.Errorf("interactive: merge snapshot candidate %d differs", i)
 		}
 	}
-	if err := e.hist.Merge(d.hist); err != nil {
-		return err
-	}
+	// Same round and candidates: the live oracle has the shape the blob
+	// was checked against.
+	e.hist.AddSnapshot(d.blob)
 	e.roundReports += d.roundReports
 	e.absorbed += d.roundReports
 	return nil

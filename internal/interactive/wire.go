@@ -19,26 +19,8 @@ const PayloadBytes = 6
 const wireVersion = 1
 
 func init() {
-	validate := func(p []byte) error {
-		// Round and column ranges depend on the aggregator's live round
-		// state, so they are rejected at absorption; structurally the bit
-		// byte must be the 0/1 encoding of a ±1 Hadamard report.
-		if len(p) != PayloadBytes {
-			return fmt.Errorf("interactive: payload length %d, want %d", len(p), PayloadBytes)
-		}
-		if p[5] > 1 {
-			return fmt.Errorf("interactive: report bit byte %d, want 0 or 1", p[5])
-		}
-		return nil
-	}
-	proto.Register(proto.Codec{
-		ID: proto.IDPEM, Name: "pem", Version: wireVersion,
-		PayloadBytes: PayloadBytes, Validate: validate,
-	})
-	proto.Register(proto.Codec{
-		ID: proto.IDFedTrie, Name: "fedtrie", Version: wireVersion,
-		PayloadBytes: PayloadBytes, Validate: validate,
-	})
+	proto.Register(proto.Codec{ID: proto.IDPEM, Name: "pem", Version: wireVersion, PayloadBytes: PayloadBytes})
+	proto.Register(proto.Codec{ID: proto.IDFedTrie, Name: "fedtrie", Version: wireVersion, PayloadBytes: PayloadBytes})
 }
 
 // Wire adapts the round engine to the unified proto.Reporter/Aggregator

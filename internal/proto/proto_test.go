@@ -2,7 +2,6 @@ package proto
 
 import (
 	"bytes"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -19,30 +18,12 @@ const (
 var registerTestCodecOnce sync.Once
 
 // registerTestCodec installs the synthetic codec exactly once per test
-// binary (Register panics on duplicates by design). Payload rule: byte 0
-// must not be 0xff.
+// binary (Register panics on duplicates by design).
 func registerTestCodec() {
 	registerTestCodecOnce.Do(func() {
-		Register(Codec{
-			ID:           testID,
-			Name:         "testcodec",
-			Version:      testVersion,
-			PayloadBytes: testPayload,
-			Validate: func(p []byte) error {
-				if p[0] == 0xff {
-					return errBadPayload
-				}
-				return nil
-			},
-		})
+		Register(Codec{ID: testID, Name: "testcodec", Version: testVersion, PayloadBytes: testPayload})
 	})
 }
-
-var errBadPayload = &payloadError{}
-
-type payloadError struct{}
-
-func (*payloadError) Error() string { return "testcodec: bad payload" }
 
 func TestRegistryLookup(t *testing.T) {
 	registerTestCodec()
@@ -82,11 +63,10 @@ func TestRegisterRejectsCollisionsAndWildcard(t *testing.T) {
 		}()
 		Register(c)
 	}
-	valid := func(p []byte) error { return nil }
-	mustPanic("duplicate ID", Codec{ID: testID, Name: "other", Version: 1, PayloadBytes: 1, Validate: valid})
-	mustPanic("duplicate name", Codec{ID: 0x6d, Name: "testcodec", Version: 1, PayloadBytes: 1, Validate: valid})
-	mustPanic("wildcard ID", Codec{ID: IDWildcard, Name: "wild", Version: 1, PayloadBytes: 1, Validate: valid})
-	mustPanic("nil validate", Codec{ID: 0x6c, Name: "novalidate", Version: 1, PayloadBytes: 1})
+	mustPanic("duplicate ID", Codec{ID: testID, Name: "other", Version: 1, PayloadBytes: 1})
+	mustPanic("duplicate name", Codec{ID: 0x6d, Name: "testcodec", Version: 1, PayloadBytes: 1})
+	mustPanic("wildcard ID", Codec{ID: IDWildcard, Name: "wild", Version: 1, PayloadBytes: 1})
+	mustPanic("no payload bytes", Codec{ID: 0x6c, Name: "nopayload", Version: 1})
 }
 
 func TestWireReportAccessors(t *testing.T) {
@@ -109,33 +89,6 @@ func TestWireReportAccessors(t *testing.T) {
 	if empty.ProtocolID() != IDWildcard || empty.Version() != 0 || empty.Payload() != nil {
 		t.Error("empty report accessors not zero-valued")
 	}
-}
-
-func TestDecodeWireReport(t *testing.T) {
-	registerTestCodec()
-	good := NewWireReport(testID, testVersion, []byte{0, 1, 2, 3})
-	wr, err := DecodeWireReport(good)
-	if err != nil {
-		t.Fatalf("valid report rejected: %v", err)
-	}
-	if !bytes.Equal(wr, good) {
-		t.Fatal("DecodeWireReport changed the bytes")
-	}
-	reject := func(name string, buf []byte, wantSub string) {
-		t.Helper()
-		if _, err := DecodeWireReport(buf); err == nil {
-			t.Errorf("%s accepted", name)
-		} else if wantSub != "" && !strings.Contains(err.Error(), wantSub) {
-			t.Errorf("%s: error %q missing %q", name, err, wantSub)
-		}
-	}
-	reject("empty", nil, "shorter")
-	reject("header only", []byte{testID, testVersion}, "length")
-	reject("unknown ID", NewWireReport(0x6b, 1, []byte{0, 0, 0, 0}), "unknown protocol ID")
-	reject("wrong version", NewWireReport(testID, testVersion+1, []byte{0, 0, 0, 0}), "version")
-	reject("short payload", NewWireReport(testID, testVersion, []byte{0}), "length")
-	reject("long payload", NewWireReport(testID, testVersion, []byte{0, 0, 0, 0, 0}), "length")
-	reject("invalid payload", NewWireReport(testID, testVersion, []byte{0xff, 0, 0, 0}), "bad payload")
 }
 
 func TestCheckHeader(t *testing.T) {

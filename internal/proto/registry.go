@@ -10,6 +10,9 @@ import (
 // protocol ID byte. Every codec in this repository is fixed-size — a
 // protocol's report payload is the same length for every user — which is
 // what lets the TCP server stream reports with no per-frame length prefix.
+// A codec carries identity and frame size only: Adapter checks a frame's
+// header and length, and the kind's Kernel checks the payload as it folds
+// it in, so every frame is checked once, on the path that absorbs it.
 type Codec struct {
 	// ID is the registry key and the first byte of every report.
 	ID byte
@@ -23,10 +26,6 @@ type Codec struct {
 	// PayloadBytes is the fixed payload length. The full wire frame is
 	// FrameBytes = 2 + PayloadBytes.
 	PayloadBytes int
-	// Validate checks that a payload of the right length decodes into a
-	// structurally valid report (field ranges, bit bytes). It must never
-	// panic on arbitrary bytes.
-	Validate func(payload []byte) error
 }
 
 // FrameBytes returns the full on-the-wire frame length of one report:
@@ -46,7 +45,7 @@ func Register(c Codec) {
 	if c.ID == IDWildcard {
 		panic("proto: cannot register the wildcard ID")
 	}
-	if c.Name == "" || c.PayloadBytes <= 0 || c.Validate == nil {
+	if c.Name == "" || c.PayloadBytes <= 0 {
 		panic(fmt.Sprintf("proto: malformed codec registration %+v", c))
 	}
 	regMu.Lock()
@@ -87,31 +86,6 @@ func Codecs() []Codec {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
-}
-
-// DecodeWireReport validates arbitrary bytes as a wire report: known
-// protocol ID, matching codec version, exact frame length and a payload the
-// protocol's validator accepts. It rejects anything else with an error and
-// never panics (FuzzDecodeWireReport enforces this); on success the
-// returned WireReport aliases buf.
-func DecodeWireReport(buf []byte) (WireReport, error) {
-	if len(buf) < headerBytes {
-		return nil, fmt.Errorf("proto: report of %d bytes is shorter than the %d-byte header", len(buf), headerBytes)
-	}
-	c, ok := Lookup(buf[0])
-	if !ok {
-		return nil, fmt.Errorf("proto: unknown protocol ID %#02x", buf[0])
-	}
-	if buf[1] != c.Version {
-		return nil, fmt.Errorf("proto: %s report version %d, want %d", c.Name, buf[1], c.Version)
-	}
-	if len(buf) != c.FrameBytes() {
-		return nil, fmt.Errorf("proto: %s report length %d, want %d", c.Name, len(buf), c.FrameBytes())
-	}
-	if err := c.Validate(buf[headerBytes:]); err != nil {
-		return nil, err
-	}
-	return WireReport(buf), nil
 }
 
 // CheckHeader verifies that a wire report belongs to the protocol with the

@@ -24,7 +24,10 @@ const (
 // top of the Kernel the adapter absorbs through. S is the kind's decoded
 // state, built without touching the live state. S may keep views into the
 // body: the adapter commits it within the Restore or MergeSnapshot call
-// that decoded it, and drops it after.
+// that decoded it, and drops it after. The frequency-oracle kinds' S is
+// the checked body itself, and the PES and interactive kinds' S views the
+// oracle blobs nested in theirs, so no kind copies an oracle's counters to
+// load them.
 type StateCodec[S any] interface {
 	Kernel
 	// Fingerprint digests every parameter that shapes the state and the

@@ -234,8 +234,74 @@ func TestBatchPoisonedFrameDrained(t *testing.T) {
 	if got := srv.Absorbed(); got != 300 {
 		t.Fatalf("absorbed %d reports, want the 300-frame valid prefix", got)
 	}
+	if got := srv.Metrics().ReportsAbsorbed(); got != 300 {
+		t.Fatalf("ReportsAbsorbed = %d, want the 300-frame valid prefix", got)
+	}
 	if err := SendWireBatch(ctx, srv.Addr(), good); err != nil {
 		t.Fatalf("server wedged after a poisoned batch: %v", err)
+	}
+}
+
+// mergeRacer is a PES aggregator whose MergeSnapshot first runs race: a
+// deterministic stand-in for a report batch that another connection
+// absorbs while a snapshot merge is in flight.
+type mergeRacer struct {
+	*core.PESWire
+	race func()
+}
+
+func (r *mergeRacer) MergeSnapshot(buf []byte) error {
+	r.race()
+	return r.PESWire.MergeSnapshot(buf)
+}
+
+// TestIngestCountsMergedReportsOnce: a batch absorbed over one connection
+// while another connection's snapshot merge is in flight is counted once.
+// Regression: the merge handler added the aggregator's TotalReports delta
+// across the merge to a server-side counter, so the racing batch was
+// counted by its own handler and again by the merge.
+func TestIngestCountsMergedReportsOnce(t *testing.T) {
+	const seed = 61
+	ctx := context.Background()
+	wrs := wireReports(t, seed, 1500)
+	leaf, err := core.NewPESWire(treeParams(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := leaf.AbsorbBatch(wrs[:1000]); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := leaf.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	root, err := core.NewPESWire(treeParams(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg := &mergeRacer{PESWire: root}
+	srv, err := NewGenericServer(agg, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	agg.race = func() {
+		if err := SendWireBatch(ctx, srv.Addr(), wrs[1000:]); err != nil {
+			t.Errorf("racing batch: %v", err)
+		}
+	}
+	if err := PushSnapshotContext(ctx, srv.Addr(), snap); err != nil {
+		t.Fatal(err)
+	}
+	m := srv.Metrics()
+	if got := srv.Absorbed(); got != 1500 {
+		t.Fatalf("aggregator holds %d reports, want 1500", got)
+	}
+	if got := m.ReportsAbsorbed(); got != 1500 {
+		t.Errorf("ReportsAbsorbed = %d, want 1500", got)
+	}
+	if got := m.CheckpointLag(); got != 1500 {
+		t.Errorf("CheckpointLag = %d, want 1500", got)
 	}
 }
 

@@ -398,6 +398,47 @@ func TestGracefulShutdownCheckpointsTail(t *testing.T) {
 	assertSameEstimates(t, got, want)
 }
 
+// TestGracefulShutdownCheckpointsInProcessAbsorbs: reports absorbed in
+// process, after the last checkpoint, are on disk after Close. Regression:
+// the checkpoint lag counted only reports absorbed over the wire, so the
+// final checkpoint was skipped and the restart lost them.
+func TestGracefulShutdownCheckpointsInProcessAbsorbs(t *testing.T) {
+	const seed, n = 556, 1000
+	params := treeParams(seed)
+	wrs := wireReports(t, seed, n)
+	dir := t.TempDir()
+	agg1, err := core.NewPESWire(params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv1, err := NewGenericServer(agg1, "127.0.0.1:0",
+		WithCheckpointDir(dir), WithCheckpointInterval(0), WithCheckpointEvery(n/2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := SendWireBatch(context.Background(), srv1.Addr(), wrs[:n/2]); err != nil {
+		t.Fatal(err)
+	}
+	if err := agg1.AbsorbBatch(wrs[n/2:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	agg2, err := core.NewPESWire(params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv2, err := NewGenericServer(agg2, "127.0.0.1:0", WithCheckpointDir(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv2.Close()
+	if got := srv2.Absorbed(); got != n {
+		t.Fatalf("restored server holds %d reports, want %d", got, n)
+	}
+}
+
 // TestRecoveryRejectsForeignFingerprint: restarting over a checkpoint
 // directory with different protocol parameters must fail construction
 // loudly instead of silently starting a fresh round over stale files.

@@ -15,17 +15,19 @@ import (
 // Metrics is the server's operability surface: a set of atomic counters
 // threaded through the ingest, identify, snapshot and checkpoint paths.
 // Every update on a hot path is a single atomic add — no locks, no
-// allocation — and the batch paths count once per window, not per report,
-// so metering is invisible next to the absorption work itself. Rendering
-// (Prometheus text, /healthz JSON) happens only when a scraper asks.
+// allocation. Report counts are not metered at all: they are read from
+// the aggregator's own TotalReports, the one count that every frame,
+// merged snapshot and in-process absorb updates once, under the adapter
+// lock. Rendering (Prometheus text, /healthz JSON) happens only when a
+// scraper asks.
 type Metrics struct {
 	protocol  string
 	startNano int64
+	total     func() int // the aggregator's TotalReports
 
 	connsAccepted atomic.Int64
 	connsActive   atomic.Int64
 
-	reportsAbsorbed atomic.Int64 // reports accepted into the aggregator via this server
 	batchesAbsorbed atomic.Int64 // mega-batch commands completed
 	absorbErrors    atomic.Int64 // absorb/decode failures (batch and merge paths)
 	windowDepth     atomic.Int64 // ingest windows currently folding into the aggregator
@@ -49,33 +51,41 @@ type Metrics struct {
 	checkpointSeq       atomic.Uint64
 	checkpointUnixNano  atomic.Int64 // wall clock of the last successful save (or the recovered file)
 	checkpointBytes     atomic.Int64
-	reportsAtCheckpoint atomic.Int64 // reportsAbsorbed sampled just before the last snapshot
+	reportsAtCheckpoint atomic.Int64 // total sampled just before the last checkpoint's snapshot (or at recovery)
 	recoveredReports    atomic.Int64 // reports rehydrated from disk at startup
 
 	draining    atomic.Bool
 	lastCkptErr atomic.Value // string; "" when the last checkpoint attempt succeeded
 }
 
-func newMetrics(protocol string) *Metrics {
-	m := &Metrics{protocol: protocol, startNano: time.Now().UnixNano()}
+// newMetrics builds the metrics of a server for the named protocol; total
+// is its aggregator's TotalReports.
+func newMetrics(protocol string, total func() int) *Metrics {
+	m := &Metrics{protocol: protocol, startNano: time.Now().UnixNano(), total: total}
 	m.lastCkptErr.Store("")
 	return m
 }
 
-// ReportsAbsorbed returns the number of reports this server has accepted
-// over its wire (frames plus merged snapshot contents) since it started —
-// recovered checkpoint contents are counted separately by RecoveredReports.
-func (m *Metrics) ReportsAbsorbed() int64 { return m.reportsAbsorbed.Load() }
+// ReportsAbsorbed returns the number of reports the aggregator has
+// absorbed since the server started (frames, merged snapshot contents and
+// in-process absorbs): its TotalReports less the RecoveredReports
+// rehydrated from the on-disk checkpoint.
+func (m *Metrics) ReportsAbsorbed() int64 { return m.absorbed(int64(m.total())) }
+
+// absorbed is ReportsAbsorbed at the aggregator total.
+func (m *Metrics) absorbed(total int64) int64 { return total - m.recoveredReports.Load() }
 
 // RecoveredReports returns the number of reports rehydrated from the
 // on-disk checkpoint at startup (0 on a fresh start).
 func (m *Metrics) RecoveredReports() int64 { return m.recoveredReports.Load() }
 
 // CheckpointLag returns how many absorbed reports are not yet covered by a
-// durable checkpoint.
-func (m *Metrics) CheckpointLag() int64 {
-	return m.reportsAbsorbed.Load() - m.reportsAtCheckpoint.Load()
-}
+// durable checkpoint. It reads the aggregator's TotalReports, so it takes
+// the adapter lock once.
+func (m *Metrics) CheckpointLag() int64 { return m.lag(int64(m.total())) }
+
+// lag is CheckpointLag at the aggregator total.
+func (m *Metrics) lag(total int64) int64 { return total - m.reportsAtCheckpoint.Load() }
 
 // CheckpointAge returns the time since the last durable checkpoint, or -1
 // when none has been taken (and none was recovered).
@@ -88,13 +98,14 @@ func (m *Metrics) CheckpointAge() time.Duration {
 }
 
 // noteCheckpoint records one successful checkpoint save (or the recovered
-// checkpoint at startup). absorbedBefore is the reportsAbsorbed sample
-// taken just before the snapshot, so the lag metric never undercounts.
-func (m *Metrics) noteCheckpoint(seq uint64, unixNano int64, bytes int, absorbedBefore int64) {
+// checkpoint at startup). totalBefore is the aggregator's TotalReports
+// sampled just before the snapshot (or after the recovery), so the lag
+// metric never undercounts.
+func (m *Metrics) noteCheckpoint(seq uint64, unixNano int64, bytes int, totalBefore int64) {
 	m.checkpointSeq.Store(seq)
 	m.checkpointUnixNano.Store(unixNano)
 	m.checkpointBytes.Store(int64(bytes))
-	m.reportsAtCheckpoint.Store(absorbedBefore)
+	m.reportsAtCheckpoint.Store(totalBefore)
 	m.lastCkptErr.Store("")
 }
 
@@ -109,11 +120,12 @@ func (m *Metrics) uptime() float64 {
 }
 
 // writeProm renders the Prometheus text exposition format. resident is the
-// aggregator's authoritative TotalReports at scrape time (it includes
-// recovered and merged state); listenerErr reports permanent listener
-// death; stream is the continuous-query position for streaming aggregators
-// (nil for batch protocols, which have no stream series); round is the
-// interactive-protocol round position (nil for single-round protocols).
+// aggregator's TotalReports at scrape time (it includes recovered and
+// merged state), read once so every count in a scrape agrees; listenerErr
+// reports permanent listener death; stream is the continuous-query
+// position for streaming aggregators (nil for batch protocols, which have
+// no stream series); round is the interactive-protocol round position (nil
+// for single-round protocols).
 func (m *Metrics) writeProm(w *bufio.Writer, resident int, listenerErr error, stream *proto.StreamStats, round *proto.RoundState) {
 	p := m.protocol
 	up := 1
@@ -140,10 +152,11 @@ func (m *Metrics) writeProm(w *bufio.Writer, resident int, listenerErr error, st
 	counter("ldphh_connections_accepted_total", "Connections accepted by the listener.", m.connsAccepted.Load())
 	gauge("ldphh_connections_active", "Connections currently being served.", float64(m.connsActive.Load()))
 
-	counter("ldphh_reports_absorbed_total", "Reports accepted into the aggregator over the wire (frames plus merged snapshots).", m.reportsAbsorbed.Load())
+	absorbed := m.absorbed(int64(resident))
+	counter("ldphh_reports_absorbed_total", "Reports absorbed into the aggregator since startup (frames, merged snapshots and in-process absorbs; recovered reports excluded).", absorbed)
 	gauge("ldphh_reports_resident", "Reports resident in the aggregator, including recovered and merged state.", float64(resident))
-	gauge("ldphh_reports_per_second", "Mean wire absorption rate over the server lifetime (use rate() on the _total for windows).",
-		float64(m.reportsAbsorbed.Load())/maxf(m.uptime(), 1e-9))
+	gauge("ldphh_reports_per_second", "Mean absorption rate over the server lifetime (use rate() on the _total for windows).",
+		float64(absorbed)/maxf(m.uptime(), 1e-9))
 	counter("ldphh_batches_absorbed_total", "Mega-batch commands absorbed.", m.batchesAbsorbed.Load())
 	counter("ldphh_absorb_errors_total", "Report batches or snapshot merges rejected mid-absorption.", m.absorbErrors.Load())
 	gauge("ldphh_ingest_window_depth", "Ingest windows currently folding into the aggregator.", float64(m.windowDepth.Load()))
@@ -186,7 +199,7 @@ func (m *Metrics) writeProm(w *bufio.Writer, resident int, listenerErr error, st
 	if age >= 0 {
 		gauge("ldphh_checkpoint_age_seconds", "Seconds since the newest durable checkpoint.", age.Seconds())
 	}
-	gauge("ldphh_checkpoint_lag_reports", "Absorbed reports not yet covered by a durable checkpoint.", float64(m.CheckpointLag()))
+	gauge("ldphh_checkpoint_lag_reports", "Absorbed reports not yet covered by a durable checkpoint.", float64(m.lag(int64(resident))))
 	gauge("ldphh_checkpoint_bytes", "Payload size of the newest durable checkpoint.", float64(m.checkpointBytes.Load()))
 	gauge("ldphh_recovered_reports", "Reports rehydrated from the on-disk checkpoint at startup.", float64(m.recoveredReports.Load()))
 }
@@ -281,9 +294,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		round = fmt.Sprintf(`,"round":%d,"rounds":%d,"round_candidates":%d,"round_group_size":%d,"round_done":%t`,
 			rs.Round, rs.Rounds, len(rs.Candidates), rs.GroupReports, rs.Done)
 	}
+	resident := int64(s.agg.TotalReports())
 	fmt.Fprintf(w, `{"status":%q,"protocol":%q,"uptime_seconds":%.3f,"absorbed":%d,"resident":%d,"checkpoint_seq":%d,"checkpoint_taken":%t,"checkpoint_age_seconds":%.3f,"checkpoint_lag_reports":%d,"last_checkpoint_error":%q,"listener_error":%q%s%s}`+"\n",
-		status, m.protocol, m.uptime(), m.reportsAbsorbed.Load(), s.agg.TotalReports(),
-		m.checkpointSeq.Load(), taken, age, m.CheckpointLag(),
+		status, m.protocol, m.uptime(), m.absorbed(resident), resident,
+		m.checkpointSeq.Load(), taken, age, m.lag(resident),
 		m.lastCkptErr.Load().(string), listenerErr, stream, round)
 }
 

@@ -23,7 +23,7 @@ import (
 // interactive round series and a taken checkpoint so conditional metrics
 // are linted too.
 func TestMetricsTextLint(t *testing.T) {
-	m := newMetrics("streamhg")
+	m := newMetrics("streamhg", func() int { return 42 })
 	m.noteCheckpoint(3, time.Now().UnixNano(), 128, 7)
 	stream := &proto.StreamStats{Window: 2, Windows: 8, Warmup: true, Evictions: 5}
 	round := &proto.RoundState{Round: 1, Rounds: 4, PrefixBits: 8, GroupReports: 9,

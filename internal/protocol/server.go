@@ -154,10 +154,10 @@ const (
 	// the unit of backpressure (a sender is parked by TCP flow control
 	// while its window absorbs). A batch torn mid-flight keeps only its
 	// complete windows before the tear. 4Ki frames keeps a pooled window
-	// at ~64 KiB; this presumes AbsorbBatch costs O(batch) per call (PES
-	// absorbs under one mutex acquisition rather than merging a
-	// sketch-sized accumulator copy, which at n = 10^6 would dominate
-	// ingest at this granularity).
+	// at ~64 KiB. Every kind's AbsorbBatch folds a window in place under
+	// one acquisition of the adapter lock, O(window) per call with no
+	// sketch-sized copy, so the window size trades only memory against
+	// lock round trips.
 	windowFrames = 4096
 	// maxBatchFrames caps the frame count one cmdReportBatch command may
 	// declare, bounding how long a single command can monopolize a
@@ -230,7 +230,7 @@ func ServeListener(agg proto.Aggregator, ln net.Listener, opts ...ServerOption) 
 		closed:  make(chan struct{}),
 		dead:    make(chan struct{}),
 		cfg:     cfg,
-		metrics: newMetrics(codec.Name),
+		metrics: newMetrics(codec.Name, agg.TotalReports),
 	}
 	frameLen := codec.FrameBytes()
 	s.windows.New = func() any { return newFrameWindow(frameLen) }
@@ -276,8 +276,9 @@ func (s *Server) openCheckpoints() error {
 		if err := m.Restore(payload); err != nil {
 			return fmt.Errorf("protocol: restoring checkpoint %s: %w", info.Path, err)
 		}
-		s.metrics.recoveredReports.Store(int64(s.agg.TotalReports()))
-		s.metrics.noteCheckpoint(info.Seq, info.Time.UnixNano(), info.Bytes, 0)
+		recovered := int64(s.agg.TotalReports())
+		s.metrics.recoveredReports.Store(recovered)
+		s.metrics.noteCheckpoint(info.Seq, info.Time.UnixNano(), info.Bytes, recovered)
 	case errors.Is(err, checkpoint.ErrNoCheckpoint):
 		// Fresh start: nothing on disk (or nothing intact), begin at seq 1.
 	default:
@@ -310,7 +311,7 @@ func (s *Server) checkpointLoop(interval time.Duration) {
 }
 
 // takeCheckpoint snapshots the aggregator and durably persists it as the
-// next checkpoint. The absorbed-report counter is sampled before the
+// next checkpoint. The aggregator's report total is sampled before the
 // snapshot, so the recorded lag can only overcount, never undercount,
 // what the file covers. A round closed by Identify is no checkpoint error:
 // the adapter's proto.ErrRoundClosed is returned uncounted.
@@ -321,7 +322,7 @@ func (s *Server) takeCheckpoint() error {
 }
 
 func (s *Server) takeCheckpointLocked() error {
-	absorbed := s.metrics.reportsAbsorbed.Load()
+	total := int64(s.agg.TotalReports())
 	snap, err := s.merge.Snapshot()
 	if errors.Is(err, proto.ErrRoundClosed) {
 		return err
@@ -336,7 +337,7 @@ func (s *Server) takeCheckpointLocked() error {
 		return err
 	}
 	s.metrics.checkpoints.Add(1)
-	s.metrics.noteCheckpoint(info.Seq, info.Time.UnixNano(), len(snap), absorbed)
+	s.metrics.noteCheckpoint(info.Seq, info.Time.UnixNano(), len(snap), total)
 	return nil
 }
 
@@ -459,11 +460,7 @@ func (s *Server) waitCtx(ctx context.Context) error {
 // has nothing left to save: the adapter's proto.ErrRoundClosed is no
 // shutdown error.
 func (s *Server) finalCheckpoint() error {
-	if s.ckpt == nil {
-		return nil
-	}
-	if s.metrics.CheckpointLag() == 0 &&
-		(s.metrics.checkpointSeq.Load() > 0 || s.metrics.reportsAbsorbed.Load() == 0) {
+	if s.ckpt == nil || s.metrics.CheckpointLag() == 0 {
 		return nil
 	}
 	if err := s.takeCheckpoint(); !errors.Is(err, proto.ErrRoundClosed) {
@@ -665,7 +662,6 @@ func (s *Server) handleReportBatch(br *bufio.Reader) error {
 			io.CopyN(io.Discard, br, int64(remaining)*int64(frameLen)) //nolint:errcheck // best-effort drain
 			return err
 		}
-		s.metrics.reportsAbsorbed.Add(int64(k))
 	}
 	s.metrics.batchesAbsorbed.Add(1)
 	return nil
@@ -891,13 +887,11 @@ func (s *Server) handleMergeSnapshot(conn net.Conn, br *bufio.Reader) error {
 	if _, err := io.ReadFull(br, buf); err != nil {
 		return fmt.Errorf("protocol: reading snapshot body: %w", err)
 	}
-	before := s.agg.TotalReports()
 	if err := m.MergeSnapshot(buf); err != nil {
 		s.metrics.absorbErrors.Add(1)
 		return err
 	}
 	s.metrics.mergesAbsorbed.Add(1)
-	s.metrics.reportsAbsorbed.Add(int64(s.agg.TotalReports() - before))
 	if err := s.maybeCheckpointSync(); err != nil {
 		return err
 	}

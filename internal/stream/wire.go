@@ -24,15 +24,6 @@ func init() {
 		Name:         "streamhg",
 		Version:      wireVersion,
 		PayloadBytes: PayloadBytes,
-		Validate: func(p []byte) error {
-			// Any u32 is structurally valid; the domain range depends on the
-			// aggregator's parameters, so out-of-domain values are rejected
-			// at absorption, not at decode.
-			if len(p) != PayloadBytes {
-				return fmt.Errorf("stream: payload length %d, want %d", len(p), PayloadBytes)
-			}
-			return nil
-		},
 	})
 }
 

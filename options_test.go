@@ -31,8 +31,9 @@ func ordinalItem(v uint64, w int) []byte {
 // snapshot/merge, fingerprint, answer continuous queries, run rounds) and
 // the adapter contract every kind shares: codec-derived BytesPerReport,
 // valid-prefix batch absorption, named rejection of another kind's frame,
-// a cancelled or failed Identify that leaves the round intact, and a
-// successful one that closes it.
+// refusal of a payload the kind's decode rejects, a cancelled or failed
+// Identify that leaves the round intact, and a successful one that closes
+// it.
 func TestNewAllKinds(t *testing.T) {
 	// Every mergeable kind, and only those, also states a fingerprint.
 	mergeableKinds := map[ldphh.Kind]bool{
@@ -120,11 +121,24 @@ func TestNewAllKinds(t *testing.T) {
 			// absorb folds wrs in, first as a batch whose middle frame k
 			// carries a wrong version byte: exactly the k frames before it
 			// are absorbed and the batch fails. The rest follows cleanly.
+			// Before that, a copy of the first frame whose last payload
+			// byte is 0xff is refused by the kind's payload decode, the one
+			// check a payload gets (an invalid bit byte for nine kinds, an
+			// ordinal outside domain 64 for streamhg); the unmodified frame
+			// then absorbs with the rest.
 			absorb := func(wrs []ldphh.WireReport) {
-				k := len(wrs) / 2
-				bad := append(ldphh.WireReport(nil), wrs[k]...)
-				bad[1]++
+				bad := append(ldphh.WireReport(nil), wrs[0]...)
+				bad[len(bad)-1] = 0xff
 				before := h.TotalReports()
+				if err := h.Absorb(bad); err == nil {
+					t.Fatalf("frame with last payload byte 0xff accepted")
+				}
+				if got := h.TotalReports(); got != before {
+					t.Fatalf("refused payload changed TotalReports from %d to %d", before, got)
+				}
+				k := len(wrs) / 2
+				bad = append(ldphh.WireReport(nil), wrs[k]...)
+				bad[1]++
 				if err := h.AbsorbBatch(append(append(wrs[:k:k], bad), wrs[k+1:]...)); err == nil {
 					t.Fatalf("batch with a version-%d frame at %d accepted", bad[1], k)
 				}
@@ -373,6 +387,59 @@ func failedIdentifyKeepsRound(t *testing.T, h ldphh.Protocol, wr ldphh.WireRepor
 			t.Fatalf("Snapshot after a failed Identify: %v", err)
 		}
 	}
+}
+
+// FuzzAbsorbFrame drives arbitrary bytes, behind each kind's protocol ID,
+// through AbsorbBatch on one aggregator of each of the ten kinds. The
+// adapter's header check and the kind's payload decode are the only checks
+// a frame gets, so this is the fuzz over every real decoder. Invariants:
+// no panic; a refused frame leaves TotalReports unchanged; an accepted
+// frame is exactly 2 + BytesPerReport bytes and adds one report.
+func FuzzAbsorbFrame(f *testing.F) {
+	kinds := ldphh.Kinds()
+	aggs := make([]ldphh.Protocol, len(kinds))
+	for i, kind := range kinds {
+		h, err := ldphh.New(kind, pinnedOptions(kind)...)
+		if err != nil {
+			f.Fatal(err)
+		}
+		aggs[i] = h
+		// Seed one real frame per kind, minus the ID byte the target
+		// prepends. The interactive kinds report only in their user's
+		// round, so take the first user of round 0.
+		rng := rand.New(rand.NewPCG(5, 6))
+		for u := 0; ; u++ {
+			wr, err := h.Report(ordinalItem(1, 2), u, rng)
+			if errors.Is(err, ldphh.ErrNotInRound) {
+				continue
+			}
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add([]byte(wr[1:]))
+			break
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for i, h := range aggs {
+			frame := append(ldphh.WireReport{h.ProtocolID()}, data...)
+			before := h.TotalReports()
+			err := h.AbsorbBatch([]ldphh.WireReport{frame})
+			added := h.TotalReports() - before
+			if err != nil {
+				if added != 0 {
+					t.Fatalf("%v: refused frame changed TotalReports by %d", kinds[i], added)
+				}
+				continue
+			}
+			if want := 2 + h.BytesPerReport(); len(frame) != want {
+				t.Fatalf("%v: accepted a %d-byte frame, want %d", kinds[i], len(frame), want)
+			}
+			if added != 1 {
+				t.Fatalf("%v: accepted frame added %d reports, want 1", kinds[i], added)
+			}
+		}
+	})
 }
 
 // TestFingerprintsPinned pins every fingerprinted kind's parameter digest

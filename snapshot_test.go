@@ -9,6 +9,7 @@ import (
 	"errors"
 	"math/rand/v2"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"ldphh"
@@ -285,6 +286,58 @@ func FuzzSnapshotEnvelope(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestOracleSnapshotsLoadFromSnapshotBytes pins the memory cost of loading
+// the three kinds whose snapshot body is one oracle blob (LHSK for
+// hashtogram, LDSK for directhistogram and smalldomain, here at domain
+// 2^16): MergeSnapshot and Restore check the blob in place and add its
+// counters straight from the snapshot bytes, so each allocates a small
+// fraction of the snapshot it reads, where a decoded copy would allocate
+// all of it again.
+func TestOracleSnapshotsLoadFromSnapshotBytes(t *testing.T) {
+	for _, kind := range []ldphh.Kind{ldphh.KindHashtogram, ldphh.KindDirectHistogram, ldphh.KindSmallDomain} {
+		t.Run(kind.String(), func(t *testing.T) {
+			opts := pinnedOptions(kind)
+			if kind != ldphh.KindHashtogram {
+				opts = append(opts, ldphh.WithDomainSize(1<<16))
+			}
+			leaf, err := ldphh.New(kind, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := leaf.AbsorbBatch(compatReports(t, leaf)); err != nil {
+				t.Fatal(err)
+			}
+			lm, _ := ldphh.AsMergeable(leaf)
+			snap, err := lm.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			root, err := ldphh.New(kind, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rm, _ := ldphh.AsMergeable(root)
+			for _, load := range []struct {
+				name string
+				call func([]byte) error
+			}{{"MergeSnapshot", rm.MergeSnapshot}, {"Restore", rm.Restore}} {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				if err := load.call(snap); err != nil {
+					t.Fatal(err)
+				}
+				runtime.ReadMemStats(&after)
+				if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(len(snap)/16); got >= limit {
+					t.Errorf("%s of a %d-byte snapshot allocated %d bytes, want under %d", load.name, len(snap), got, limit)
+				}
+			}
+			if got, want := root.TotalReports(), leaf.TotalReports(); got != want {
+				t.Fatalf("root holds %d reports after the restore, want %d", got, want)
+			}
+		})
+	}
 }
 
 // TestMergeSnapshotConcurrentAllKinds merges one leaf snapshot from three
