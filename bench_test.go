@@ -209,8 +209,8 @@ func ingestReports(b *testing.B, total int) []core.Report {
 
 // BenchmarkIdentify measures the server-side reconstruction (Algorithm 1
 // steps 2-6) across Identify worker-pool sizes {1, 4, GOMAXPROCS}. The
-// 1-worker case is exactly the serial pipeline (parRange inlines the loop,
-// sortEstimates falls back to sort.Slice), so workers_1 is the regression
+// 1-worker case is exactly the serial pipeline (par.Range inlines the
+// loop; the final sort is always serial), so workers_1 is the regression
 // guard for pool overhead; higher counts buy wall-clock on multi-core
 // runners while returning bit-identical output (enforced by
 // core.TestIdentifyWorkerDeterminism). Absorption is untimed: each

@@ -60,8 +60,8 @@
 // Params.Workers goroutines (0 derives GOMAXPROCS, 1 forces the serial
 // path) through every stage of Algorithm 1's reconstruction: the
 // per-coordinate argmax/threshold scan of steps 2-3, the per-super-bucket
-// list-recovery decode of step 4, and the step 5-6 confirmation estimates
-// and final sort.
+// list-recovery decode of step 4, and the step 5-6 confirmation estimates.
+// The final sort of the short candidate list is serial.
 //
 // The determinism contract: the same absorbed multiset of reports and the
 // same Params.Seed produce the bit-identical heavy-hitter list — same

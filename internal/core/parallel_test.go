@@ -4,10 +4,8 @@ import (
 	"bytes"
 	"math/rand/v2"
 	"runtime"
-	"sort"
 	"testing"
 
-	"ldphh/internal/proto"
 	"ldphh/internal/workload"
 )
 
@@ -123,33 +121,6 @@ func TestWorkersValidation(t *testing.T) {
 	for u := 0; u < 50; u++ {
 		if pa.Group(u) != pb.Group(u) {
 			t.Fatalf("Workers changed public randomness: Group(%d) differs", u)
-		}
-	}
-}
-
-// TestSortEstimatesMatchesSerial checks the parallel chunked sort emits the
-// exact permutation of the serial comparator at every worker count,
-// including slices long enough to cross parSortThreshold.
-func TestSortEstimatesMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewPCG(11, 12))
-	for _, size := range []int{0, 1, 17, parSortThreshold + 513} {
-		ref := make([]Estimate, size)
-		for i := range ref {
-			item := []byte{byte(rng.UintN(256)), byte(rng.UintN(256)), byte(i >> 8), byte(i)}
-			// Coarse counts force plenty of ties so the item tiebreak works.
-			ref[i] = Estimate{Item: item, Count: float64(rng.UintN(7))}
-		}
-		want := append([]Estimate(nil), ref...)
-		sort.Slice(want, func(i, j int) bool { return proto.EstimateLess(want[i], want[j]) })
-		for _, workers := range []int{1, 2, 3, 8} {
-			got := append([]Estimate(nil), ref...)
-			sortEstimates(got, workers)
-			for i := range got {
-				if !bytes.Equal(got[i].Item, want[i].Item) || got[i].Count != want[i].Count {
-					t.Fatalf("size=%d workers=%d diverges at %d: %x/%v want %x/%v",
-						size, workers, i, got[i].Item, got[i].Count, want[i].Item, want[i].Count)
-				}
-			}
 		}
 	}
 }

@@ -59,8 +59,8 @@ type Params struct {
 	ConfT    int
 
 	// Workers bounds the goroutine pool Identify uses for the per-coordinate
-	// finalize and argmax scan, the per-bucket decode, the confirmation
-	// estimates and the final sort, and the pool Restore and MergeSnapshot
+	// finalize and argmax scan, the per-bucket decode and the confirmation
+	// finalize and estimates, and the pool Restore and MergeSnapshot
 	// use to validate a snapshot's oracle blobs and add them, straight from
 	// the snapshot bytes, into the counters. 0 derives runtime.GOMAXPROCS(0);
 	// 1 forces the serial path. Workers is a pure throughput knob: Identify

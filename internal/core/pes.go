@@ -260,14 +260,14 @@ func (pr *Protocol) identify() ([]Estimate, error) {
 
 	// Steps 5-6: confirm frequencies with the second report halves. The
 	// oracle finalize honors the same worker bound; after it the oracle is
-	// read-only, so the estimates fan out per candidate and the sort runs
-	// chunked-parallel over the same pool.
+	// read-only, so the estimates fan out per candidate over the same pool.
+	// The candidate list is short, so the final sort is serial.
 	pr.conf.FinalizeWorkers(workers)
 	out := make([]Estimate, len(candidates))
 	par.Range(len(candidates), workers, func(i int) {
 		out[i] = Estimate{Item: candidates[i], Count: pr.conf.Estimate(candidates[i])}
 	})
-	sortEstimates(out, workers)
+	proto.SortEstimates(out)
 	return out, nil
 }
 

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand/v2"
 
-	"ldphh/internal/hadamard"
 	"ldphh/internal/ldp"
 )
 
@@ -19,13 +18,14 @@ import (
 // Per-query error is O((1/ε)·sqrt(n·log(1/β))) — no dependence on the domain
 // size — at server memory O(Domain), exactly the Theorem 3.8 trade-off that
 // PrivateExpanderSketch exploits per coordinate.
+//
+// The server state is a one-row table (table.go) whose row count is the
+// report count n; the oracle adds the randomizer and the histogram view.
 type DirectHistogram struct {
+	table
 	eps    float64
 	domain int
-	t      int
 	rand   ldp.HadamardBit
-	acc    []int64 // running sums of ±1 reports (exact integer tallies)
-	n      int
 	hist   []float64 // the last Finalize's view; nil before the first
 }
 
@@ -44,17 +44,8 @@ func NewDirectHistogram(eps float64, domain int) (*DirectHistogram, error) {
 	if domain < 1 {
 		return nil, fmt.Errorf("freqoracle: domain must be positive, got %d", domain)
 	}
-	t := hadamard.NextPow2(domain)
-	if t < 2 {
-		t = 2
-	}
-	return &DirectHistogram{
-		eps:    eps,
-		domain: domain,
-		t:      t,
-		rand:   ldp.NewHadamardBit(eps, t),
-		acc:    make([]int64, t),
-	}, nil
+	s := directShape(eps, domain)
+	return &DirectHistogram{table: newTable(s), eps: eps, domain: domain, rand: ldp.NewHadamardBit(eps, s.t)}, nil
 }
 
 // Domain returns the domain size.
@@ -82,47 +73,20 @@ func (d *DirectHistogram) Report(x uint64, rng *rand.Rand) (DirectReport, error)
 // snapshots with CheckSnapshot and AddSnapshot, so this in-memory
 // copy-and-fold is for callers that keep separate oracles.
 func (d *DirectHistogram) NewAccumulator() *DirectHistogram {
-	return &DirectHistogram{
-		eps:    d.eps,
-		domain: d.domain,
-		t:      d.t,
-		rand:   d.rand,
-		acc:    make([]int64, d.t),
-	}
+	return &DirectHistogram{table: newTable(d.blobShape), eps: d.eps, domain: d.domain, rand: d.rand}
 }
 
 // Absorb folds one report into the oracle, checking its column and bit.
 // Not safe for concurrent use: every aggregator that owns one serializes
 // it under its adapter lock.
 func (d *DirectHistogram) Absorb(rep DirectReport) error {
-	if int(rep.Col) >= d.t {
-		return fmt.Errorf("freqoracle: report column %d out of range", rep.Col)
-	}
-	if rep.Bit != 1 && rep.Bit != -1 {
-		return fmt.Errorf("freqoracle: report bit %d invalid", rep.Bit)
-	}
-	d.acc[rep.Col] += int64(rep.Bit)
-	d.n++
-	return nil
+	return d.absorb(0, rep.Col, rep.Bit)
 }
 
 // Finalize rebuilds the estimated histogram from the counters as they
 // stand, into a fresh view that the read methods answer from until the
 // next Finalize. It must not run concurrently with them.
-func (d *DirectHistogram) Finalize() {
-	// The int64 tallies convert exactly (|cell| <= n << 2^53), so the
-	// transform input is bit-identical to the historical float64 accumulator.
-	v := make([]float64, d.t)
-	for i, a := range d.acc {
-		v[i] = float64(a)
-	}
-	hadamard.Transform(v)
-	c := d.rand.CEps()
-	for i := range v {
-		v[i] *= c
-	}
-	d.hist = v
-}
+func (d *DirectHistogram) Finalize() { d.hist = d.transform(d.rand.CEps(), 1) }
 
 // Estimate returns the estimated multiplicity of x as of the last
 // Finalize. Must be called after Finalize.
@@ -156,19 +120,13 @@ func (d *DirectHistogram) HistogramView() []float64 {
 	return d.hist[:d.domain]
 }
 
-// TotalReports returns the number of absorbed reports.
-func (d *DirectHistogram) TotalReports() int { return d.n }
-
 // Merge folds another accumulator with identical parameters into this
 // one's counters.
 func (d *DirectHistogram) Merge(other *DirectHistogram) error {
 	if d.eps != other.eps || d.domain != other.domain || d.t != other.t {
 		return fmt.Errorf("freqoracle: Merge of differently-parameterized histograms")
 	}
-	for j := range d.acc {
-		d.acc[j] += other.acc[j]
-	}
-	d.n += other.n
+	d.merge(&other.table)
 	return nil
 }
 

@@ -2,6 +2,11 @@ package freqoracle
 
 import (
 	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -63,4 +68,102 @@ func FuzzRestoreSnapshot(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestRestoreRejectsCorpusSeeds restores every committed FuzzRestoreSnapshot
+// seed into both of the fuzz target's oracles and requires the outcome the
+// seed's name promises, so the corpus carries its coverage in plain go
+// test: a valid-* seed loads into its own oracle and re-serializes to the
+// same bytes, and every other seed is refused by its named check. A seed
+// sized for one oracle is refused by the other on its length. Every seed
+// file must have a row here, and every row a file.
+func TestRestoreRejectsCorpusSeeds(t *testing.T) {
+	const both = ""
+	seeds := map[string]struct{ oracle, want string }{
+		"bad-magic":                         {"hashtogram", "does not match"},
+		"cell-sum-over-n-direct":            {"direct", "exceeds its report count 1"},
+		"cell-sum-over-rowcount-hashtogram": {"hashtogram", "exceeds its report count 1"},
+		"empty":                             {both, "snapshot length 0, want"},
+		"inf-payload-direct":                {"direct", "not finite"},
+		"nan-payload-hashtogram":            {"hashtogram", "not finite"},
+		"negative-rowcount":                 {"hashtogram", "exceeds report-tally bound"},
+		"negzero-cell-hashtogram":           {"hashtogram", "not canonical"},
+		"noninteger-cell-direct":            {"direct", "not an integral report tally"},
+		"overflow-rowcount-sum-hashtogram":  {"hashtogram", "total report count exceeds bound"},
+		"oversize-cell-hashtogram":          {"hashtogram", "not an integral report tally"},
+		"oversize-hashtogram":               {"hashtogram", "snapshot length 94, want 93"},
+		"oversize-n-direct":                 {"direct", "exceeds report-tally bound"},
+		"oversize-rowcount-hashtogram":      {"hashtogram", "exceeds report-tally bound"},
+		"shape-mismatch":                    {"hashtogram", "does not match"},
+		"truncated-hashtogram":              {"hashtogram", "snapshot length 92, want 93"},
+		"valid-direct":                      {"direct", ""},
+		"valid-hashtogram":                  {"hashtogram", ""},
+	}
+	type oracle interface {
+		SnapshotLen() int
+		Restore([]byte) error
+		Snapshot() ([]byte, error)
+	}
+	h, err := NewHashtogram(HashtogramParams{Eps: 1, N: 100, Rows: 2, T: 4, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := NewDirectHistogram(1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracles := map[string]oracle{"hashtogram": h, "direct": d}
+	dir := filepath.Join("testdata", "fuzz", "FuzzRestoreSnapshot")
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != len(seeds) {
+		t.Errorf("%d seed files, %d rows", len(files), len(seeds))
+	}
+	for _, f := range files {
+		seed, ok := seeds[f.Name()]
+		if !ok {
+			t.Errorf("seed %s has no expected outcome", f.Name())
+			continue
+		}
+		data := readCorpusBytes(t, filepath.Join(dir, f.Name()))
+		for name, o := range oracles {
+			want := seed.want
+			if seed.oracle != both && seed.oracle != name {
+				want = fmt.Sprintf("snapshot length %d, want %d", len(data), o.SnapshotLen())
+			}
+			err := o.Restore(data)
+			switch {
+			case want == "" && err != nil:
+				t.Errorf("%s into %s: %v, want acceptance", f.Name(), name, err)
+			case want == "":
+				if out, _ := o.Snapshot(); !bytes.Equal(out, data) {
+					t.Errorf("%s into %s: re-serialized as %x", f.Name(), name, out)
+				}
+			case err == nil || !strings.Contains(err.Error(), want):
+				t.Errorf("%s into %s: %v, want an error containing %q", f.Name(), name, err, want)
+			}
+		}
+	}
+}
+
+// readCorpusBytes reads the one []byte value of a "go test fuzz v1" file.
+func readCorpusBytes(t *testing.T, path string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	header, value, _ := strings.Cut(strings.TrimSpace(string(raw)), "\n")
+	lit, ok := strings.CutPrefix(value, "[]byte(")
+	lit, ok2 := strings.CutSuffix(lit, ")")
+	if header != "go test fuzz v1" || !ok || !ok2 {
+		t.Fatalf("%s is not a one-value []byte corpus file", path)
+	}
+	s, err := strconv.Unquote(lit)
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	return []byte(s)
 }

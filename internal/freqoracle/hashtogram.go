@@ -14,6 +14,9 @@
 // publishes PublicParams (the protocol's public randomness); clients are
 // cheap value types that turn an item into a single small report; the server
 // absorbs reports in any order, finalizes, and then answers point queries.
+// Both servers are one counter table (table.go) with one snapshot codec
+// (snapshot.go): a Hashtogram is an R-row table, a DirectHistogram a
+// one-row table.
 //
 // The package also provides RAPPOR-, OLH- and KRR-based oracles over
 // explicit candidate sets as industrial baselines (see baselines.go).
@@ -30,7 +33,6 @@ import (
 	"ldphh/internal/hadamard"
 	"ldphh/internal/hashing"
 	"ldphh/internal/ldp"
-	"ldphh/internal/par"
 )
 
 // HashtogramParams configures the large-domain oracle.
@@ -78,27 +80,21 @@ type HashtogramReport struct {
 	Bit int8
 }
 
-// Hashtogram is the server side of the Theorem 3.7 oracle.
-//
-// The accumulator is one flat int64 slab indexed [row*T + col]: reports are
-// ±1 tallies, so the running sums are exact integers, and keeping them in a
-// single structure-of-arrays slab makes Absorb one cache-line touch and
-// Merge one linear vector add. Magnitudes are bounded by the report count
-// (far below 2^53), so the float64 conversion at Finalize is exact and the
-// reconstruction is bit-identical to the historical float64 accumulator.
+// Hashtogram is the server side of the Theorem 3.7 oracle: an R-row
+// table of T buckets (table.go) plus the public hashing that maps an item
+// to a bucket and sign per row, and the estimate view of the last
+// Finalize.
 type Hashtogram struct {
-	p         HashtogramParams
-	rowHash   hashing.KWise // user index -> row (the public partition)
-	hs        []hashing.KWise
-	signs     []hashing.Sign
-	fold      hashing.Fingerprinter
-	rand      ldp.HadamardBit
-	acc       []int64 // [row*T + col] running sums of ±1 reports
-	rowCounts []int
-	total     int         // running sum of rowCounts, kept in lockstep
-	est       [][]float64 // [row][bucket] estimates of the last Finalize (nil before it)
-	scale     []float64   // [row] n/rowCounts[row] at that Finalize, 0 exactly for empty rows
-	scratch   sync.Pool   // *[]float64 per-query row-estimate buffers (Estimate runs concurrently)
+	table
+	p       HashtogramParams
+	rowHash hashing.KWise // user index -> row (the public partition)
+	hs      []hashing.KWise
+	signs   []hashing.Sign
+	fold    hashing.Fingerprinter
+	rand    ldp.HadamardBit
+	est     []float64 // [row*T + bucket] estimates of the last Finalize (nil before it)
+	scale   []float64 // [row] n/rowCounts[row] at that Finalize, 0 exactly for empty rows
+	scratch sync.Pool // *[]float64 per-query row-estimate buffers (Estimate runs concurrently)
 }
 
 // NewHashtogram constructs the server and draws the public randomness from
@@ -109,14 +105,13 @@ func NewHashtogram(params HashtogramParams) (*Hashtogram, error) {
 	}
 	rng := hashing.Seeded(params.Seed, 0x48617368)
 	h := &Hashtogram{
-		p:         params,
-		rowHash:   hashing.NewKWise(2, rng),
-		hs:        make([]hashing.KWise, params.Rows),
-		signs:     make([]hashing.Sign, params.Rows),
-		fold:      hashing.NewFingerprinter(rng),
-		rand:      ldp.NewHadamardBit(params.Eps, params.T),
-		acc:       make([]int64, params.Rows*params.T),
-		rowCounts: make([]int, params.Rows),
+		table:   newTable(hashtogramShape(params.Rows, params.T)),
+		p:       params,
+		rowHash: hashing.NewKWise(2, rng),
+		hs:      make([]hashing.KWise, params.Rows),
+		signs:   make([]hashing.Sign, params.Rows),
+		fold:    hashing.NewFingerprinter(rng),
+		rand:    ldp.NewHadamardBit(params.Eps, params.T),
 	}
 	for r := 0; r < params.Rows; r++ {
 		h.hs[r] = hashing.NewKWise(2, rng)
@@ -157,14 +152,13 @@ func (h *Hashtogram) Report(x []byte, userIdx int, rng *rand.Rand) HashtogramRep
 // this in-memory copy-and-fold is for callers that keep separate sketches.
 func (h *Hashtogram) NewAccumulator() *Hashtogram {
 	return &Hashtogram{
-		p:         h.p,
-		rowHash:   h.rowHash,
-		hs:        h.hs,
-		signs:     h.signs,
-		fold:      h.fold,
-		rand:      h.rand,
-		acc:       make([]int64, h.p.Rows*h.p.T),
-		rowCounts: make([]int, h.p.Rows),
+		table:   newTable(h.blobShape),
+		p:       h.p,
+		rowHash: h.rowHash,
+		hs:      h.hs,
+		signs:   h.signs,
+		fold:    h.fold,
+		rand:    h.rand,
 	}
 }
 
@@ -172,19 +166,7 @@ func (h *Hashtogram) NewAccumulator() *Hashtogram {
 // bit. Not safe for concurrent use: every aggregator that owns one
 // serializes it under its adapter lock.
 func (h *Hashtogram) Absorb(rep HashtogramReport) error {
-	if rep.Row < 0 || rep.Row >= h.p.Rows {
-		return fmt.Errorf("freqoracle: report row %d out of range", rep.Row)
-	}
-	if int(rep.Col) >= h.p.T {
-		return fmt.Errorf("freqoracle: report column %d out of range", rep.Col)
-	}
-	if rep.Bit != 1 && rep.Bit != -1 {
-		return fmt.Errorf("freqoracle: report bit %d invalid", rep.Bit)
-	}
-	h.acc[rep.Row*h.p.T+int(rep.Col)] += int64(rep.Bit)
-	h.rowCounts[rep.Row]++
-	h.total++
-	return nil
+	return h.absorb(rep.Row, rep.Col, rep.Bit)
 }
 
 // Finalize rebuilds per-row bucket histograms (one FWHT per row, all rows
@@ -201,27 +183,7 @@ func (h *Hashtogram) Finalize() { h.FinalizeWorkers(h.p.Rows) }
 // which is how core.Protocol.Identify keeps its Params.Workers contract
 // over the confirmation oracle.
 func (h *Hashtogram) FinalizeWorkers(workers int) {
-	est := make([][]float64, h.p.Rows)
-	// One slab holds every row's estimate vector: a single rows×T allocation
-	// sliced per row instead of R separate copies, so finalization does not
-	// fragment the heap and the view stays cache-contiguous. The int64
-	// tallies convert exactly (|cell| <= reports << 2^53), so the transform
-	// input — and therefore the view — is bit-identical to the historical
-	// float64 accumulator.
-	slab := make([]float64, h.p.Rows*h.p.T)
-	par.Range(h.p.Rows, workers, func(r int) {
-		v := slab[r*h.p.T : (r+1)*h.p.T : (r+1)*h.p.T]
-		row := h.acc[r*h.p.T : (r+1)*h.p.T]
-		for j, a := range row {
-			v[j] = float64(a)
-		}
-		hadamard.Transform(v)
-		c := h.rand.CEps()
-		for j := range v {
-			v[j] *= c
-		}
-		est[r] = v
-	})
+	est := h.transform(h.rand.CEps(), workers)
 	// The per-row n/rowCounts rescale is fixed for the view's lifetime, so
 	// it folds into one precomputed factor per row. n >= c, so a row's
 	// factor is 0 exactly when the row is empty.
@@ -235,11 +197,6 @@ func (h *Hashtogram) FinalizeWorkers(workers int) {
 	h.est, h.scale = est, scale
 }
 
-// TotalReports returns the number of absorbed reports. The count is
-// maintained incrementally alongside rowCounts, so the call is O(1) — it
-// sits on the Estimate hot path (every query rescales by the total).
-func (h *Hashtogram) TotalReports() int { return h.total }
-
 // Merge folds another aggregator's accumulated state into this one. Both
 // must be built from identical parameters (same Seed, so same public
 // randomness). This is what lets intermediate aggregators pre-combine
@@ -248,13 +205,7 @@ func (h *Hashtogram) Merge(other *Hashtogram) error {
 	if h.p != other.p {
 		return fmt.Errorf("freqoracle: Merge of differently-parameterized sketches")
 	}
-	for j, v := range other.acc {
-		h.acc[j] += v
-	}
-	for r, c := range other.rowCounts {
-		h.rowCounts[r] += c
-	}
-	h.total += other.total
+	h.merge(&other.table)
 	return nil
 }
 
@@ -273,7 +224,7 @@ func (h *Hashtogram) rowEstimates(x []byte, dst []float64) []float64 {
 		}
 		bucket := h.hs[r].Range(key, h.p.T)
 		sign := float64(h.signs[r].Eval(key))
-		dst = append(dst, h.scale[r]*sign*h.est[r][bucket])
+		dst = append(dst, h.scale[r]*sign*h.est[r*h.p.T+bucket])
 	}
 	sort.Float64s(dst)
 	return dst
@@ -332,7 +283,7 @@ func (h *Hashtogram) EstimateWithSpread(x []byte) (est, iqr float64) {
 // SketchBytes returns the resident size of the server state in bytes
 // (the Table 1 "server memory" metric).
 func (h *Hashtogram) SketchBytes() int {
-	per := 8 * h.p.T * h.p.Rows // acc
+	per := 8 * h.p.T * h.p.Rows // cells
 	if h.est != nil {
 		per *= 2 // est
 	}

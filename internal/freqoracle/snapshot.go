@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 
+	"ldphh/internal/hadamard"
 	"ldphh/internal/proto"
 )
 
@@ -20,16 +21,23 @@ import (
 // hashtogram, directhistogram and smalldomain kinds, and nest inside the
 // PES and interactive bodies.
 //
+// Both oracles are one table (table.go), so there is one codec, written
+// on the table and promoted to Hashtogram and DirectHistogram: a blob is
+// the header its oracle's parameters fix, then the table's row counts,
+// then its cells. A DirectHistogram's one row count is its report count n.
+//
 // Loading is split into two primitives, and every load of a blob, inside
-// any body, goes through both. CheckSnapshot makes every check
-// (header, counter ranges, float finiteness, and the cells of the oracle,
-// or of each Hashtogram row, summing in absolute value to at most their
-// report count) in place, without allocating and without touching the
-// receiver's counters; AddSnapshot then adds a checked snapshot's counters
-// straight from its bytes and cannot fail. Restore is CheckSnapshot, then
-// Reset and AddSnapshot, so a failed Restore leaves the oracle exactly as
-// it was. The header is fixed by the receiver's shape, so it is checked as
-// one byte comparison against the receiver's own.
+// any body, goes through both. CheckSnapshot makes every check (header,
+// counter ranges, float finiteness, and the cells of each row summing in
+// absolute value to at most the row's report count) in place, without
+// allocating and without touching the receiver's counters; AddSnapshot
+// then adds a checked snapshot's counters straight from its bytes and
+// cannot fail. Restore is CheckSnapshot, then Reset and AddSnapshot, so a
+// failed Restore leaves the oracle exactly as it was. The header is fixed
+// by the receiver's shape, so it is checked as one byte comparison against
+// the receiver's own. A blob's shape is a value (blobShape), so
+// CheckDirectSnapshot checks an LDSK blob against parameters without
+// building an oracle.
 //
 // Hashtogram format "LHSK" version 1 (big endian), pinned by
 // TestSnapshotGoldenBytes:
@@ -60,41 +68,60 @@ func (d *DirectHistogram) Fingerprint() uint64 {
 		math.Float64bits(d.eps), uint64(d.domain), uint64(d.t))
 }
 
-// hashtogramHeaderLen is the LHSK header: magic, version, rows, t.
-const hashtogramHeaderLen = 4 + 1 + 4 + 4
+// blobShape is a table's geometry and the header its blobs carry, both
+// fixed by the oracle's parameters: a blob is hdr, then rows report
+// counts, then rows × t cells.
+type blobShape struct {
+	hdr     []byte // LHSK or LDSK header; a blob's must equal it byte for byte
+	rows, t int
+}
 
-// appendHeader appends the LHSK header, which is fixed by the sketch's
-// shape: a decoder compares it as bytes against its own.
-func (h *Hashtogram) appendHeader(dst []byte) []byte {
-	dst = append(dst, 'L', 'H', 'S', 'K', 1)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(h.p.Rows))
-	return binary.BigEndian.AppendUint32(dst, uint32(h.p.T))
+// hashtogramShape is the LHSK shape of an R-row sketch of width t; its
+// header is magic, version, rows, t.
+func hashtogramShape(rows, t int) blobShape {
+	hdr := append(make([]byte, 0, 4+1+4+4), "LHSK\x01"...)
+	hdr = binary.BigEndian.AppendUint32(hdr, uint32(rows))
+	hdr = binary.BigEndian.AppendUint32(hdr, uint32(t))
+	return blobShape{hdr: hdr, rows: rows, t: t}
+}
+
+// directShape is the LDSK shape of a DirectHistogram over domain at eps:
+// one row over the padded report domain t = NextPow2(domain), at least 2.
+// Its header is magic, version, domain, t and ε as raw float64 bits, so a
+// snapshot cannot be restored into an oracle with a different ε — the
+// accumulated counters are only meaningful under the randomizer that
+// produced them.
+func directShape(eps float64, domain int) blobShape {
+	t := max(hadamard.NextPow2(domain), 2)
+	hdr := append(make([]byte, 0, 4+1+4+4+8), "LDSK\x01"...)
+	hdr = binary.BigEndian.AppendUint32(hdr, uint32(domain))
+	hdr = binary.BigEndian.AppendUint32(hdr, uint32(t))
+	hdr = binary.BigEndian.AppendUint64(hdr, math.Float64bits(eps))
+	return blobShape{hdr: hdr, rows: 1, t: t}
 }
 
 // SnapshotLen returns the exact length of the snapshot AppendSnapshot
 // writes.
-func (h *Hashtogram) SnapshotLen() int {
-	return hashtogramHeaderLen + 8*h.p.Rows + 8*h.p.Rows*h.p.T
-}
+func (s *blobShape) SnapshotLen() int { return len(s.hdr) + 8*s.rows + 8*s.rows*s.t }
 
 // AppendSnapshot appends the accumulated state (format above) to dst.
-func (h *Hashtogram) AppendSnapshot(dst []byte) []byte {
-	dst = h.appendHeader(dst)
-	for _, c := range h.rowCounts {
+func (tb *table) AppendSnapshot(dst []byte) []byte {
+	dst = append(dst, tb.hdr...)
+	for _, c := range tb.rowCounts {
 		dst = binary.BigEndian.AppendUint64(dst, uint64(c))
 	}
 	// The wire format keeps float64-bits cells: the int64 tallies are exact
 	// integers far below 2^53, so the conversion is lossless and the encoded
 	// bytes are identical to the historical float64 accumulator's.
-	for _, v := range h.acc {
+	for _, v := range tb.cells {
 		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(float64(v)))
 	}
 	return dst
 }
 
-// Snapshot serializes the Hashtogram's accumulated state (format above).
-func (h *Hashtogram) Snapshot() ([]byte, error) {
-	return h.AppendSnapshot(make([]byte, 0, h.SnapshotLen())), nil
+// Snapshot serializes the accumulated state (format above).
+func (tb *table) Snapshot() ([]byte, error) {
+	return tb.AppendSnapshot(make([]byte, 0, tb.SnapshotLen())), nil
 }
 
 // maxSnapshotTally bounds every deserialized counter: report tallies and
@@ -103,27 +130,26 @@ func (h *Hashtogram) Snapshot() ([]byte, error) {
 // (or non-integral) values can only be corruption.
 const maxSnapshotTally = uint64(1) << 53
 
-// CheckSnapshot validates a snapshot produced by a sketch with identical
+// CheckSnapshot validates a snapshot produced by an oracle with identical
 // parameters and returns its report count, without allocating. Row
 // counts, and their sum, are checked against maxSnapshotTally on the raw
 // uint64 before any int conversion, and each row's cells against its
 // count: each report moves one cell of its row by ±1, so a row's absolute
-// cells sum to at most the reports it counts. It reads only the
-// sketch's construction-time parameters, never its counters, so it may run
-// concurrently with Absorb.
-func (h *Hashtogram) CheckSnapshot(buf []byte) (reports int, err error) {
-	if want := h.SnapshotLen(); len(buf) != want {
+// cells sum to at most the reports it counts. It reads only the shape,
+// never the counters, so it may run concurrently with Absorb.
+func (s *blobShape) CheckSnapshot(buf []byte) (reports int, err error) {
+	if want := s.SnapshotLen(); len(buf) != want {
 		return 0, fmt.Errorf("freqoracle: snapshot length %d, want %d", len(buf), want)
 	}
-	var hdr [hashtogramHeaderLen]byte
-	if !bytes.Equal(buf[:hashtogramHeaderLen], h.appendHeader(hdr[:0])) {
-		return 0, fmt.Errorf("freqoracle: snapshot header %x does not match sketch %x (magic, version or shape)",
-			buf[:hashtogramHeaderLen], hdr)
+	hdr := buf[:len(s.hdr)]
+	if !bytes.Equal(hdr, s.hdr) {
+		return 0, fmt.Errorf("freqoracle: snapshot header %x does not match the oracle's %x (magic, version, shape or eps)",
+			hdr, s.hdr)
 	}
-	counts := buf[hashtogramHeaderLen : hashtogramHeaderLen+8*h.p.Rows]
-	cells := buf[hashtogramHeaderLen+8*h.p.Rows:]
+	counts := buf[len(s.hdr) : len(s.hdr)+8*s.rows]
+	cells := buf[len(s.hdr)+8*s.rows:]
 	var sum uint64
-	for r := 0; r < h.p.Rows; r++ {
+	for r := 0; r < s.rows; r++ {
 		c := binary.BigEndian.Uint64(counts[8*r:])
 		if c > maxSnapshotTally {
 			return 0, fmt.Errorf("freqoracle: snapshot row %d count %d exceeds report-tally bound %d", r, c, maxSnapshotTally)
@@ -133,56 +159,58 @@ func (h *Hashtogram) CheckSnapshot(buf []byte) (reports int, err error) {
 			return 0, fmt.Errorf("freqoracle: snapshot total report count exceeds bound %d", maxSnapshotTally)
 		}
 	}
-	for r := 0; r < h.p.Rows; r++ {
-		row := cells[8*r*h.p.T : 8*(r+1)*h.p.T]
-		if err := checkCells(row, r*h.p.T, binary.BigEndian.Uint64(counts[8*r:])); err != nil {
+	for r := 0; r < s.rows; r++ {
+		row := cells[8*r*s.t : 8*(r+1)*s.t]
+		if err := checkCells(row, r*s.t, binary.BigEndian.Uint64(counts[8*r:])); err != nil {
 			return 0, err
 		}
 	}
 	return int(sum), nil
 }
 
+// CheckDirectSnapshot makes CheckSnapshot's checks of an LDSK blob against
+// a DirectHistogram over domain at eps (parameters NewDirectHistogram
+// accepts) without building the oracle, and returns the blob's report
+// count. It allocates only the expected header.
+func CheckDirectSnapshot(eps float64, domain int, blob []byte) (reports int, err error) {
+	s := directShape(eps, domain)
+	return s.CheckSnapshot(blob)
+}
+
 // AddSnapshot adds the counters of a snapshot CheckSnapshot accepted —
-// cells, row counts and total — into the sketch's own. It cannot fail;
-// buf must have passed CheckSnapshot on a sketch with identical parameters.
-func (h *Hashtogram) AddSnapshot(buf []byte) {
-	off := hashtogramHeaderLen
-	for r := range h.rowCounts {
+// cells, row counts and total — into the oracle's own. It cannot fail;
+// buf must have passed CheckSnapshot on an oracle with identical
+// parameters.
+func (tb *table) AddSnapshot(buf []byte) {
+	off := len(tb.hdr)
+	for r := range tb.rowCounts {
 		c := int(binary.BigEndian.Uint64(buf[off:]))
-		h.rowCounts[r] += c
-		h.total += c
+		tb.rowCounts[r] += c
+		tb.total += c
 		off += 8
 	}
-	addCells(h.acc, buf[off:])
+	addCells(tb.cells, buf[off:])
 }
 
-// Reset zeroes the sketch's counters in place.
-func (h *Hashtogram) Reset() {
-	clear(h.acc)
-	clear(h.rowCounts)
-	h.total = 0
-}
-
-// Restore loads a snapshot produced by a sketch with identical parameters,
-// replacing this sketch's accumulated state. On error the state is
-// unchanged.
-func (h *Hashtogram) Restore(buf []byte) error {
-	if _, err := h.CheckSnapshot(buf); err != nil {
+// Restore loads a snapshot produced by an oracle with identical
+// parameters, replacing this oracle's accumulated state. On error the
+// state is unchanged.
+func (tb *table) Restore(buf []byte) error {
+	if _, err := tb.CheckSnapshot(buf); err != nil {
 		return err
 	}
-	h.Reset()
-	h.AddSnapshot(buf)
+	tb.Reset()
+	tb.AddSnapshot(buf)
 	return nil
 }
 
-// checkCells checks the big-endian float64 cells of one oracle row (all of
-// a DirectHistogram), the first of which is accumulator cell first,
-// recorded over reports reports: each must be a validTally, and their
-// absolute values must sum to at most reports, since each report moves one
-// cell by ±1. That sum bounds every single cell too. +0, the common cell,
-// passes both checks on its bits alone. The sum stays below 2^54: it is
-// checked after every addend, and reports and each addend are at most
-// maxSnapshotTally.
+// checkCells checks the big-endian float64 cells of one table row, the
+// first of which is cell first, recorded over reports reports: each must
+// be a validTally, and their absolute values must sum to at most reports,
+// since each report moves one cell by ±1. That sum bounds every single
+// cell too. +0, the common cell, passes both checks on its bits alone. The
+// sum stays below 2^54: it is checked after every addend, and reports and
+// each addend are at most maxSnapshotTally.
 func checkCells(cells []byte, first int, reports uint64) error {
 	var sum uint64
 	for j := 0; j+8 <= len(cells); j += 8 {
@@ -228,89 +256,5 @@ func validTally(v float64) error {
 		// breaking the canonical round-trip property.
 		return fmt.Errorf("freqoracle: snapshot accumulator value -0 is not canonical")
 	}
-	return nil
-}
-
-// directHeaderLen is the LDSK header: magic, version, domain, t, epsBits.
-const directHeaderLen = 4 + 1 + 4 + 4 + 8
-
-// appendHeader appends the LDSK header. The privacy parameter is embedded
-// as raw float64 bits so a snapshot cannot be restored into an oracle with
-// a different ε — the accumulated counters are only meaningful under the
-// randomizer that produced them.
-func (d *DirectHistogram) appendHeader(dst []byte) []byte {
-	dst = append(dst, 'L', 'D', 'S', 'K', 1)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(d.domain))
-	dst = binary.BigEndian.AppendUint32(dst, uint32(d.t))
-	return binary.BigEndian.AppendUint64(dst, math.Float64bits(d.eps))
-}
-
-// SnapshotLen returns the exact length of the snapshot AppendSnapshot
-// writes.
-func (d *DirectHistogram) SnapshotLen() int { return directHeaderLen + 8 + 8*d.t }
-
-// AppendSnapshot appends the accumulated state (format above) to dst.
-func (d *DirectHistogram) AppendSnapshot(dst []byte) []byte {
-	dst = d.appendHeader(dst)
-	dst = binary.BigEndian.AppendUint64(dst, uint64(d.n))
-	for _, v := range d.acc {
-		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(float64(v)))
-	}
-	return dst
-}
-
-// Snapshot serializes the DirectHistogram's accumulated state (format
-// above).
-func (d *DirectHistogram) Snapshot() ([]byte, error) {
-	return d.AppendSnapshot(make([]byte, 0, d.SnapshotLen())), nil
-}
-
-// CheckSnapshot validates a snapshot produced by an oracle with identical
-// parameters and returns its report count, without allocating. The
-// absolute cells must sum to at most the report count: each report moves
-// one cell by ±1. It reads only the oracle's construction-time parameters,
-// never its counters, so it may run concurrently with Absorb.
-func (d *DirectHistogram) CheckSnapshot(buf []byte) (reports int, err error) {
-	if want := d.SnapshotLen(); len(buf) != want {
-		return 0, fmt.Errorf("freqoracle: snapshot length %d, want %d", len(buf), want)
-	}
-	var hdr [directHeaderLen]byte
-	if !bytes.Equal(buf[:directHeaderLen], d.appendHeader(hdr[:0])) {
-		return 0, fmt.Errorf("freqoracle: snapshot header %x does not match histogram %x (magic, version, shape or eps)",
-			buf[:directHeaderLen], hdr)
-	}
-	n := binary.BigEndian.Uint64(buf[directHeaderLen:])
-	if n > maxSnapshotTally {
-		return 0, fmt.Errorf("freqoracle: snapshot report count %d exceeds report-tally bound %d", n, maxSnapshotTally)
-	}
-	if err := checkCells(buf[directHeaderLen+8:], 0, n); err != nil {
-		return 0, err
-	}
-	return int(n), nil
-}
-
-// AddSnapshot adds the counters of a snapshot CheckSnapshot accepted —
-// cells and report count — into the oracle's own. It cannot fail; buf
-// must have passed CheckSnapshot on an oracle with identical parameters.
-func (d *DirectHistogram) AddSnapshot(buf []byte) {
-	d.n += int(binary.BigEndian.Uint64(buf[directHeaderLen:]))
-	addCells(d.acc, buf[directHeaderLen+8:])
-}
-
-// Reset zeroes the oracle's counters in place.
-func (d *DirectHistogram) Reset() {
-	clear(d.acc)
-	d.n = 0
-}
-
-// Restore loads a snapshot produced by an oracle with identical parameters,
-// replacing this oracle's accumulated state. On error the state is
-// unchanged.
-func (d *DirectHistogram) Restore(buf []byte) error {
-	if _, err := d.CheckSnapshot(buf); err != nil {
-		return err
-	}
-	d.Reset()
-	d.AddSnapshot(buf)
 	return nil
 }

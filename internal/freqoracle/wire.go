@@ -155,44 +155,55 @@ func NewHashtogramWire(params HashtogramParams, candidates [][]byte) (*Hashtogra
 	if err != nil {
 		return nil, err
 	}
-	k := &hashtogramKernel{Hashtogram: h, candidates: candidates}
+	k := &hashtogramKernel{oracleBody: oracleBody{&h.table}, h: h, candidates: candidates}
 	return &HashtogramWire{StateAdapter: proto.NewStateAdapter[[]byte](proto.IDHashtogram, k, nil), h: h}, nil
 }
 
+// oracleBody is the snapshot-body half of proto.StateCodec for the kinds
+// whose body is one oracle blob (hashtogram, directhistogram,
+// smalldomain): the decoded state is the blob itself, checked in place by
+// CheckSnapshot and added straight from the snapshot bytes. The kernels
+// also take TotalReports from its table.
+type oracleBody struct{ *table }
+
+func (b oracleBody) BodyLen() int { return b.SnapshotLen() }
+
+func (b oracleBody) AppendBody(dst []byte) []byte { return b.AppendSnapshot(dst) }
+
+func (b oracleBody) DecodeBody(blob []byte) ([]byte, error) {
+	_, err := b.CheckSnapshot(blob)
+	return blob, err
+}
+
+func (b oracleBody) Replace(blob []byte) error {
+	b.Reset()
+	b.AddSnapshot(blob)
+	return nil
+}
+
+func (b oracleBody) Merge(blob []byte) error {
+	b.AddSnapshot(blob)
+	return nil
+}
+
 // hashtogramKernel is HashtogramWire's proto.StateCodec; Fingerprint is
-// the oracle's own. Its decoded state is the LHSK body itself, checked in
-// place and added straight from the snapshot bytes.
+// the oracle's own.
 type hashtogramKernel struct {
-	*Hashtogram
+	oracleBody
+	h          *Hashtogram
 	candidates [][]byte
 }
+
+func (k *hashtogramKernel) Fingerprint() uint64 { return k.h.Fingerprint() }
+
+func (k *hashtogramKernel) SketchBytes() int { return k.h.SketchBytes() }
 
 func (k *hashtogramKernel) AbsorbPayload(p []byte) error {
 	rep, err := DecodeHashtogramReport(p)
 	if err != nil {
 		return err
 	}
-	return k.Absorb(rep)
-}
-
-func (k *hashtogramKernel) BodyLen() int { return k.SnapshotLen() }
-
-func (k *hashtogramKernel) AppendBody(dst []byte) []byte { return k.AppendSnapshot(dst) }
-
-func (k *hashtogramKernel) DecodeBody(b []byte) ([]byte, error) {
-	_, err := k.CheckSnapshot(b)
-	return b, err
-}
-
-func (k *hashtogramKernel) Replace(b []byte) error {
-	k.Reset()
-	k.AddSnapshot(b)
-	return nil
-}
-
-func (k *hashtogramKernel) Merge(b []byte) error {
-	k.AddSnapshot(b)
-	return nil
+	return k.h.Absorb(rep)
 }
 
 // Identify finalizes the oracle and estimates the candidate set. It fails
@@ -201,10 +212,10 @@ func (k *hashtogramKernel) Identify(context.Context) ([]proto.Estimate, error) {
 	if len(k.candidates) == 0 {
 		return nil, fmt.Errorf("freqoracle: Hashtogram Identify needs a candidate set (a frequency oracle cannot enumerate an open domain)")
 	}
-	k.Finalize()
+	k.h.Finalize()
 	out := make([]proto.Estimate, 0, len(k.candidates))
 	for _, c := range k.candidates {
-		if est := k.Estimate(c); est >= 0 {
+		if est := k.h.Estimate(c); est >= 0 {
 			out = append(out, proto.Estimate{Item: append([]byte(nil), c...), Count: est})
 		}
 	}
@@ -268,18 +279,17 @@ func NewDirectHistogramWireAs(id, version byte, eps float64, itemBytes, domain, 
 	if err != nil {
 		return nil, err
 	}
-	k := &directKernel{DirectHistogram: d, id: id, itemBytes: itemBytes}
+	k := &directKernel{oracleBody: oracleBody{&d.table}, d: d, id: id, itemBytes: itemBytes}
 	return &DirectHistogramWire{
 		StateAdapter: proto.NewStateAdapter[[]byte](id, k, nil),
 		d:            d, version: version, itemBytes: itemBytes, n: n,
 	}, nil
 }
 
-// directKernel is DirectHistogramWire's proto.StateCodec. Its decoded
-// state is the LDSK body itself, checked in place and added straight from
-// the snapshot bytes.
+// directKernel is DirectHistogramWire's proto.StateCodec.
 type directKernel struct {
-	*DirectHistogram
+	oracleBody
+	d         *DirectHistogram
 	id        byte
 	itemBytes int
 }
@@ -291,41 +301,23 @@ type directKernel struct {
 // even though the LDSK bodies would be byte-compatible.
 func (k *directKernel) Fingerprint() uint64 {
 	return proto.Fingerprint("ldphh/freqoracle.DirectHistogramWire/v1",
-		uint64(k.id), uint64(k.itemBytes), k.DirectHistogram.Fingerprint())
+		uint64(k.id), uint64(k.itemBytes), k.d.Fingerprint())
 }
 
-func (k *directKernel) BodyLen() int { return k.SnapshotLen() }
-
-func (k *directKernel) AppendBody(dst []byte) []byte { return k.AppendSnapshot(dst) }
-
-func (k *directKernel) DecodeBody(b []byte) ([]byte, error) {
-	_, err := k.CheckSnapshot(b)
-	return b, err
-}
-
-func (k *directKernel) Replace(b []byte) error {
-	k.Reset()
-	k.AddSnapshot(b)
-	return nil
-}
-
-func (k *directKernel) Merge(b []byte) error {
-	k.AddSnapshot(b)
-	return nil
-}
+func (k *directKernel) SketchBytes() int { return k.d.SketchBytes() }
 
 func (k *directKernel) AbsorbPayload(p []byte) error {
 	rep, err := DecodeDirectReport(p)
 	if err != nil {
 		return err
 	}
-	return k.Absorb(rep)
+	return k.d.Absorb(rep)
 }
 
 // Identify reconstructs the histogram and returns every ordinal with a
 // non-negative estimate, sorted by decreasing estimate.
 func (k *directKernel) Identify(context.Context) ([]proto.Estimate, error) {
-	return k.IdentifyOrdinals(k.itemBytes, 0), nil
+	return k.d.IdentifyOrdinals(k.itemBytes, 0), nil
 }
 
 // IdentifyOrdinals finalizes the histogram and returns every ordinal whose

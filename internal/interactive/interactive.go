@@ -22,10 +22,10 @@
 // absorbing.
 //
 // Determinism contract: the same absorbed multiset of reports produces the
-// bit-identical round transition and final estimate list at every worker
-// count — every parallel unit writes only its own slot and every ordering
-// is a strict total order. Device randomness for deterministic fleets comes
-// from per-round PCG sub-streams via RoundRand.
+// bit-identical round transition and final estimate list in any absorb
+// order or fleet shape — every ordering is a strict total order. Device
+// randomness for deterministic fleets comes from per-round PCG sub-streams
+// via RoundRand.
 package interactive
 
 import (
@@ -39,7 +39,6 @@ import (
 	"ldphh/internal/dist"
 	"ldphh/internal/freqoracle"
 	"ldphh/internal/hashing"
-	"ldphh/internal/par"
 	"ldphh/internal/proto"
 )
 
@@ -105,9 +104,6 @@ type Params struct {
 	Theta float64
 	// Seed feeds all public randomness (the group hash).
 	Seed uint64
-	// Workers sizes the per-round estimate scan pool; 0 lets callers pass
-	// GOMAXPROCS downstream. Pure throughput knob — never feeds randomness.
-	Workers int
 }
 
 // RoundReport is one user's message in decoded form: the round it belongs
@@ -241,7 +237,7 @@ func RoundRand(seed uint64, round, userIdx int) *rand.Rand {
 }
 
 // fingerprint digests every parameter that shapes accumulated state and
-// public randomness (Workers excluded — pure throughput knob).
+// public randomness.
 func (e *Engine) fingerprint() uint64 {
 	return proto.Fingerprint("ldphh/interactive.Engine/v1",
 		uint64(e.p.Mode), math.Float64bits(e.p.Eps), uint64(e.p.N), uint64(e.p.ItemBytes),
@@ -362,32 +358,22 @@ func (e *Engine) AdvanceRound() (proto.RoundState, error) {
 	e.hist.Finalize()
 	view := e.hist.HistogramView() // len(cands)+1; the last cell is "other"
 
-	// Population-scaled votes per candidate. Each slot is written exactly
-	// once by a pure function of its index, so the scan is deterministic at
-	// any worker count.
-	votes := make([]float64, len(e.cands))
-	workers := e.p.Workers
-	if workers <= 0 {
-		workers = 1
-	}
-	par.Range(len(e.cands), workers, func(i int) {
-		votes[i] = scale * view[i]
-	})
-
-	// Prune. Survivor order is a strict total order in both modes, so the
-	// transition is reproducible from the tally alone.
+	// Prune on the population-scaled votes. Survivor order is a strict
+	// total order in both modes, so the transition is reproducible from
+	// the tally alone.
 	type scored struct {
 		prefix []byte
 		vote   float64
 	}
 	var survivors []scored
-	for i, v := range votes {
+	for i, c := range e.cands {
+		v := scale * view[i]
 		keep := v > 0
 		if e.p.Mode == ModeFedTrie {
 			keep = v >= theta
 		}
 		if keep {
-			survivors = append(survivors, scored{e.cands[i], v})
+			survivors = append(survivors, scored{c, v})
 		}
 	}
 	sort.Slice(survivors, func(a, b int) bool {

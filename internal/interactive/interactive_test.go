@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"testing"
 
 	"ldphh/internal/proto"
@@ -92,31 +91,6 @@ func TestDiscoveryBothModes(t *testing.T) {
 				t.Errorf("top estimate %.0f far from true %d", est[0].Count, p.N*4/10)
 			}
 		})
-	}
-}
-
-// TestWorkerDeterminism pins the determinism contract: the same report
-// multiset produces bit-identical round transitions and final estimates at
-// every worker count.
-func TestWorkerDeterminism(t *testing.T) {
-	digest := func(workers int) string {
-		p := testParams(ModePEM)
-		p.Workers = workers
-		eng, err := NewEngine(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var sb bytes.Buffer
-		for _, est := range drive(t, eng, p.N, plantedItem) {
-			fmt.Fprintf(&sb, "%x:%b;", est.Item, est.Count)
-		}
-		return sb.String()
-	}
-	want := digest(1)
-	for _, w := range []int{2, 3, 8} {
-		if got := digest(w); got != want {
-			t.Errorf("workers=%d diverged:\n got %s\nwant %s", w, got, want)
-		}
 	}
 }
 

@@ -31,18 +31,19 @@ import (
 // the report-count cross-check — before any engine state changes, so a
 // failed load leaves the open round exactly as it was.
 
-// roundSnapshot is a decoded and validated body, not yet installed. An
-// open round's LDSK blob stays a view into the body, checked in place
-// against the empty round oracle built for the snapshot's candidates;
-// Replace adds it into that oracle, Merge into the live one.
+// roundSnapshot is a decoded and validated body, not yet installed. Its
+// candidates, estimate items and LDSK blob are views into the body: the
+// blob is checked in place against the round oracle shape its candidates
+// fix, with no oracle built. Merge compares the views with the live
+// round and adds the blob into the live oracle; Replace copies what the
+// engine keeps and builds the round oracle from the blob.
 type roundSnapshot struct {
 	round        int
 	done         bool
 	roundReports int
 	absorbed     int
 	cands        [][]byte
-	hist         *freqoracle.DirectHistogram // empty round oracle; nil once done
-	blob         []byte                      // hist's checked LDSK blob
+	blob         []byte // checked LDSK blob; empty once done
 	estimates    []proto.Estimate
 }
 
@@ -96,7 +97,7 @@ func (k roundKernel) AppendBody(buf []byte) []byte {
 }
 
 // DecodeBody parses a body and validates it against the engine's
-// parameters, building (but not installing or filling) the round oracle.
+// parameters without copying it.
 func (k roundKernel) DecodeBody(buf []byte) (*roundSnapshot, error) {
 	e := k.Engine
 	const fixed = 4 + 1 + 8 + 8 + 4
@@ -133,7 +134,7 @@ func (k roundKernel) DecodeBody(buf []byte) (*roundSnapshot, error) {
 		if len(buf)-off < l {
 			return nil, fmt.Errorf("interactive: snapshot candidate %d truncated", i)
 		}
-		d.cands = append(d.cands, append([]byte(nil), buf[off:off+l]...))
+		d.cands = append(d.cands, buf[off:off+l])
 		off += l
 	}
 	if len(buf)-off < 4 {
@@ -164,7 +165,7 @@ func (k roundKernel) DecodeBody(buf []byte) (*roundSnapshot, error) {
 		if len(buf)-off < l+8 {
 			return nil, fmt.Errorf("interactive: snapshot estimate %d truncated", i)
 		}
-		item := append([]byte(nil), buf[off:off+l]...)
+		item := buf[off : off+l]
 		off += l
 		count := math.Float64frombits(binary.BigEndian.Uint64(buf[off:]))
 		off += 8
@@ -196,11 +197,7 @@ func (k roundKernel) DecodeBody(buf []byte) (*roundSnapshot, error) {
 	if err := validateCandidates(d.cands, e.bitsAt(d.round)); err != nil {
 		return nil, err
 	}
-	var err error
-	if d.hist, err = freqoracle.NewDirectHistogram(e.p.Eps, len(d.cands)+1); err != nil {
-		return nil, err
-	}
-	got, err := d.hist.CheckSnapshot(d.blob)
+	got, err := freqoracle.CheckDirectSnapshot(e.p.Eps, len(d.cands)+1, d.blob)
 	if err != nil {
 		return nil, err
 	}
@@ -210,20 +207,33 @@ func (k roundKernel) DecodeBody(buf []byte) (*roundSnapshot, error) {
 	return d, nil
 }
 
-// Replace fills the snapshot's round oracle from its blob and installs
-// the decoded round position; DecodeBody guarantees a done one carries no
-// round state and an open one no estimates.
+// Replace copies the candidates and estimate items out of the snapshot
+// bytes into the slices DecodeBody built, fills a new round oracle from
+// the blob, and installs the decoded round position; DecodeBody
+// guarantees a done one carries no round state and an open one no
+// estimates.
 func (k roundKernel) Replace(d *roundSnapshot) error {
-	if d.hist != nil {
-		d.hist.AddSnapshot(d.blob)
-	}
 	e := k.Engine
+	var hist *freqoracle.DirectHistogram
+	if !d.done {
+		var err error
+		if hist, err = freqoracle.NewDirectHistogram(e.p.Eps, len(d.cands)+1); err != nil {
+			return err
+		}
+		hist.AddSnapshot(d.blob)
+	}
+	for i, c := range d.cands {
+		d.cands[i] = bytes.Clone(c)
+	}
+	for i := range d.estimates {
+		d.estimates[i].Item = bytes.Clone(d.estimates[i].Item)
+	}
 	e.round = d.round
 	e.done = d.done
 	e.roundReports = d.roundReports
 	e.absorbed = d.absorbed
 	e.cands = d.cands
-	e.hist = d.hist
+	e.hist = hist
 	e.estimates = d.estimates
 	return nil
 }

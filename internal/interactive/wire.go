@@ -3,18 +3,19 @@ package interactive
 import (
 	"context"
 	"encoding/binary"
-	"fmt"
 	"math/rand/v2"
 
+	"ldphh/internal/freqoracle"
 	"ldphh/internal/proto"
 )
 
-// Wire payload: [round u8][Hadamard column u32 BE][bit u8 ∈ {0,1}]. The
-// round stamp makes every report self-describing about which candidate set
-// its column indexes — the aggregator rejects reports for any round but the
-// open one instead of silently folding them into the wrong tally. Six bytes
-// per report regardless of domain size or round count.
-const PayloadBytes = 6
+// Wire payload: [round u8] then a freqoracle DirectReport (Hadamard column
+// u32 BE, bit u8 ∈ {0,1}). The round stamp makes every report
+// self-describing about which candidate set its column indexes — the
+// aggregator rejects reports for any round but the open one instead of
+// silently folding them into the wrong tally. Six bytes per report
+// regardless of domain size or round count.
+const PayloadBytes = 1 + freqoracle.DirectReportPayloadBytes
 
 const wireVersion = 1
 
@@ -58,14 +59,11 @@ func NewWire(p Params) (*Wire, error) {
 type roundKernel struct{ *Engine }
 
 func (k roundKernel) AbsorbPayload(p []byte) error {
-	if p[5] > 1 {
-		return fmt.Errorf("interactive: report bit byte %d, want 0 or 1", p[5])
+	rep, err := freqoracle.DecodeDirectReport(p[1:])
+	if err != nil {
+		return err
 	}
-	bit := int8(-1)
-	if p[5] == 1 {
-		bit = 1
-	}
-	return k.Absorb(RoundReport{Round: int(p[0]), Col: binary.BigEndian.Uint32(p[1:]), Bit: bit})
+	return k.Absorb(RoundReport{Round: int(p[0]), Col: rep.Col, Bit: rep.Bit})
 }
 
 // Identify returns the final population-scaled estimates; it errors until
@@ -91,12 +89,8 @@ func (w *Wire) Report(item []byte, userIdx int, rng *rand.Rand) (proto.WireRepor
 	}
 	dst := proto.AppendHeader(make([]byte, 0, 2+PayloadBytes), w.ProtocolID(), wireVersion)
 	dst = append(dst, byte(rep.Round))
-	dst = binary.BigEndian.AppendUint32(dst, rep.Col)
-	bit := byte(0)
-	if rep.Bit == 1 {
-		bit = 1
-	}
-	return proto.WireReport(append(dst, bit)), nil
+	dst = freqoracle.AppendDirectReport(dst, freqoracle.DirectReport{Col: rep.Col, Bit: rep.Bit})
+	return proto.WireReport(dst), nil
 }
 
 // RoundState returns the open round's broadcast state (proto.Interactive).

@@ -38,7 +38,6 @@ import (
 	"ldphh/internal/dist"
 	"ldphh/internal/hashing"
 	"ldphh/internal/ldp"
-	"ldphh/internal/par"
 )
 
 // Kind selects the server-side structure, mirroring the mpc4j factory's
@@ -108,9 +107,6 @@ type Params struct {
 	// Seed derives the bucket hash and the decay randomness; two
 	// aggregators with equal seeds and geometry merge.
 	Seed uint64
-	// Workers bounds the QueryTopK debias worker pool (0 = serial). Output
-	// is bit-identical at every worker count.
-	Workers int
 }
 
 // withDefaults derives the HeavyGuardian geometry left zero.
@@ -179,8 +175,8 @@ type ValueEstimate struct {
 // Aggregator is the streaming heavy-hitters core. It is not safe for
 // concurrent use — stream.Wire serializes it under proto.StateAdapter's lock for
 // the generic TCP server. Determinism contract: for a fixed absorb order, every observable
-// (structure state, QueryTopK output, snapshots) is bit-identical at any
-// Workers count; all decay randomness is derived by counter-labeled hashing
+// (structure state, QueryTopK output, snapshots) is bit-identical from run
+// to run; all decay randomness is derived by counter-labeled hashing
 // (dist.Mix), not a stateful rng.
 type Aggregator struct {
 	p         Params
@@ -320,9 +316,9 @@ func (a *Aggregator) QueryTopK(k int) []ValueEstimate {
 	switch a.p.Kind {
 	case Naive:
 		est = make([]ValueEstimate, a.p.Domain)
-		par.Range(a.p.Domain, a.p.Workers, func(v int) {
-			est[v] = ValueEstimate{Value: uint32(v), Count: a.debias(a.counts[v])}
-		})
+		for v, c := range a.counts {
+			est[v] = ValueEstimate{Value: uint32(v), Count: a.debias(c)}
+		}
 	case BasicHG:
 		est = make([]ValueEstimate, 0, len(a.cells))
 		for _, c := range a.cells {
@@ -403,7 +399,7 @@ func (a *Aggregator) SketchBytes() int {
 }
 
 // Merge folds another aggregator's structure into this one. Both must be
-// built from identical parameters (Workers excepted — it shapes no state).
+// built from identical parameters.
 // Naive merges exactly (counts add, so split-ingest-merge is bit-identical
 // to sequential ingest); BasicHG folds the other's tracked cells in:
 // matching values add, free cells fill, and an incoming cell heavier than
@@ -461,10 +457,9 @@ func (a *Aggregator) mergeCell(in cell) {
 }
 
 // compatible checks that two aggregators share every state-shaping
-// parameter (Workers and the N sizing hint excepted).
+// parameter (the N sizing hint excepted).
 func (a *Aggregator) compatible(other *Aggregator) error {
 	x, y := a.p, other.p
-	x.Workers, y.Workers = 0, 0
 	x.N, y.N = 0, 0
 	if x != y {
 		return fmt.Errorf("stream: parameter mismatch: %+v vs %+v", x, y)

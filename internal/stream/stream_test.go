@@ -289,41 +289,6 @@ func a3(i int) uint64 {
 	return uint64(i % 97)
 }
 
-// TestWorkersDeterminism pins the bit-identical-at-any-worker-count
-// contract: the same stream queried under different Workers bounds returns
-// byte-identical top-k lists, for both kinds.
-func TestWorkersDeterminism(t *testing.T) {
-	for _, kind := range []Kind{Naive, BasicHG} {
-		t.Run(kind.String(), func(t *testing.T) {
-			base := testParams()
-			base.Kind = kind
-			var ref []ValueEstimate
-			for _, workers := range []int{0, 1, 2, 7} {
-				p := base
-				p.Workers = workers
-				a, err := New(p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				zipfStream(t, a, 5000, 1.3, 42)
-				got := a.QueryTopK(0)
-				if ref == nil {
-					ref = got
-					continue
-				}
-				if len(got) != len(ref) {
-					t.Fatalf("workers=%d: %d estimates, want %d", workers, len(got), len(ref))
-				}
-				for i := range got {
-					if got[i] != ref[i] {
-						t.Fatalf("workers=%d: est[%d] = %+v, want %+v", workers, i, got[i], ref[i])
-					}
-				}
-			}
-		})
-	}
-}
-
 // TestWindowBudgetAccounting proves the per-window budget split: each
 // report's randomizer runs at exactly ε/w, the realized worst-case privacy
 // ratio of one report is e^{ε/w}, and basic composition over one report per

@@ -219,7 +219,7 @@ func New(kind Kind, opts ...Option) (Protocol, error) {
 		return stream.NewWire(stream.Params{
 			Kind: stream.BasicHG, Eps: cfg.eps, Windows: windows, K: topK,
 			Domain: size, WindowSize: windowSize, WarmupWindows: 1,
-			N: cfg.n, Seed: cfg.seed, Workers: cfg.workers,
+			N: cfg.n, Seed: cfg.seed,
 		}, cfg.itemBytes)
 	case KindPEM, KindFedTrie:
 		if len(cfg.candidates) > 0 {
@@ -231,7 +231,7 @@ func New(kind Kind, opts ...Option) (Protocol, error) {
 		}
 		return interactive.NewWire(interactive.Params{
 			Mode: mode, Eps: cfg.eps, N: cfg.n, ItemBytes: cfg.itemBytes,
-			TopK: cfg.topK, Seed: cfg.seed, Workers: cfg.workers,
+			TopK: cfg.topK, Seed: cfg.seed,
 		})
 	default:
 		return nil, fmt.Errorf("ldphh: unknown protocol kind %v", kind)

@@ -340,6 +340,45 @@ func TestOracleSnapshotsLoadFromSnapshotBytes(t *testing.T) {
 	}
 }
 
+// TestRoundSnapshotsMergeFromSnapshotBytes pins the memory cost of a pem
+// or fedtrie MergeSnapshot: the round's candidates and LDSK blob stay
+// views into the snapshot, the candidates are compared with the live
+// round in place and the blob is checked against the round oracle's shape
+// without building one, then added into the live oracle. So a merge
+// allocates fewer objects than the snapshot has candidates, where copying
+// them would allocate one each.
+func TestRoundSnapshotsMergeFromSnapshotBytes(t *testing.T) {
+	for _, kind := range []ldphh.Kind{ldphh.KindPEM, ldphh.KindFedTrie} {
+		t.Run(kind.String(), func(t *testing.T) {
+			leaf := compatFixture(t, kind)
+			lm, _ := ldphh.AsMergeable(leaf)
+			snap, err := lm.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			it, _ := ldphh.AsInteractive(leaf)
+			cands := len(it.RoundState().Candidates)
+			root, err := ldphh.New(kind, pinnedOptions(kind)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rm, _ := ldphh.AsMergeable(root)
+			allocs := testing.AllocsPerRun(10, func() {
+				if err := rm.MergeSnapshot(snap); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs >= float64(cands) {
+				t.Errorf("MergeSnapshot of a %d-candidate snapshot allocated %.0f objects, want fewer than %d",
+					cands, allocs, cands)
+			}
+			if got, want := root.TotalReports(), 11*leaf.TotalReports(); got != want {
+				t.Fatalf("root holds %d reports after 11 merges, want %d", got, want)
+			}
+		})
+	}
+}
+
 // TestMergeSnapshotConcurrentAllKinds merges one leaf snapshot from three
 // goroutines while a fourth absorbs reports, for each of the seven kinds:
 // snapshot bodies decode outside the adapter lock, so under -race this
