@@ -32,8 +32,8 @@ func main() {
 	}
 
 	// One aggregator per region, identical parameters. Devices derive their
-	// reports from a Client built on Params alone.
-	client, err := ldphh.NewClient(params)
+	// reports from an instance built on Params alone.
+	device, err := ldphh.NewHeavyHitters(params)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func main() {
 	rng := rand.New(rand.NewPCG(3, 4))
 	reports := make([]ldphh.Report, n)
 	for i, item := range ds.Items {
-		if reports[i], err = client.Report(item, i, rng); err != nil {
+		if reports[i], err = device.Report(item, i, rng); err != nil {
 			log.Fatal(err)
 		}
 		if err := regional[i%regions].Absorb(reports[i]); err != nil {

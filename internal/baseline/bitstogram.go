@@ -35,16 +35,14 @@ import (
 // surface without conversion.
 type Estimate = proto.Estimate
 
-// BitstogramParams configures the [3]-style protocol.
+// BitstogramParams configures the [3]-style protocol. The repetition count
+// K = ceil(log2(1/Beta)) and the per-repetition hash range T ≈ sqrt(N)
+// derive from these fields.
 type BitstogramParams struct {
 	Eps       float64
 	N         int
 	ItemBytes int
-	Reps      int     // K independent repetitions; 0 derives ceil(log2(1/Beta))
-	Beta      float64 // target failure probability used to derive Reps (default 0.05)
-	T         int     // hash range per repetition (power of two); 0 derives ~sqrt(n)
-	ConfRows  int
-	ConfT     int
+	Beta      float64 // target failure probability the repetition count derives from (default 0.05)
 	Seed      uint64
 }
 
@@ -63,21 +61,6 @@ func (p *BitstogramParams) setDefaults() error {
 	}
 	if p.Beta <= 0 || p.Beta >= 1 {
 		return fmt.Errorf("baseline: Beta must be in (0,1)")
-	}
-	if p.Reps == 0 {
-		p.Reps = int(math.Ceil(math.Log2(1 / p.Beta)))
-		if p.Reps < 1 {
-			p.Reps = 1
-		}
-	}
-	if p.T == 0 {
-		p.T = hadamard.NextPow2(int(math.Sqrt(float64(p.N))))
-		if p.T < 16 {
-			p.T = 16
-		}
-	}
-	if p.T < 2 || p.T&(p.T-1) != 0 {
-		return fmt.Errorf("baseline: T must be a power of two >= 2")
 	}
 	return nil
 }
@@ -100,6 +83,8 @@ type BitstogramReport struct {
 type Bitstogram struct {
 	reportTally
 	p        BitstogramParams
+	reps     int // K independent repetitions: ceil(log2(1/Beta)), at least 1
+	t        int // hash range per repetition: NextPow2(sqrt(N)), at least 16
 	bits     int
 	hs       []hashing.KWise
 	fold     hashing.Fingerprinter
@@ -116,21 +101,24 @@ func NewBitstogram(params BitstogramParams) (*Bitstogram, error) {
 	}
 	rng := hashing.Seeded(params.Seed, 0x42495453)
 	bits := 8 * params.ItemBytes
+	reps := max(1, int(math.Ceil(math.Log2(1/params.Beta))))
 	b := &Bitstogram{
 		p:        params,
+		reps:     reps,
+		t:        max(16, hadamard.NextPow2(int(math.Sqrt(float64(params.N))))),
 		bits:     bits,
-		hs:       make([]hashing.KWise, params.Reps),
+		hs:       make([]hashing.KWise, reps),
 		fold:     hashing.NewFingerprinter(rng),
 		partHash: hashing.NewKWise(2, rng),
-		direct:   make([][]*freqoracle.DirectHistogram, params.Reps),
-		groupN:   make([][]int, params.Reps),
+		direct:   make([][]*freqoracle.DirectHistogram, reps),
+		groupN:   make([][]int, reps),
 	}
-	for k := 0; k < params.Reps; k++ {
+	for k := 0; k < reps; k++ {
 		b.hs[k] = hashing.NewKWise(2, rng)
 		b.direct[k] = make([]*freqoracle.DirectHistogram, bits)
 		b.groupN[k] = make([]int, bits)
 		for m := 0; m < bits; m++ {
-			d, err := freqoracle.NewDirectHistogram(params.Eps/2, 2*params.T)
+			d, err := freqoracle.NewDirectHistogram(params.Eps/2, 2*b.t)
 			if err != nil {
 				return nil, err
 			}
@@ -141,8 +129,6 @@ func NewBitstogram(params BitstogramParams) (*Bitstogram, error) {
 	b.conf, err = freqoracle.NewHashtogram(freqoracle.HashtogramParams{
 		Eps:  params.Eps / 2,
 		N:    params.N,
-		Rows: params.ConfRows,
-		T:    params.ConfT,
 		Seed: rng.Uint64(),
 	})
 	if err != nil {
@@ -156,7 +142,7 @@ func (b *Bitstogram) Params() BitstogramParams { return b.p }
 
 // Group returns user userIdx's (repetition, bit) assignment.
 func (b *Bitstogram) Group(userIdx int) (rep, bit int) {
-	g := b.partHash.Range(uint64(userIdx), b.p.Reps*b.bits)
+	g := b.partHash.Range(uint64(userIdx), b.reps*b.bits)
 	return g / b.bits, g % b.bits
 }
 
@@ -170,7 +156,7 @@ func (b *Bitstogram) Report(x []byte, userIdx int, rng *rand.Rand) (BitstogramRe
 		return BitstogramReport{}, fmt.Errorf("baseline: item length %d, want %d", len(x), b.p.ItemBytes)
 	}
 	rep, bit := b.Group(userIdx)
-	y := uint64(b.hs[rep].Range(b.fold.Fold(x), b.p.T))
+	y := uint64(b.hs[rep].Range(b.fold.Fold(x), b.t))
 	v := y<<1 | itemBit(x, bit)
 	dirRep, err := b.direct[rep][bit].Report(v, rng)
 	if err != nil {
@@ -186,7 +172,7 @@ func (b *Bitstogram) Report(x []byte, userIdx int, rng *rand.Rand) (BitstogramRe
 
 // Absorb folds one report into the server state.
 func (b *Bitstogram) Absorb(rep BitstogramReport) error {
-	if rep.Rep < 0 || rep.Rep >= b.p.Reps || rep.Bit < 0 || rep.Bit >= b.bits {
+	if rep.Rep < 0 || rep.Rep >= b.reps || rep.Bit < 0 || rep.Bit >= b.bits {
 		return fmt.Errorf("baseline: report group (%d,%d) out of range", rep.Rep, rep.Bit)
 	}
 	if err := b.direct[rep.Rep][rep.Bit].Absorb(rep.Dir); err != nil {
@@ -212,8 +198,8 @@ func (b *Bitstogram) Identify(minCount float64) ([]Estimate, error) {
 	}
 	seen := make(map[string]bool)
 	var candidates [][]byte
-	for k := 0; k < b.p.Reps; k++ {
-		for y := 0; y < b.p.T; y++ {
+	for k := 0; k < b.reps; k++ {
+		for y := 0; y < b.t; y++ {
 			item := make([]byte, b.p.ItemBytes)
 			mass := 0.0
 			for m := 0; m < b.bits; m++ {
@@ -234,7 +220,7 @@ func (b *Bitstogram) Identify(minCount float64) ([]Estimate, error) {
 			}
 			// The candidate must hash back to its cell; anything else was
 			// assembled from pure noise.
-			if b.hs[k].Range(b.fold.Fold(item), b.p.T) != y {
+			if b.hs[k].Range(b.fold.Fold(item), b.t) != y {
 				continue
 			}
 			if !seen[string(item)] {
@@ -256,16 +242,16 @@ func (b *Bitstogram) Identify(minCount float64) ([]Estimate, error) {
 }
 
 // MinRecoverableFrequency mirrors core.Params.MinRecoverableFrequency for
-// the baseline: each (rep, bit) group holds n/(Reps·bits) users, so
+// the baseline: each (rep, bit) group holds n/(K·bits) users, so
 //
-//	f* ≈ 4·CEps(ε/2)·sqrt(n·bits·Reps)
+//	f* ≈ 4·CEps(ε/2)·sqrt(n·bits·K)
 //
-// — the extra sqrt(Reps) = sqrt(log(1/β)) versus PrivateExpanderSketch is
+// — the extra sqrt(K) = sqrt(log(1/β)) versus PrivateExpanderSketch is
 // exactly the sub-optimality of Theorem 3.3 item 2.
 func (b *Bitstogram) MinRecoverableFrequency() float64 {
 	e := math.Exp(b.p.Eps / 2)
 	ceps := (e + 1) / (e - 1)
-	return 4 * ceps * math.Sqrt(float64(b.p.N)*float64(b.bits)*float64(b.p.Reps))
+	return 4 * ceps * math.Sqrt(float64(b.p.N)*float64(b.bits)*float64(b.reps))
 }
 
 // EstimateFrequency exposes the confirmation oracle after Identify.

@@ -25,12 +25,13 @@ import (
 // retuning thresholds by sqrt(log(1/β)).
 type TreeHist struct {
 	reportTally
-	p        TreeHistParams
-	levels   int
-	partHash hashing.KWise
-	oracles  []*freqoracle.Hashtogram
-	conf     *freqoracle.Hashtogram
-	levelN   []int
+	p           TreeHistParams
+	survivorCap int // max surviving prefixes per level: 4·sqrt(N)
+	levels      int
+	partHash    hashing.KWise
+	oracles     []*freqoracle.Hashtogram
+	conf        *freqoracle.Hashtogram
+	levelN      []int
 }
 
 // TreeHistParams configures TreeHist.
@@ -38,10 +39,11 @@ type TreeHistParams struct {
 	Eps       float64
 	N         int
 	ItemBytes int
-	Cap       int     // max surviving prefixes per level; 0 derives ~4·sqrt(n)
-	TauFactor float64 // pruning threshold in per-level noise deviations (default 3)
 	Seed      uint64
 }
+
+// treeHistTau is the pruning threshold in per-level noise deviations.
+const treeHistTau = 3
 
 func (p *TreeHistParams) setDefaults() error {
 	if p.Eps <= 0 {
@@ -52,18 +54,6 @@ func (p *TreeHistParams) setDefaults() error {
 	}
 	if p.ItemBytes < 1 || p.ItemBytes > 64 {
 		return fmt.Errorf("baseline: ItemBytes must be in [1,64]")
-	}
-	if p.Cap == 0 {
-		p.Cap = 4 * int(math.Sqrt(float64(p.N)))
-	}
-	if p.Cap < 2 {
-		return fmt.Errorf("baseline: Cap must be >= 2")
-	}
-	if p.TauFactor == 0 {
-		p.TauFactor = 3
-	}
-	if p.TauFactor <= 0 {
-		return fmt.Errorf("baseline: TauFactor must be positive")
 	}
 	return nil
 }
@@ -83,20 +73,21 @@ func NewTreeHist(params TreeHistParams) (*TreeHist, error) {
 	rng := hashing.Seeded(params.Seed, 0x54726565)
 	levels := 8 * params.ItemBytes
 	t := &TreeHist{
-		p:        params,
-		levels:   levels,
-		partHash: hashing.NewKWise(2, rng),
-		oracles:  make([]*freqoracle.Hashtogram, levels),
-		levelN:   make([]int, levels),
+		p:           params,
+		survivorCap: 4 * int(math.Sqrt(float64(params.N))),
+		levels:      levels,
+		partHash:    hashing.NewKWise(2, rng),
+		oracles:     make([]*freqoracle.Hashtogram, levels),
+		levelN:      make([]int, levels),
 	}
 	var err error
 	for l := 0; l < levels; l++ {
 		t.oracles[l], err = freqoracle.NewHashtogram(freqoracle.HashtogramParams{
 			Eps: params.Eps / 2,
 			N:   params.N/levels + 1,
-			// Few rows: each level answers only ~2·Cap queries, and the
-			// sketch-row factor sqrt(Rows) multiplies the level noise after
-			// population rescaling, so depth is expensive here.
+			// Few rows: each level answers only ~2·survivorCap queries,
+			// and the sketch-row factor sqrt(Rows) multiplies the level
+			// noise after population rescaling, so depth is expensive here.
 			Rows: 8,
 			Seed: rng.Uint64(),
 		})
@@ -167,7 +158,7 @@ func (t *TreeHist) Absorb(rep TreeHistReport) error {
 }
 
 // threshold is the per-level pruning bound, extrapolated to population
-// counts: TauFactor deviations of the level oracle's noise times the
+// counts: treeHistTau deviations of the level oracle's noise times the
 // level-splitting factor L.
 func (t *TreeHist) threshold(level int) float64 {
 	nl := float64(t.levelN[level])
@@ -178,7 +169,7 @@ func (t *TreeHist) threshold(level int) float64 {
 	ceps := (e + 1) / (e - 1)
 	rows := float64(t.oracles[level].Params().Rows)
 	scale := float64(t.p.N) / nl
-	return t.p.TauFactor * scale * ceps * math.Sqrt(nl*rows)
+	return treeHistTau * scale * ceps * math.Sqrt(nl*rows)
 }
 
 // Identify walks the prefix tree and returns confirmed estimates sorted by
@@ -217,8 +208,8 @@ func (t *TreeHist) Identify() ([]Estimate, error) {
 			}
 		}
 		sort.Slice(next, func(i, j int) bool { return next[i].est > next[j].est })
-		if len(next) > t.p.Cap {
-			next = next[:t.p.Cap]
+		if len(next) > t.survivorCap {
+			next = next[:t.survivorCap]
 		}
 		candidates = candidates[:0]
 		for _, s := range next {
@@ -243,8 +234,8 @@ func (t *TreeHist) MinRecoverableFrequency() float64 {
 	e := math.Exp(t.p.Eps / 2)
 	ceps := (e + 1) / (e - 1)
 	// Per level: n/L users on an 8-row sketch; extrapolated by L:
-	// TauFactor·ceps·sqrt(n·L·8).
-	return t.p.TauFactor * ceps * math.Sqrt(float64(t.p.N)*float64(t.levels)*8)
+	// treeHistTau·ceps·sqrt(n·L·8).
+	return treeHistTau * ceps * math.Sqrt(float64(t.p.N)*float64(t.levels)*8)
 }
 
 // EstimateFrequency exposes the confirmation oracle after Identify.

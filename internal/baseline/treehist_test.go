@@ -49,7 +49,7 @@ func TestTreeHistRecoversHeavyHitters(t *testing.T) {
 			t.Errorf("item %d: estimate %.0f, truth %d", i, got, ds.Count(item))
 		}
 	}
-	if len(est) > th.Params().Cap {
+	if len(est) > th.survivorCap {
 		t.Errorf("output exceeds cap: %d", len(est))
 	}
 }
@@ -95,9 +95,6 @@ func TestTreeHistValidation(t *testing.T) {
 	}
 	if _, err := NewTreeHist(TreeHistParams{Eps: 1, N: 10, ItemBytes: 0}); err == nil {
 		t.Error("ItemBytes 0 accepted")
-	}
-	if _, err := NewTreeHist(TreeHistParams{Eps: 1, N: 10, ItemBytes: 2, Cap: 1}); err == nil {
-		t.Error("Cap 1 accepted")
 	}
 	th, err := NewTreeHist(TreeHistParams{Eps: 1, N: 100, ItemBytes: 2, Seed: 1})
 	if err != nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"math/rand/v2"
 	"sync"
@@ -10,10 +11,10 @@ import (
 	"ldphh/internal/workload"
 )
 
-// TestClientServerInterop: a Client constructed *independently* from the
-// same Params must produce reports the server accepts and decodes —
-// the deployment-critical property that devices never need the server's
-// in-memory object, only Params.
+// TestClientServerInterop: a device-side protocol constructed
+// *independently* from the same Params must produce reports the server
+// accepts and decodes — the deployment-critical property that devices
+// never need the server's in-memory object, only Params.
 func TestClientServerInterop(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end protocol run")
@@ -24,7 +25,7 @@ func TestClientServerInterop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client, err := NewClient(params)
+	client, err := New(params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,20 +54,20 @@ func TestClientServerInterop(t *testing.T) {
 			t.Errorf("item %d not identified via independent client", i)
 		}
 	}
-	if client.MinRecoverableFrequency() != server.Params().MinRecoverableFrequency() {
+	if client.Params().MinRecoverableFrequency() != server.Params().MinRecoverableFrequency() {
 		t.Error("client/server disagree on the recovery floor")
 	}
 }
 
 func TestClientReportsMatchServerDerivation(t *testing.T) {
-	// Same params + same rng stream => identical reports from the client
-	// object and a server-side Report call (they share public randomness).
+	// Same params + same rng stream => identical reports from a device-side
+	// instance and a server-side Report call (they share public randomness).
 	params := Params{Eps: 2, N: 1000, ItemBytes: 4, Y: 64, Seed: 5}
 	server, err := New(params)
 	if err != nil {
 		t.Fatal(err)
 	}
-	client, err := NewClient(params)
+	client, err := New(params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,12 +130,23 @@ func TestHeavyHittersFilter(t *testing.T) {
 	}
 }
 
+// atLeast returns the estimates whose count reaches minCount.
+func atLeast(est []Estimate, minCount float64) []Estimate {
+	var out []Estimate
+	for _, e := range est {
+		if e.Count >= minCount {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
 func TestSmallDomainProtocol(t *testing.T) {
 	// The n > |X| regime: enumerate the domain directly (paper's remark
 	// after Theorem 3.13).
 	const domainSize = 256
 	const n = 40000
-	s, err := NewSmallDomain(1.0, 1, domainSize)
+	s, err := NewSmallDomainWire(1.0, 1, domainSize, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,19 +163,23 @@ func TestSmallDomainProtocol(t *testing.T) {
 			v = byte(rng.UintN(domainSize))
 		}
 		truth[v]++
-		rep, err := s.Report([]byte{v}, rng)
+		wr, err := s.Report([]byte{v}, i, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Absorb(rep); err != nil {
+		if err := s.Absorb(wr); err != nil {
 			t.Fatal(err)
 		}
 	}
-	bound := s.ErrorBound(n, 0.001/domainSize)
-	est := s.Identify(bound)
+	all, err := s.Identify(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	bound := s.Oracle().ErrorBound(n, 0.001/domainSize)
+	est := atLeast(all, bound)
 	// The two planted values must surface with accurate counts.
 	for _, v := range []byte{7, 200} {
-		got := s.EstimateFrequency([]byte{v})
+		got := s.Oracle().Estimate(uint64(v))
 		if math.Abs(got-float64(truth[v])) > bound {
 			t.Errorf("value %d: estimate %.0f, truth %d (bound %.0f)", v, got, truth[v], bound)
 		}
@@ -183,31 +199,39 @@ func TestSmallDomainProtocol(t *testing.T) {
 }
 
 func TestSmallDomainValidation(t *testing.T) {
-	if _, err := NewSmallDomain(1, 0, 16); err == nil {
+	if _, err := NewSmallDomainWire(1, 0, 16, 100); err == nil {
 		t.Error("ItemBytes 0 accepted")
 	}
-	if _, err := NewSmallDomain(1, 9, 16); err == nil {
+	if _, err := NewSmallDomainWire(1, 9, 16, 100); err == nil {
 		t.Error("ItemBytes 9 accepted")
 	}
-	if _, err := NewSmallDomain(1, 1, 1); err == nil {
+	if _, err := NewSmallDomainWire(1, 1, 1, 100); err == nil {
 		t.Error("domain 1 accepted")
 	}
-	if _, err := NewSmallDomain(1, 1, 300); err == nil {
+	if _, err := NewSmallDomainWire(1, 1, 300, 100); err == nil {
 		t.Error("domain exceeding width accepted")
 	}
-	s, err := NewSmallDomain(1, 2, 256)
+	s, err := NewSmallDomainWire(1, 2, 256, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewPCG(1, 1))
-	if _, err := s.Report([]byte{1}, rng); err == nil {
+	if _, err := s.Report([]byte{1}, 0, rng); err == nil {
 		t.Error("wrong width accepted")
 	}
-	if _, err := s.Report([]byte{9, 9}, rng); err == nil {
+	if _, err := s.Report([]byte{9, 9}, 0, rng); err == nil {
 		t.Error("out-of-domain ordinal accepted")
 	}
-	if got := s.EstimateFrequency([]byte{9, 9}); got != 0 {
-		t.Errorf("out-of-domain estimate %f", got)
+	// Identify enumerates only the domain, so an out-of-domain item never
+	// carries an estimate.
+	est, err := s.Identify(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range est {
+		if bytes.Equal(e.Item, []byte{9, 9}) {
+			t.Errorf("out-of-domain estimate %f", e.Count)
+		}
 	}
 }
 
@@ -225,7 +249,7 @@ func TestConcurrentReports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client, err := NewClient(params)
+	client, err := New(params)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ func TestIdentifyWorkerDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client, err := NewClient(base)
+	client, err := New(base)
 	if err != nil {
 		t.Fatal(err)
 	}

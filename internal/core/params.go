@@ -34,29 +34,24 @@ import (
 
 // Params configures PrivateExpanderSketch. Zero fields are derived from
 // Eps, N and ItemBytes with the paper's formulas scaled to practical
-// constants; see DESIGN.md §3.
+// constants; the rest of Theorem 3.13's constants (one code symbol per
+// coordinate, g's independence, the list cap ℓ and the confirmation
+// oracle's shape) are derived where they are used. See DESIGN.md §3.
 type Params struct {
 	Eps       float64 // total privacy budget per user (split ε/2 + ε/2)
 	N         int     // expected number of users
 	ItemBytes int     // fixed item width; |X| = 256^ItemBytes
 
-	// Coordinates and code (Theorem 3.6). M defaults to 2·ItemBytes /
-	// ChunkBytes (Reed-Solomon rate 1/2).
-	M          int
-	ChunkBytes int
-	Y          int     // per-coordinate hash range (power of two), default 512
-	F          int     // neighbour fingerprint range (power of two), default 2
-	D          int     // expander degree, default 4
-	B          int     // super-buckets for g, default from ε√n/log^1.5|X| (min 1)
-	GWise      int     // independence of g, default max(8, log2|X|/4)
-	ListCap    int     // ℓ, default 4·log2|X|
-	TauFactor  float64 // admission threshold in units of CEps(ε/2)·sqrt(n_m);
+	// Coordinates and code (Theorem 3.6). M defaults to 2·ItemBytes (one
+	// Reed-Solomon symbol per coordinate, rate 1/2).
+	M         int
+	Y         int     // per-coordinate hash range (power of two), default 512
+	F         int     // neighbour fingerprint range (power of two), default 2
+	D         int     // expander degree, default 4
+	B         int     // super-buckets for g, default from ε√n/log^1.5|X| (min 1)
+	TauFactor float64 // admission threshold in units of CEps(ε/2)·sqrt(n_m);
 	// default sqrt(2·ln(cells))+1 so τ dominates the maximum of the
 	// per-coordinate noise over all B·Y·Z cells (the role of C_f in step 3b)
-
-	// Confirmation oracle (Theorem 3.7) overrides; 0 = derive from N.
-	ConfRows int
-	ConfT    int
 
 	// Workers bounds the goroutine pool Identify uses for the per-coordinate
 	// finalize and argmax scan, the per-bucket decode and the confirmation
@@ -73,6 +68,10 @@ type Params struct {
 	Seed uint64 // public randomness seed
 }
 
+// chunkBytes is the number of Reed-Solomon symbols each coordinate carries:
+// one, so a codeword of M = 2·ItemBytes symbols is the rate-1/2 code.
+const chunkBytes = 1
+
 func (p *Params) setDefaults() error {
 	if p.Eps <= 0 {
 		return fmt.Errorf("core: Eps must be positive, got %v", p.Eps)
@@ -83,14 +82,8 @@ func (p *Params) setDefaults() error {
 	if p.ItemBytes < 1 || p.ItemBytes > 64 {
 		return fmt.Errorf("core: ItemBytes must be in [1,64], got %d", p.ItemBytes)
 	}
-	if p.ChunkBytes == 0 {
-		p.ChunkBytes = 1
-	}
 	if p.M == 0 {
-		p.M = 2 * p.ItemBytes / p.ChunkBytes
-		if p.M < 4 {
-			p.M = 4
-		}
+		p.M = max(4, 2*p.ItemBytes)
 	}
 	if p.Y == 0 {
 		p.Y = 512
@@ -101,16 +94,9 @@ func (p *Params) setDefaults() error {
 	if p.D == 0 {
 		p.D = 4
 	}
-	logX := 8 * float64(p.ItemBytes)
 	if p.B == 0 {
-		b := p.Eps * math.Sqrt(float64(p.N)) / (10 * math.Pow(logX, 1.5))
+		b := p.Eps * math.Sqrt(float64(p.N)) / (10 * math.Pow(p.logX(), 1.5))
 		p.B = int(math.Max(1, math.Floor(b)))
-	}
-	if p.GWise == 0 {
-		p.GWise = int(math.Max(8, logX/4))
-	}
-	if p.ListCap == 0 {
-		p.ListCap = int(4 * logX)
 	}
 	if p.TauFactor == 0 {
 		// The admission threshold must exceed the *maximum* of the
@@ -122,9 +108,6 @@ func (p *Params) setDefaults() error {
 	}
 	if p.B < 1 {
 		return fmt.Errorf("core: B must be >= 1, got %d", p.B)
-	}
-	if p.ListCap < 1 {
-		return fmt.Errorf("core: ListCap must be >= 1, got %d", p.ListCap)
 	}
 	if p.TauFactor <= 0 {
 		return fmt.Errorf("core: TauFactor must be positive, got %v", p.TauFactor)
@@ -138,6 +121,16 @@ func (p *Params) setDefaults() error {
 	return nil
 }
 
+// logX is log2|X| = 8·ItemBytes.
+func (p Params) logX() float64 { return 8 * float64(p.ItemBytes) }
+
+// gWise is the independence of the super-bucket hash g: Θ(log|X|), at
+// least 8.
+func (p Params) gWise() int { return int(math.Max(8, p.logX()/4)) }
+
+// listCap is ℓ, the length cap of every list L^b_m: 4·log2|X|.
+func (p Params) listCap() int { return int(4 * p.logX()) }
+
 // zbits returns the packed payload width of the Theorem 3.6 code for these
 // parameters (chunk bytes plus one fingerprint per expander neighbour,
 // accounting for the complete-graph fallback at tiny M).
@@ -150,7 +143,7 @@ func (p Params) zbits() int {
 	for f := p.F; f > 1; f >>= 1 {
 		fbits++
 	}
-	return 8*p.ChunkBytes + dEff*fbits
+	return 8*chunkBytes + dEff*fbits
 }
 
 // codeParams derives the Theorem 3.6 code parameters.
@@ -158,7 +151,7 @@ func (p Params) codeParams() listrec.Params {
 	return listrec.Params{
 		ItemBytes:  p.ItemBytes,
 		M:          p.M,
-		ChunkBytes: p.ChunkBytes,
+		ChunkBytes: chunkBytes,
 		Y:          p.Y,
 		F:          p.F,
 		D:          p.D,

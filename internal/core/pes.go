@@ -76,13 +76,13 @@ func New(params Params) (*Protocol, error) {
 	cells := params.CellsPerCoordinate(zbits)
 	const maxCells = 1 << 26
 	if cells > maxCells {
-		return nil, fmt.Errorf("core: per-coordinate domain %d cells exceeds %d; shrink Y, F, D or ChunkBytes",
+		return nil, fmt.Errorf("core: per-coordinate domain %d cells exceeds %d; shrink Y, F or D",
 			cells, maxCells)
 	}
 	pr := &Protocol{
 		p:        params,
 		code:     code,
-		g:        hashing.NewKWise(params.GWise, rng),
+		g:        hashing.NewKWise(params.gWise(), rng),
 		fold:     hashing.NewFingerprinter(rng),
 		partHash: hashing.NewKWise(2, rng),
 		direct:   make([]*freqoracle.DirectHistogram, params.M),
@@ -99,8 +99,6 @@ func New(params Params) (*Protocol, error) {
 	pr.conf, err = freqoracle.NewHashtogram(freqoracle.HashtogramParams{
 		Eps:  params.Eps / 2,
 		N:    params.N,
-		Rows: params.ConfRows,
-		T:    params.ConfT,
 		Seed: rng.Uint64(),
 	})
 	if err != nil {
@@ -271,6 +269,41 @@ func (pr *Protocol) identify() ([]Estimate, error) {
 	return out, nil
 }
 
+// HeavyHitters returns the Definition 3.1 view of the identification output:
+// only items whose confirmed estimate reaches delta, truncated to the
+// definition's O(n/delta) list-size bound (keeping the largest estimates).
+// Call after building est with Identify.
+func HeavyHitters(est []Estimate, n int, delta float64) ([]Estimate, error) {
+	if delta <= 0 {
+		return nil, fmt.Errorf("core: delta must be positive, got %v", delta)
+	}
+	if n <= 0 {
+		return nil, fmt.Errorf("core: n must be positive, got %d", n)
+	}
+	// est arrives sorted by decreasing count (Identify's contract).
+	for i := 1; i < len(est); i++ {
+		if est[i].Count > est[i-1].Count {
+			return nil, fmt.Errorf("core: estimates not sorted by decreasing count")
+		}
+	}
+	var out []Estimate
+	for _, e := range est {
+		if e.Count >= delta {
+			out = append(out, e)
+		}
+	}
+	// |L| <= 2n/delta: at most n/ (delta/2) items can have true frequency
+	// delta/2, and estimates concentrate; cap defensively at 2n/delta.
+	maxLen := int(2 * float64(n) / delta)
+	if maxLen < 1 {
+		maxLen = 1
+	}
+	if len(out) > maxLen {
+		out = out[:maxLen]
+	}
+	return out, nil
+}
+
 // scanLists runs the steps 2-3 admission scan for coordinate m: per (b, y)
 // arg-max over z, threshold, top-cap. It reads only coordinate m's finalized
 // oracle and writes only the lists[b][m] slots, which is what lets Identify
@@ -285,6 +318,7 @@ func (pr *Protocol) identify() ([]Estimate, error) {
 // per-iteration bounds check.
 func (pr *Protocol) scanLists(m int, lists [][][]listrec.Symbol) {
 	tau := pr.threshold(m)
+	listCap := pr.p.listCap()
 	hist := pr.direct[m].HistogramView()
 	zSize := int(uint64(1) << uint(pr.zbits))
 	for b := 0; b < pr.p.B; b++ {
@@ -311,8 +345,8 @@ func (pr *Protocol) scanLists(m int, lists [][][]listrec.Symbol) {
 			}
 			return entries[i].sym.Y < entries[j].sym.Y
 		})
-		if len(entries) > pr.p.ListCap {
-			entries = entries[:pr.p.ListCap]
+		if len(entries) > listCap {
+			entries = entries[:listCap]
 		}
 		syms := make([]listrec.Symbol, len(entries))
 		for i, e := range entries {

@@ -198,8 +198,8 @@ func TestParamsDerivation(t *testing.T) {
 	if p.B < 1 {
 		t.Errorf("B = %d", p.B)
 	}
-	if p.ListCap != 4*64 {
-		t.Errorf("ListCap = %d", p.ListCap)
+	if p.listCap() != 4*64 {
+		t.Errorf("ℓ = %d", p.listCap())
 	}
 	if p.MinRecoverableFrequency() <= 0 {
 		t.Error("MinRecoverableFrequency not positive")

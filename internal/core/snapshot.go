@@ -42,8 +42,8 @@ const fingerprintLabel = "ldphh/core.Params/v1"
 
 // Fingerprint returns a 64-bit digest of every parameter that determines
 // the protocol's accumulated-state shape and public randomness: Eps, N,
-// ItemBytes, the code/coordinate geometry (M, ChunkBytes, Y, F, D, B,
-// GWise, ListCap, TauFactor), Seed, and the defaulted confirmation-oracle
+// ItemBytes, the code/coordinate geometry (M, one chunk byte, Y, F, D, B,
+// g's independence, ℓ, TauFactor), Seed, and the confirmation-oracle
 // parameters. Two protocols with equal fingerprints absorb interchangeable
 // reports and produce mergeable snapshots. Workers is excluded: it never
 // feeds public randomness or state shape.
@@ -54,13 +54,13 @@ func (pr *Protocol) Fingerprint() uint64 {
 		uint64(pr.p.N),
 		uint64(pr.p.ItemBytes),
 		uint64(pr.p.M),
-		uint64(pr.p.ChunkBytes),
+		chunkBytes,
 		uint64(pr.p.Y),
 		uint64(pr.p.F),
 		uint64(pr.p.D),
 		uint64(pr.p.B),
-		uint64(pr.p.GWise),
-		uint64(pr.p.ListCap),
+		uint64(pr.p.gWise()),
+		uint64(pr.p.listCap()),
 		math.Float64bits(pr.p.TauFactor),
 		pr.p.Seed,
 		uint64(conf.Rows),

@@ -157,9 +157,12 @@ func (w *PESWire) MinRecoverableFrequency() float64 {
 	return w.pr.Params().MinRecoverableFrequency()
 }
 
-// SmallDomainWire adapts the enumerable-domain protocol to the unified
-// surface. SmallDomain is a full-budget DirectHistogram over the explicit
-// domain, so the adapter *is* freqoracle.DirectHistogramWire under the
+// SmallDomainWire is the complementary protocol the paper notes after
+// Theorem 3.13: when n > |X| (or |X| is simply small enough to enumerate),
+// skip the expander machinery and run the Theorem 3.8 DirectHistogram over
+// the whole domain at full budget ε, reading every frequency off the
+// reconstructed histogram (same O~(1) user cost, server memory O(|X|)).
+// The adapter therefore *is* freqoracle.DirectHistogramWire under the
 // smalldomain codec identity — one implementation, two registered
 // protocols.
 type SmallDomainWire struct {
@@ -169,6 +172,9 @@ type SmallDomainWire struct {
 // NewSmallDomainWire constructs the protocol and its adapter. n is the
 // expected user count (sizing hint for the recovery floor).
 func NewSmallDomainWire(eps float64, itemBytes, domainSize, n int) (*SmallDomainWire, error) {
+	if domainSize < 2 {
+		return nil, fmt.Errorf("core: smalldomain needs domainSize >= 2, got %d", domainSize)
+	}
 	w, err := freqoracle.NewDirectHistogramWireAs(
 		proto.IDSmallDomain, smallDomainWireVersion, eps, itemBytes, domainSize, n)
 	if err != nil {

@@ -315,24 +315,18 @@ func (k *directKernel) AbsorbPayload(p []byte) error {
 }
 
 // Identify reconstructs the histogram and returns every ordinal with a
-// non-negative estimate, sorted by decreasing estimate.
+// non-negative estimate as a width-itemBytes item, sorted by decreasing
+// estimate.
 func (k *directKernel) Identify(context.Context) ([]proto.Estimate, error) {
-	return k.d.IdentifyOrdinals(k.itemBytes, 0), nil
-}
-
-// IdentifyOrdinals finalizes the histogram and returns every ordinal whose
-// estimate reaches minCount as a width-itemBytes item, in Identify order:
-// the one histogram scan behind DirectHistogramWire and core.SmallDomain.
-func (d *DirectHistogram) IdentifyOrdinals(itemBytes int, minCount float64) []proto.Estimate {
-	d.Finalize()
+	k.d.Finalize()
 	var out []proto.Estimate
-	for v, est := range d.HistogramView() {
-		if est >= minCount {
-			out = append(out, proto.Estimate{Item: OrdinalBytes(uint64(v), itemBytes), Count: est})
+	for v, est := range k.d.HistogramView() {
+		if est >= 0 {
+			out = append(out, proto.Estimate{Item: OrdinalBytes(uint64(v), k.itemBytes), Count: est})
 		}
 	}
 	proto.SortEstimates(out)
-	return out
+	return out, nil
 }
 
 // Oracle exposes the wrapped DirectHistogram.

@@ -2,24 +2,25 @@
 // engine behind KindPEM and KindFedTrie: server-driven candidate-prefix
 // extension over interactive protocol rounds.
 //
-// Both kinds share one engine. The population is partitioned into g = Rounds
-// groups by a public pairwise-independent hash of the user index; round r is
-// answered exactly by group r, each user reporting the first PrefixBits bits
-// of its value against the round's candidate set through the Theorem 3.8
-// DirectHistogram randomizer (one Hadamard bit at full ε). Because the
-// groups partition the users, every user reports exactly once across the
-// whole protocol, so the per-round privacy composition over all rounds is
-// the single-report guarantee: max ratio <= e^ε.
+// Both kinds share one engine. The population is partitioned into g =
+// 2·ItemBytes groups by a public pairwise-independent hash of the user
+// index, one per γ = 4-bit round; round r is answered exactly by group r,
+// each user reporting the first PrefixBits bits of its value against the
+// round's candidate set through the Theorem 3.8 DirectHistogram randomizer
+// (one Hadamard bit at full ε). Because the groups partition the users,
+// every user reports exactly once across the whole protocol, so the
+// per-round privacy composition over all rounds is the single-report
+// guarantee: max ratio <= e^ε.
 //
 // After a round's group has reported, AdvanceRound finalizes the round's
 // frequency oracle, scales the group estimates to population counts, prunes
-// the candidates — PEM keeps the heaviest Cap prefixes (Wang et al., arXiv
-// 1708.06674), the federated trie keeps every prefix whose vote clears the
-// threshold θ (Zhu et al., arXiv 1902.08534) — and extends each survivor by
-// the next BitsPerRound bits to form the next round's candidate set. The
-// transition is validate-then-commit: finalizing only derives a view from
-// the round's counters, so a failed advance leaves the open round
-// absorbing.
+// the candidates — PEM keeps the heaviest TopK prefixes (Wang et al., arXiv
+// 1708.06674), the federated trie keeps up to 4·⌈√N⌉ prefixes whose vote
+// clears the round's β = 0.05 error envelope θ (Zhu et al., arXiv
+// 1902.08534) — and extends each survivor by the next γ bits to form the
+// next round's candidate set. The transition is validate-then-commit:
+// finalizing only derives a view from the round's counters, so a failed
+// advance leaves the open round absorbing.
 //
 // Determinism contract: the same absorbed multiset of reports produces the
 // bit-identical round transition and final estimate list in any absorb
@@ -46,8 +47,8 @@ import (
 type Mode int
 
 const (
-	// ModePEM is prefix extension: keep the Cap heaviest surviving prefixes
-	// each round, answer the final TopK.
+	// ModePEM is prefix extension: keep the TopK heaviest surviving
+	// prefixes each round, answer the final TopK.
 	ModePEM Mode = iota
 	// ModeFedTrie is federated trie discovery: keep every prefix whose
 	// population-scaled vote clears the threshold θ, growing the trie one
@@ -62,18 +63,17 @@ func (m Mode) String() string {
 	return "pem"
 }
 
-// Engine limits. BitsPerRound is capped so one extension step fans out at
-// most 2^16 children per survivor; the candidate-set product bound keeps
-// every per-round oracle domain far below the proto decode limit.
+// Engine constants. Each round extends the prefixes by bitsPerRound bits,
+// so 8·ItemBytes-bit items take 2·ItemBytes rounds (at most 128, which the
+// wire round byte holds); the candidate-set product bound keeps every
+// per-round oracle domain far below the proto decode limit.
 const (
-	maxRounds       = 255 // the wire round byte
-	maxBitsPerRound = 16
-	maxRoundDomain  = 1 << 22 // candidate count bound per round (matches proto.maxRoundCandidates)
-	defaultBitsExt  = 4
-	defaultTopK     = 16
-	thresholdBeta   = 0.05               // failure probability of the derived FedTrie threshold envelope
-	groupSeedLabel  = 0x726f756e6447727  // "roundGr" — group-hash sub-seed label
-	roundRandLabel  = 0x726f756e64524e47 // "roundRNG" — per-round device sub-stream label
+	bitsPerRound   = 4
+	maxRoundDomain = 1 << 22 // candidate count bound per round (matches proto.maxRoundCandidates)
+	defaultTopK    = 16
+	thresholdBeta  = 0.05               // failure probability of the FedTrie threshold envelope
+	groupSeedLabel = 0x726f756e6447727  // "roundGr" — group-hash sub-seed label
+	roundRandLabel = 0x726f756e64524e47 // "roundRNG" — per-round device sub-stream label
 )
 
 // ErrNotInRound is returned by Report when the user's group is not the one
@@ -87,21 +87,9 @@ type Params struct {
 	Eps       float64 // per-user privacy budget; each user reports once at full ε
 	N         int     // population size (used to scale group estimates)
 	ItemBytes int     // item width; total prefix bits = 8·ItemBytes
-	// Rounds is the group count g; 0 derives ceil(bits/BitsPerRound). When
-	// both Rounds and BitsPerRound are set they must agree on the schedule.
-	Rounds int
-	// BitsPerRound is the extension step γ in bits; 0 derives from Rounds
-	// (or defaults to 4). Must be in [1, 16].
-	BitsPerRound int
-	// TopK is the final answer size for ModePEM (default 16) and the
-	// default Cap.
+	// TopK is ModePEM's final answer size and per-round survivor count
+	// (default 16).
 	TopK int
-	// Cap bounds the surviving candidate count per round; 0 defaults to
-	// TopK (ModePEM) or 4·sqrt(N) (ModeFedTrie).
-	Cap int
-	// Theta is the ModeFedTrie vote threshold in population units; 0
-	// derives the β = 0.05 error envelope of the round's oracle.
-	Theta float64
 	// Seed feeds all public randomness (the group hash).
 	Seed uint64
 }
@@ -119,10 +107,12 @@ type RoundReport struct {
 // use — Wire serializes it under proto.StateAdapter's lock for the
 // aggregation server.
 type Engine struct {
-	p     Params
-	bits  int // total prefix bits = 8·ItemBytes
-	group hashing.KWise
-	fp    uint64
+	p           Params
+	bits        int // total prefix bits = 8·ItemBytes
+	rounds      int // group count g = ceil(bits/bitsPerRound)
+	survivorCap int // survivors kept per round: TopK (PEM) or 4·⌈√N⌉ (FedTrie)
+	group       hashing.KWise
+	fp          uint64
 
 	round        int
 	cands        [][]byte // canonical: sorted ascending, strictly increasing
@@ -149,59 +139,27 @@ func NewEngine(p Params) (*Engine, error) {
 	if p.ItemBytes < 1 || p.ItemBytes > 64 {
 		return nil, fmt.Errorf("interactive: ItemBytes must be in [1,64], got %d", p.ItemBytes)
 	}
-	if p.Theta < 0 || math.IsNaN(p.Theta) || math.IsInf(p.Theta, 0) {
-		return nil, fmt.Errorf("interactive: Theta must be finite and non-negative, got %v", p.Theta)
-	}
-	bits := 8 * p.ItemBytes
-	switch {
-	case p.BitsPerRound == 0 && p.Rounds == 0:
-		p.BitsPerRound = defaultBitsExt
-	case p.BitsPerRound == 0:
-		if p.Rounds < 1 || p.Rounds > maxRounds {
-			return nil, fmt.Errorf("interactive: Rounds must be in [1,%d], got %d", maxRounds, p.Rounds)
-		}
-		p.BitsPerRound = (bits + p.Rounds - 1) / p.Rounds
-	}
-	if p.BitsPerRound < 1 || p.BitsPerRound > maxBitsPerRound {
-		return nil, fmt.Errorf("interactive: BitsPerRound must be in [1,%d], got %d", maxBitsPerRound, p.BitsPerRound)
-	}
-	if p.BitsPerRound > bits {
-		p.BitsPerRound = bits
-	}
-	rounds := (bits + p.BitsPerRound - 1) / p.BitsPerRound
-	if p.Rounds == 0 {
-		p.Rounds = rounds
-	} else if p.Rounds != rounds {
-		return nil, fmt.Errorf("interactive: Rounds %d disagrees with the schedule ceil(%d/%d) = %d",
-			p.Rounds, bits, p.BitsPerRound, rounds)
-	}
-	if p.Rounds > maxRounds {
-		return nil, fmt.Errorf("interactive: schedule needs %d rounds (max %d); raise BitsPerRound", p.Rounds, maxRounds)
-	}
 	if p.TopK == 0 {
 		p.TopK = defaultTopK
 	}
 	if p.TopK < 1 {
 		return nil, fmt.Errorf("interactive: TopK must be positive, got %d", p.TopK)
 	}
-	if p.Cap == 0 {
-		if p.Mode == ModeFedTrie {
-			p.Cap = 4 * int(math.Ceil(math.Sqrt(float64(p.N))))
-		} else {
-			p.Cap = p.TopK
-		}
+	survivorCap := p.TopK
+	if p.Mode == ModeFedTrie {
+		survivorCap = 4 * int(math.Ceil(math.Sqrt(float64(p.N))))
 	}
-	if p.Cap < 1 {
-		return nil, fmt.Errorf("interactive: Cap must be positive, got %d", p.Cap)
+	if fanout := survivorCap << bitsPerRound; fanout > maxRoundDomain || fanout < survivorCap {
+		return nil, fmt.Errorf("interactive: %d survivors x 2^%d candidates exceeds the per-round bound %d",
+			survivorCap, bitsPerRound, maxRoundDomain)
 	}
-	if fanout := p.Cap << p.BitsPerRound; fanout > maxRoundDomain || fanout < p.Cap {
-		return nil, fmt.Errorf("interactive: Cap %d x 2^%d candidates exceeds the per-round bound %d",
-			p.Cap, p.BitsPerRound, maxRoundDomain)
-	}
+	bits := 8 * p.ItemBytes
 	e := &Engine{
-		p:     p,
-		bits:  bits,
-		group: hashing.NewKWise(2, hashing.Seeded(p.Seed, groupSeedLabel)),
+		p:           p,
+		bits:        bits,
+		rounds:      (bits + bitsPerRound - 1) / bitsPerRound,
+		survivorCap: survivorCap,
+		group:       hashing.NewKWise(2, hashing.Seeded(p.Seed, groupSeedLabel)),
 	}
 	e.fp = e.fingerprint()
 	if err := e.openRound(0, extendPrefixes(nil, 0, e.bitsAt(0))); err != nil {
@@ -215,18 +173,14 @@ func (e *Engine) Params() Params { return e.p }
 
 // bitsAt returns the candidate prefix width of round r.
 func (e *Engine) bitsAt(r int) int {
-	w := (r + 1) * e.p.BitsPerRound
-	if w > e.bits {
-		w = e.bits
-	}
-	return w
+	return min((r+1)*bitsPerRound, e.bits)
 }
 
 // Group returns the round index user userIdx reports in. The assignment is
 // public randomness: any device or server built from the same Seed computes
 // the identical partition.
 func (e *Engine) Group(userIdx int) int {
-	return e.group.Range(uint64(userIdx), e.p.Rounds)
+	return e.group.Range(uint64(userIdx), e.rounds)
 }
 
 // RoundRand returns the deterministic per-(round, user) device generator:
@@ -237,12 +191,14 @@ func RoundRand(seed uint64, round, userIdx int) *rand.Rand {
 }
 
 // fingerprint digests every parameter that shapes accumulated state and
-// public randomness.
+// public randomness. The constant 0 fills the word a settable vote
+// threshold held, so snapshots and checkpoints that carry the digest still
+// match.
 func (e *Engine) fingerprint() uint64 {
 	return proto.Fingerprint("ldphh/interactive.Engine/v1",
 		uint64(e.p.Mode), math.Float64bits(e.p.Eps), uint64(e.p.N), uint64(e.p.ItemBytes),
-		uint64(e.p.Rounds), uint64(e.p.BitsPerRound), uint64(e.p.TopK), uint64(e.p.Cap),
-		math.Float64bits(e.p.Theta), e.p.Seed)
+		uint64(e.rounds), bitsPerRound, uint64(e.p.TopK), uint64(e.survivorCap),
+		0, e.p.Seed)
 }
 
 // Fingerprint returns the engine's parameter digest (the checkpoint-file
@@ -329,13 +285,10 @@ func (e *Engine) Absorb(rep RoundReport) error {
 	return nil
 }
 
-// threshold returns the FedTrie vote threshold in population units for the
-// just-closed round: the configured Theta, or the β = 0.05 error envelope
-// of the round's oracle scaled to population counts.
+// threshold returns the FedTrie vote threshold θ in population units for
+// the just-closed round: the β = 0.05 error envelope of the round's oracle
+// scaled to population counts.
 func (e *Engine) threshold(scale float64) float64 {
-	if e.p.Theta > 0 {
-		return e.p.Theta
-	}
 	if e.roundReports == 0 {
 		return math.Inf(1)
 	}
@@ -382,11 +335,11 @@ func (e *Engine) AdvanceRound() (proto.RoundState, error) {
 		}
 		return bytes.Compare(survivors[a].prefix, survivors[b].prefix) < 0
 	})
-	if len(survivors) > e.p.Cap {
-		survivors = survivors[:e.p.Cap]
+	if len(survivors) > e.survivorCap {
+		survivors = survivors[:e.survivorCap]
 	}
 
-	last := e.round == e.p.Rounds-1
+	last := e.round == e.rounds-1
 	if last || len(survivors) == 0 {
 		// Commit the final answer: survivors carry full-width prefixes on
 		// the last round (bitsAt(Rounds-1) == bits). An early empty round
@@ -460,7 +413,7 @@ func extendPrefixes(dst [][]byte, from, to int, prefix ...[]byte) [][]byte {
 func (e *Engine) RoundState() proto.RoundState {
 	rs := proto.RoundState{
 		Round:        e.round,
-		Rounds:       e.p.Rounds,
+		Rounds:       e.rounds,
 		PrefixBits:   e.bitsAt(e.round),
 		Done:         e.done,
 		GroupReports: e.roundReports,
@@ -513,11 +466,11 @@ func (e *Engine) SetRoundState(rs proto.RoundState) error {
 	if rs.Done {
 		return errors.New("interactive: cannot install a Done round state")
 	}
-	if rs.Rounds != e.p.Rounds {
-		return fmt.Errorf("interactive: broadcast is for %d rounds, engine has %d", rs.Rounds, e.p.Rounds)
+	if rs.Rounds != e.rounds {
+		return fmt.Errorf("interactive: broadcast is for %d rounds, engine has %d", rs.Rounds, e.rounds)
 	}
-	if rs.Round < 0 || rs.Round >= e.p.Rounds {
-		return fmt.Errorf("interactive: broadcast round %d outside [0,%d)", rs.Round, e.p.Rounds)
+	if rs.Round < 0 || rs.Round >= e.rounds {
+		return fmt.Errorf("interactive: broadcast round %d outside [0,%d)", rs.Round, e.rounds)
 	}
 	if want := e.bitsAt(rs.Round); rs.PrefixBits != want {
 		return fmt.Errorf("interactive: broadcast width %d bits, schedule says round %d is %d bits", rs.PrefixBits, rs.Round, want)
@@ -539,7 +492,7 @@ func (e *Engine) SetRoundState(rs proto.RoundState) error {
 func (e *Engine) Identify() ([]proto.Estimate, error) {
 	if !e.done {
 		return nil, fmt.Errorf("interactive: round %d of %d still open; advance rounds to completion before Identify",
-			e.round, e.p.Rounds)
+			e.round, e.rounds)
 	}
 	out := make([]proto.Estimate, len(e.estimates))
 	for i, est := range e.estimates {
@@ -572,17 +525,13 @@ func (e *Engine) SketchBytes() int {
 
 // MinRecoverableFrequency returns the population-scaled per-round error
 // envelope at β = 0.05: the smallest count the protocol reliably carries
-// through every pruning step, assuming balanced groups of N/Rounds users.
+// through every pruning step, assuming balanced groups of N/g users.
 func (e *Engine) MinRecoverableFrequency() float64 {
-	groupN := e.p.N / e.p.Rounds
+	groupN := e.p.N / e.rounds
 	if groupN < 1 {
 		groupN = 1
 	}
 	ceps := (math.Exp(e.p.Eps) + 1) / (math.Exp(e.p.Eps) - 1)
 	envelope := ceps * math.Sqrt(2*float64(groupN)*math.Log(2/thresholdBeta))
-	scaled := float64(e.p.N) / float64(groupN) * envelope
-	if e.p.Mode == ModeFedTrie && e.p.Theta > scaled {
-		return e.p.Theta
-	}
-	return scaled
+	return float64(e.p.N) / float64(groupN) * envelope
 }

@@ -12,7 +12,7 @@ import (
 // testParams is the suite's small-but-real configuration: 16-bit items
 // discovered over 4 rounds of 4 bits.
 func testParams(mode Mode) Params {
-	return Params{Mode: mode, Eps: 4, N: 6000, ItemBytes: 2, BitsPerRound: 4, TopK: 8, Seed: 7}
+	return Params{Mode: mode, Eps: 4, N: 6000, ItemBytes: 2, TopK: 8, Seed: 7}
 }
 
 // plantedItem returns user i's value in the planted workload: 40% of users
@@ -34,7 +34,7 @@ func plantedItem(i int) []byte {
 func drive(t *testing.T, eng *Engine, n int, item func(int) []byte) []proto.Estimate {
 	t.Helper()
 	p := eng.Params()
-	for r := 0; r < p.Rounds; r++ {
+	for r := 0; r < eng.rounds; r++ {
 		for u := 0; u < n; u++ {
 			if eng.Group(u) != r {
 				continue
@@ -102,15 +102,15 @@ func TestGroupPartition(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := eng.Params()
-	counts := make([]int, p.Rounds)
+	counts := make([]int, eng.rounds)
 	for u := 0; u < p.N; u++ {
 		g := eng.Group(u)
-		if g < 0 || g >= p.Rounds {
-			t.Fatalf("user %d assigned to group %d of %d", u, g, p.Rounds)
+		if g < 0 || g >= eng.rounds {
+			t.Fatalf("user %d assigned to group %d of %d", u, g, eng.rounds)
 		}
 		counts[g]++
 	}
-	expect := p.N / p.Rounds
+	expect := p.N / eng.rounds
 	for r, c := range counts {
 		if c < expect/2 || c > expect*2 {
 			t.Errorf("group %d holds %d users, expected near %d", r, c, expect)
@@ -150,7 +150,7 @@ func TestRoundGating(t *testing.T) {
 		t.Error("Identify before the final round succeeded")
 	}
 	drive(t, eng, p.N, plantedItem)
-	if err := eng.Absorb(RoundReport{Round: p.Rounds - 1, Col: 0, Bit: 1}); err == nil {
+	if err := eng.Absorb(RoundReport{Round: eng.rounds - 1, Col: 0, Bit: 1}); err == nil {
 		t.Error("Absorb after done succeeded")
 	}
 	if _, err := eng.AdvanceRound(); err == nil {

@@ -124,7 +124,9 @@ func (k roundKernel) DecodeBody(buf []byte) (*roundSnapshot, error) {
 		return nil, fmt.Errorf("interactive: snapshot claims %d candidates (max %d)", candCount, maxRoundDomain)
 	}
 	off := fixed
-	d.cands = make([][]byte, 0, candCount)
+	// Size each list by the entries the remaining bytes can hold (2 per
+	// candidate, 10 per estimate), not by the count the body claims.
+	d.cands = make([][]byte, 0, min(int(candCount), (len(buf)-off)/2))
 	for i := uint32(0); i < candCount; i++ {
 		if len(buf)-off < 2 {
 			return nil, fmt.Errorf("interactive: snapshot candidate %d truncated", i)
@@ -155,7 +157,7 @@ func (k roundKernel) DecodeBody(buf []byte) (*roundSnapshot, error) {
 	if estCount > maxRoundDomain {
 		return nil, fmt.Errorf("interactive: snapshot claims %d estimates", estCount)
 	}
-	d.estimates = make([]proto.Estimate, 0, estCount)
+	d.estimates = make([]proto.Estimate, 0, min(int(estCount), (len(buf)-off)/10))
 	for i := uint32(0); i < estCount; i++ {
 		if len(buf)-off < 2 {
 			return nil, fmt.Errorf("interactive: snapshot estimate %d truncated", i)
@@ -191,8 +193,8 @@ func (k roundKernel) DecodeBody(buf []byte) (*roundSnapshot, error) {
 	if len(d.estimates) != 0 {
 		return nil, errors.New("interactive: open-round snapshot carries final estimates")
 	}
-	if d.round < 0 || d.round >= e.p.Rounds {
-		return nil, fmt.Errorf("interactive: snapshot round %d outside [0,%d)", d.round, e.p.Rounds)
+	if d.round < 0 || d.round >= e.rounds {
+		return nil, fmt.Errorf("interactive: snapshot round %d outside [0,%d)", d.round, e.rounds)
 	}
 	if err := validateCandidates(d.cands, e.bitsAt(d.round)); err != nil {
 		return nil, err

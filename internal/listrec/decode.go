@@ -11,7 +11,7 @@ import (
 )
 
 // Decode recovers all items x whose encodings agree with at least a
-// MinAgree fraction of the lists (Definition 3.5). lists must have length M;
+// minAgree fraction of the lists (Definition 3.5). lists must have length M;
 // within each list the Y values must be distinct (the "unique" condition,
 // guaranteed by the PrivateExpanderSketch argmax construction).
 //
@@ -307,7 +307,7 @@ func (c *Code) decodeCluster(verts []vert, cl []int, g *graph.Graph) ([]byte, bo
 }
 
 // verify re-encodes item and counts coordinates whose exact symbol appears
-// in the corresponding list; accepts iff the agreement reaches MinAgree*M.
+// in the corresponding list; accepts iff the agreement reaches minAgree·M.
 func (c *Code) verify(item []byte, lists [][]Symbol) bool {
 	enc, err := c.Encode(item)
 	if err != nil {
@@ -322,5 +322,5 @@ func (c *Code) verify(item []byte, lists [][]Symbol) bool {
 			}
 		}
 	}
-	return float64(agree) >= c.p.MinAgree*float64(c.p.M)
+	return float64(agree) >= minAgree*float64(c.p.M)
 }

@@ -42,25 +42,24 @@ type Symbol struct {
 
 // Params configures the code.
 type Params struct {
-	ItemBytes  int     // length of domain items (RS data symbols)
-	M          int     // number of coordinates; M*ChunkBytes = RS codeword length
-	ChunkBytes int     // RS symbols carried per coordinate (>= 1)
-	Y          int     // per-coordinate hash range, power of two
-	F          int     // fingerprint range, power of two, F <= Y
-	D          int     // expander degree (even)
-	LambdaFrac float64 // spectral certificate: λ2 <= LambdaFrac*D (default 0.9)
-	MinAgree   float64 // verification threshold as a fraction of M (default 0.6)
+	ItemBytes  int // length of domain items (RS data symbols)
+	M          int // number of coordinates; M*ChunkBytes = RS codeword length
+	ChunkBytes int // RS symbols carried per coordinate (>= 1)
+	Y          int // per-coordinate hash range, power of two
+	F          int // fingerprint range, power of two, F <= Y
+	D          int // expander degree (even)
 }
+
+const (
+	// lambdaFrac is the expander's spectral certificate: λ2 <= lambdaFrac·D.
+	lambdaFrac = 0.9
+	// minAgree is the verification threshold as a fraction of M.
+	minAgree = 0.6
+)
 
 func (p *Params) setDefaults() {
 	if p.ChunkBytes == 0 {
 		p.ChunkBytes = 1
-	}
-	if p.LambdaFrac == 0 {
-		p.LambdaFrac = 0.9
-	}
-	if p.MinAgree == 0 {
-		p.MinAgree = 0.6
 	}
 }
 
@@ -91,9 +90,6 @@ func (p Params) validate() error {
 	zbits := 8*p.ChunkBytes + effectiveD(p.M, p.D)*log2(p.F)
 	if zbits > 62 {
 		return fmt.Errorf("listrec: packed symbol needs %d bits > 62; shrink ChunkBytes, D or F", zbits)
-	}
-	if p.MinAgree < 0 || p.MinAgree > 1 {
-		return fmt.Errorf("listrec: MinAgree must be in [0,1], got %f", p.MinAgree)
 	}
 	return nil
 }
@@ -133,7 +129,7 @@ func New(p Params, rng *rand.Rand) (*Code, error) {
 	if err != nil {
 		return nil, err
 	}
-	exp, err := expander.New(p.M, p.D, p.LambdaFrac*float64(p.D), rng, 100)
+	exp, err := expander.New(p.M, p.D, lambdaFrac*float64(p.D), rng, 100)
 	if err != nil {
 		return nil, err
 	}

@@ -71,11 +71,10 @@ func TestParamsValidation(t *testing.T) {
 	bad := []Params{
 		{ItemBytes: 0, M: 16, Y: 64, F: 8, D: 6},
 		{ItemBytes: 8, M: 1, Y: 64, F: 8, D: 6},
-		{ItemBytes: 16, M: 16, Y: 64, F: 8, D: 6},  // rate >= 1
-		{ItemBytes: 8, M: 16, Y: 63, F: 8, D: 6},   // Y not pow2
-		{ItemBytes: 8, M: 16, Y: 64, F: 128, D: 6}, // F > Y
-		{ItemBytes: 8, M: 16, Y: 64, F: 8, D: 5},   // odd D
-		{ItemBytes: 8, M: 16, Y: 64, F: 8, D: 6, MinAgree: 1.5},
+		{ItemBytes: 16, M: 16, Y: 64, F: 8, D: 6},                  // rate >= 1
+		{ItemBytes: 8, M: 16, Y: 63, F: 8, D: 6},                   // Y not pow2
+		{ItemBytes: 8, M: 16, Y: 64, F: 128, D: 6},                 // F > Y
+		{ItemBytes: 8, M: 16, Y: 64, F: 8, D: 5},                   // odd D
 		{ItemBytes: 128, M: 200, ChunkBytes: 2, Y: 64, F: 8, D: 6}, // cw > 255
 	}
 	rng := rand.New(rand.NewPCG(1, 1))

@@ -2,6 +2,9 @@ package proto
 
 import (
 	"bytes"
+	"encoding/binary"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -110,5 +113,24 @@ func TestCheckHeader(t *testing.T) {
 	stale := NewWireReport(testID, testVersion+1, []byte{0, 1, 2, 3})
 	if err := CheckHeader(stale, testID); err == nil {
 		t.Error("stale codec version accepted")
+	}
+}
+
+// TestRoundStateDecodeSizedByBytes pins that DecodeRoundState sizes its
+// candidate list by the bytes that hold it: a 26-byte broadcast claiming
+// 2^22 candidates is refused without allocating for the claim.
+func TestRoundStateDecodeSizedByBytes(t *testing.T) {
+	b := make([]byte, 26)
+	b[0] = roundStateVersion
+	binary.BigEndian.PutUint32(b[22:], maxRoundCandidates)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodeRoundState(b)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "candidate 0 length truncated") {
+		t.Fatalf("hostile round state: err = %v, want candidate 0 length truncated", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("refusing a %d-byte round state allocated %d bytes, want under 1 MiB", len(b), got)
 	}
 }

@@ -97,7 +97,8 @@ func DecodeRoundState(b []byte) (RoundState, error) {
 	}
 	off := fixed
 	if count > 0 {
-		rs.Candidates = make([][]byte, 0, count)
+		// Each candidate takes at least its 2-byte length prefix.
+		rs.Candidates = make([][]byte, 0, min(int(count), (len(b)-off)/2))
 	}
 	for i := uint32(0); i < count; i++ {
 		if len(b)-off < 2 {

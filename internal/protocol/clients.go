@@ -286,7 +286,9 @@ func readEstimates(br *bufio.Reader, op string) ([]proto.Estimate, error) {
 	if n > maxItems {
 		return nil, fmt.Errorf("protocol: implausible estimate count %d", n)
 	}
-	out := make([]proto.Estimate, 0, n)
+	// The reply carries no total length, so the claimed count cannot be
+	// checked against the bytes up front: start small and let append grow.
+	out := make([]proto.Estimate, 0, min(n, 64))
 	for i := uint32(0); i < n; i++ {
 		var lenb [2]byte
 		if _, err := io.ReadFull(br, lenb[:]); err != nil {

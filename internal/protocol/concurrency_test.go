@@ -35,7 +35,7 @@ func TestConcurrentIngestionMatchesSequential(t *testing.T) {
 
 	// Deterministic report set: client c owns users c, c+clients, ... and
 	// derives all randomness from its own seeded generator.
-	client, err := core.NewClient(params)
+	client, err := core.New(params)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,16 @@
 package protocol
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
+	"io"
 	"math"
 	"math/rand/v2"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -182,5 +186,23 @@ func TestUnknownCommandRejected(t *testing.T) {
 	}
 	if got := srv.Absorbed(); got != 0 {
 		t.Fatalf("rejected commands absorbed %d reports", got)
+	}
+}
+
+// TestEstimateReplySizedByBytes pins that a client sizes an identify or
+// top-k reply by the estimates that arrive, not by the count its header
+// claims: a 4-byte reply claiming 2^24 estimates, then EOF, is refused
+// without allocating for the claim.
+func TestEstimateReplySizedByBytes(t *testing.T) {
+	br := bufio.NewReader(bytes.NewReader(binary.BigEndian.AppendUint32(nil, 1<<24)))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := readEstimates(br, "identify")
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.EOF) {
+		t.Fatalf("truncated reply: err = %v, want EOF", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("refusing a 4-byte reply allocated %d bytes, want under 1 MiB", got)
 	}
 }

@@ -18,7 +18,7 @@ import (
 func pemParams(seed uint64) interactive.Params {
 	return interactive.Params{
 		Mode: interactive.ModePEM, Eps: 4, N: 6000, ItemBytes: 2,
-		BitsPerRound: 4, TopK: 8, Seed: seed,
+		TopK: 8, Seed: seed,
 	}
 }
 

@@ -114,35 +114,18 @@ type Estimate = core.Estimate
 type HeavyHitters = core.Protocol
 
 // NewHeavyHitters constructs the protocol; all public randomness derives
-// from params.Seed.
+// from params.Seed, so a device that builds it from the same params
+// computes reports the server accepts. The instance is not lightweight on
+// either side: it holds the server counters (about 256 MiB at ε = 4,
+// N = 10^6 and 4-byte items).
 func NewHeavyHitters(params Params) (*HeavyHitters, error) {
 	return core.New(params)
-}
-
-// Client is the device-side half of the protocol, constructed from Params
-// alone. It is not lightweight: NewClient builds a whole protocol instance,
-// empty server counters included (about 256 MiB at ε = 4, N = 10^6 and
-// 4-byte items).
-type Client = core.Client
-
-// NewClient derives the client side deterministically from params.
-func NewClient(params Params) (*Client, error) {
-	return core.NewClient(params)
 }
 
 // FilterHeavyHitters reduces an Identify output to the Definition 3.1 view:
 // items with estimate >= delta, truncated to the O(n/delta) list-size bound.
 func FilterHeavyHitters(est []Estimate, n int, delta float64) ([]Estimate, error) {
 	return core.HeavyHitters(est, n, delta)
-}
-
-// SmallDomain is the enumerable-domain protocol for the n > |X| regime
-// (paper's remark after Theorem 3.13).
-type SmallDomain = core.SmallDomain
-
-// NewSmallDomain constructs the enumerable-domain protocol.
-func NewSmallDomain(eps float64, itemBytes, domainSize int) (*SmallDomain, error) {
-	return core.NewSmallDomain(eps, itemBytes, domainSize)
 }
 
 // Frequency-oracle surface (Theorems 3.7 and 3.8).

@@ -153,11 +153,11 @@ func TestPublicAPIBaselines(t *testing.T) {
 
 func TestPublicAPIClientAndFilter(t *testing.T) {
 	params := ldphh.Params{Eps: 2, N: 1000, ItemBytes: 4, Y: 64, Seed: 3}
-	client, err := ldphh.NewClient(params)
+	client, err := ldphh.NewHeavyHitters(params)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if client.MinRecoverableFrequency() <= 0 {
+	if client.Params().MinRecoverableFrequency() <= 0 {
 		t.Error("client floor degenerate")
 	}
 	est := []ldphh.Estimate{
@@ -174,21 +174,30 @@ func TestPublicAPIClientAndFilter(t *testing.T) {
 }
 
 func TestPublicAPISmallDomain(t *testing.T) {
-	s, err := ldphh.NewSmallDomain(1.0, 1, 64)
+	const n = 8000
+	s, err := ldphh.New(ldphh.KindSmallDomain, ldphh.WithEps(1), ldphh.WithN(n),
+		ldphh.WithItemBytes(1), ldphh.WithDomainSize(64))
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewPCG(1, 2))
-	for i := 0; i < 8000; i++ {
-		rep, err := s.Report([]byte{byte(i % 2)}, rng)
+	for i := 0; i < n; i++ {
+		wr, err := s.Report([]byte{byte(i % 2)}, i, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Absorb(rep); err != nil {
+		if err := s.Absorb(wr); err != nil {
 			t.Fatal(err)
 		}
 	}
-	est := s.Identify(1000)
+	all, err := s.Identify(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	est, err := ldphh.FilterHeavyHitters(all, n, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(est) != 2 {
 		t.Fatalf("small-domain identify returned %d items", len(est))
 	}
@@ -223,7 +232,7 @@ func TestPublicAPIMergeTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client, err := ldphh.NewClient(params)
+	client, err := ldphh.NewHeavyHitters(params)
 	if err != nil {
 		t.Fatal(err)
 	}

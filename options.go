@@ -18,8 +18,8 @@ type Kind byte
 
 // The registered protocol kinds. PrivateExpanderSketch matches the paper's
 // primary contribution; the remaining constants carry a Kind prefix because
-// the bare names are taken by the legacy concrete types (ldphh.SmallDomain,
-// ldphh.Bitstogram, ...) that New supersedes.
+// the bare names are taken by the concrete types (ldphh.Bitstogram,
+// ldphh.TreeHist, ...) that New supersedes.
 const (
 	PrivateExpanderSketch = Kind(proto.IDPrivateExpanderSketch)
 	KindSmallDomain       = Kind(proto.IDSmallDomain)

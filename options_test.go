@@ -470,6 +470,34 @@ func TestFingerprintsPinned(t *testing.T) {
 	}
 }
 
+// TestFingerprintsPinnedWide pins the digests where the derived parameters
+// take the branches TestFingerprintsPinned's 2-byte, N 6000 set does not
+// reach: g's independence log2|X|/4 above its floor of 8 (8-byte PES
+// items) and a fedtrie survivor cap of 4·⌈√N⌉ = 4000 at N 10^6.
+func TestFingerprintsPinnedWide(t *testing.T) {
+	for _, c := range []struct {
+		kind ldphh.Kind
+		opts []ldphh.Option
+		want uint64
+	}{
+		{ldphh.PrivateExpanderSketch, []ldphh.Option{ldphh.WithEps(4), ldphh.WithN(100000),
+			ldphh.WithItemBytes(8), ldphh.WithY(16), ldphh.WithSeed(99)}, 0xa956a14e97287ae3},
+		{ldphh.KindPEM, []ldphh.Option{ldphh.WithEps(4), ldphh.WithN(1000000),
+			ldphh.WithItemBytes(4), ldphh.WithSeed(99)}, 0x9c2c99d18de70b16},
+		{ldphh.KindFedTrie, []ldphh.Option{ldphh.WithEps(4), ldphh.WithN(1000000),
+			ldphh.WithItemBytes(4), ldphh.WithSeed(99)}, 0x1a070f9a8ae9e19e},
+	} {
+		h, err := ldphh.New(c.kind, c.opts...)
+		if err != nil {
+			t.Fatalf("%v: %v", c.kind, err)
+		}
+		f, _ := ldphh.AsMergeable(h)
+		if got := f.Fingerprint(); got != c.want {
+			t.Errorf("%v fingerprint %#016x, want %#016x", c.kind, got, c.want)
+		}
+	}
+}
+
 // TestKindNamesRoundTrip pins the flag-facing names and their parsing.
 func TestKindNamesRoundTrip(t *testing.T) {
 	want := map[ldphh.Kind]string{

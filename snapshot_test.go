@@ -10,6 +10,7 @@ import (
 	"math/rand/v2"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"ldphh"
@@ -376,6 +377,53 @@ func TestRoundSnapshotsMergeFromSnapshotBytes(t *testing.T) {
 				t.Fatalf("root holds %d reports after 11 merges, want %d", got, want)
 			}
 		})
+	}
+}
+
+// TestRoundSnapshotCountsSizedByBytes pins that a pem or fedtrie snapshot
+// body sizes its candidate and estimate lists by the bytes that hold them:
+// a 39-byte open-round snapshot claiming 2^22−1 candidates (MergeSnapshot)
+// and a 47-byte done snapshot claiming 2^22 estimates (Restore) are
+// refused without allocating for the claim.
+func TestRoundSnapshotCountsSizedByBytes(t *testing.T) {
+	for _, kind := range []ldphh.Kind{ldphh.KindPEM, ldphh.KindFedTrie} {
+		root, err := ldphh.New(kind, pinnedOptions(kind)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, _ := ldphh.AsMergeable(root)
+		snap, err := m.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		envelope := snap[:14] // "LSNP" | version | ID | fingerprint
+		// round u32 | done u8 | roundReports u64 | absorbed u64 | candCount u32
+		openBody := binary.BigEndian.AppendUint32(make([]byte, 21), 1<<22-1)
+		doneBody := make([]byte, 25+4) // done, no candidates, empty oracle blob
+		doneBody[4] = 1
+		doneBody = binary.BigEndian.AppendUint32(doneBody, 1<<22) // estCount
+		for _, c := range []struct {
+			name, want string
+			load       func([]byte) error
+			body       []byte
+		}{
+			{"candidates", "candidate 0 truncated", m.MergeSnapshot, openBody},
+			{"estimates", "estimate 0 truncated", m.Restore, doneBody},
+		} {
+			t.Run(kind.String()+"/"+c.name, func(t *testing.T) {
+				hostile := append(append([]byte(nil), envelope...), c.body...)
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				err := c.load(hostile)
+				runtime.ReadMemStats(&after)
+				if err == nil || !strings.Contains(err.Error(), c.want) {
+					t.Fatalf("%d-byte snapshot: err = %v, want %q", len(hostile), err, c.want)
+				}
+				if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+					t.Errorf("refusing a %d-byte snapshot allocated %d bytes, want under 1 MiB", len(hostile), got)
+				}
+			})
+		}
 	}
 }
 
