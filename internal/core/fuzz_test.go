@@ -1,9 +1,10 @@
 package core
 
 import (
-	"bytes"
 	"math/rand/v2"
 	"testing"
+
+	"ldphh/internal/blobv1"
 )
 
 // fuzzParams is a deliberately tiny configuration (4 coordinates of 4096
@@ -14,12 +15,13 @@ func fuzzParams() Params {
 }
 
 // FuzzRestoreSnapshot: arbitrary bytes must never panic Protocol.Restore.
-// Truncated, oversize, NaN/Inf-payload, shape-mismatched and
-// fingerprint-mismatched inputs are rejected with errors before any state
-// changes; any input that IS accepted must re-serialize to the identical
-// bytes, because the snapshot format is canonical for a fixed parameter
-// set. A pre-envelope LPSK input re-serializes as the envelope over the
-// identical body.
+// Truncated, oversize, NaN/Inf-payload, non-canonical, shape-mismatched
+// and fingerprint-mismatched inputs are rejected with errors before any
+// state changes; any input that IS accepted must be written again by
+// Snapshot, because the snapshot format is canonical for a fixed
+// parameter set: an envelope over version 2 blobs byte for byte, and any
+// other input (a pre-envelope LPSK header, or version 1 blobs) once it
+// carries the envelope and both have every blob rewritten to version 1.
 func FuzzRestoreSnapshot(f *testing.F) {
 	pr, err := New(fuzzParams())
 	if err != nil {
@@ -47,6 +49,7 @@ func FuzzRestoreSnapshot(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(snap)
+	f.Add(blobv1.Snapshot(snap))
 	f.Add(snap[:26])
 	f.Add(snap[:len(snap)-1])
 	f.Add(append(append([]byte(nil), snap...), 0))
@@ -65,8 +68,8 @@ func FuzzRestoreSnapshot(f *testing.F) {
 			t.Fatalf("accepted snapshot failed to re-serialize: %v", err)
 		}
 		// An accepted input without the 14-byte envelope carried the 13-byte
-		// LPSK v1 header before the same body.
-		if !bytes.Equal(out, data) && !(bytes.HasPrefix(data, []byte("LPSK")) && bytes.Equal(out[14:], data[13:])) {
+		// LPSK v1 header before its body.
+		if !blobv1.Reserialized(data, out, 13) {
 			t.Fatalf("protocol snapshot not canonical: %d bytes in, %d bytes out", len(data), len(out))
 		}
 	})

@@ -63,9 +63,22 @@ func BenchmarkPESArgmaxScan(b *testing.B) {
 	b.ReportMetric(float64(pr.p.M*cells), "cells/op")
 }
 
+// pesTableCells returns the cells of the M+1 tables a PES snapshot
+// carries: each coordinate's DirectHistogram and the confirmation
+// Hashtogram.
+func pesTableCells(pr *Protocol) int {
+	conf := pr.conf.Params()
+	cells := conf.Rows * conf.T
+	for _, d := range pr.direct {
+		cells += d.T()
+	}
+	return cells
+}
+
 // BenchmarkPESMergeSnapshot validates one leaf snapshot and commits it
 // into a root's counters per op, both over the root's Params.Workers pool;
-// MB/s is snapshot bytes merged per second.
+// cells/op counts the M+1 tables' cells the merge covers, which the
+// snapshot's size no longer tracks.
 func BenchmarkPESMergeSnapshot(b *testing.B) {
 	leaf := benchProtocol(b)
 	snap, err := leaf.Snapshot()
@@ -76,7 +89,6 @@ func BenchmarkPESMergeSnapshot(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.SetBytes(int64(len(snap)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -84,4 +96,25 @@ func BenchmarkPESMergeSnapshot(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(pesTableCells(leaf)), "cells/op")
+	b.ReportMetric(float64(len(snap)), "snapshot-bytes")
+}
+
+// BenchmarkPESSnapshot is the leaf's side of the same fan-in step: one
+// Snapshot of the benchProtocol state per op, sized and written over
+// Params.Workers.
+func BenchmarkPESSnapshot(b *testing.B) {
+	leaf := benchProtocol(b)
+	var n int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		snap, err := leaf.Snapshot()
+		if err != nil {
+			b.Fatal(err)
+		}
+		n = len(snap)
+	}
+	b.ReportMetric(float64(pesTableCells(leaf)), "cells/op")
+	b.ReportMetric(float64(n), "snapshot-bytes")
 }

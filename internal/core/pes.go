@@ -59,6 +59,7 @@ type Protocol struct {
 	conf     *freqoracle.Hashtogram
 	groupN   []int
 	absorbed int
+	blobs    [][]byte // the M+1 oracle blobs a snapshot's BodyLen wrote for its AppendBody
 }
 
 // New constructs the protocol and draws all public randomness from
@@ -88,6 +89,7 @@ func New(params Params) (*Protocol, error) {
 		direct:   make([]*freqoracle.DirectHistogram, params.M),
 		zbits:    zbits,
 		groupN:   make([]int, params.M),
+		blobs:    make([][]byte, params.M+1),
 	}
 	for m := 0; m < params.M; m++ {
 		d, err := freqoracle.NewDirectHistogram(params.Eps/2, params.B*params.Y*(1<<uint(zbits)))

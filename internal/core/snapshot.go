@@ -14,8 +14,8 @@ import (
 // shard of the fleet's reports can Snapshot its state, ship the bytes to a
 // parent, and the parent folds them in with MergeSnapshot — the fan-in tree
 // deployment of Bassily-Nissim-Stemmer-Thakurta (2017). Because every
-// counter is an exact small integer in float64, merge order cannot change
-// any estimate: a root that merges k leaf snapshots identifies the
+// counter is an exact integer tally of ±1 reports, merge order cannot
+// change any estimate: a root that merges k leaf snapshots identifies the
 // bit-identical heavy-hitter list a single aggregator would have produced
 // from the union of the reports (the cross-layer equivalence suite enforces
 // this at every layer, under the race detector, and over real TCP).
@@ -28,7 +28,11 @@ import (
 //	blob
 //
 // — format "LPSK" version 1 after its "LPSK" | 1 | fingerprint header, so
-// pre-envelope LPSK checkpoints still restore (see Wire).
+// pre-envelope LPSK checkpoints still restore (see Wire). Each blob
+// carries its own version: Snapshot writes version 2, which holds only
+// the nonzero cells, so a body grows with its reports rather than with
+// its M+1 tables, and Restore and MergeSnapshot read version 1 blobs too
+// (see freqoracle's snapshot.go).
 //
 // The fingerprint pins every parameter that shapes the accumulated state or
 // the public randomness (see Fingerprint); a snapshot from a protocol built
@@ -118,6 +122,7 @@ type accumulator struct {
 // blobs make up a snapshot body: the coordinate DirectHistograms and the
 // confirmation Hashtogram.
 type snapshotOracle interface {
+	AppendSnapshot(dst []byte) []byte
 	CheckSnapshot(blob []byte) (reports int, err error)
 	AddSnapshot(blob []byte)
 	Reset()
@@ -135,18 +140,25 @@ func (pr *Protocol) oracle(i int) snapshotOracle {
 // The pesKernel methods below are PESWire's proto.StateCodec. BodyLen,
 // AppendBody, Replace and Merge run under the adapter lock; DecodeBody
 // runs without it and reads only the oracle pointers and their
-// construction-time parameters, which never change. DecodeBody, Replace
-// and Merge each hand the M+1 blobs out whole to a pool of Params.Workers
-// goroutines; a goroutine writes only its blob's oracle or error slot, so
-// state and errors are the same at every worker count.
+// construction-time parameters, which never change. BodyLen writes the
+// M+1 blobs, and DecodeBody, Replace and Merge hand them out, whole to a
+// pool of Params.Workers goroutines; a goroutine writes only its blob's
+// bytes, oracle or error slot, so bytes, state and errors are the same at
+// every worker count.
 
 func (k pesKernel) Fingerprint() uint64 { return k.pr.Fingerprint() }
 
+// BodyLen writes each oracle's blob into its slot of pr.blobs, reusing
+// the slot's buffer, so a snapshot reads the M+1 tables' cells once;
+// AppendBody then copies the blobs out.
 func (k pesKernel) BodyLen() int {
 	pr := k.pr
-	n := 4 + 8 + 8*pr.p.M + 4 + pr.conf.SnapshotLen()
-	for _, d := range pr.direct {
-		n += 4 + d.SnapshotLen()
+	par.Range(len(pr.blobs), pr.p.Workers, func(i int) {
+		pr.blobs[i] = pr.oracle(i).AppendSnapshot(pr.blobs[i][:0])
+	})
+	n := 4 + 8 + 8*pr.p.M
+	for _, b := range pr.blobs {
+		n += 4 + len(b)
 	}
 	return n
 }
@@ -158,12 +170,11 @@ func (k pesKernel) AppendBody(buf []byte) []byte {
 	for _, n := range pr.groupN {
 		buf = binary.BigEndian.AppendUint64(buf, uint64(n))
 	}
-	for _, d := range pr.direct {
-		buf = binary.BigEndian.AppendUint32(buf, uint32(d.SnapshotLen()))
-		buf = d.AppendSnapshot(buf)
+	for _, b := range pr.blobs {
+		buf = binary.BigEndian.AppendUint32(buf, uint32(len(b)))
+		buf = append(buf, b...)
 	}
-	buf = binary.BigEndian.AppendUint32(buf, uint32(pr.conf.SnapshotLen()))
-	return pr.conf.AppendSnapshot(buf)
+	return buf
 }
 
 // DecodeBody validates a snapshot body end to end without copying its

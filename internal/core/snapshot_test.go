@@ -9,6 +9,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"ldphh/internal/blobv1"
 )
 
 func snapTestParams(seed uint64) Params {
@@ -49,13 +51,31 @@ func snapTestReports(t testing.TB, params Params, n int) []Report {
 }
 
 // snapBlobOffset returns the offset of blob i — coordinate i's LDSK blob,
-// or the confirmation oracle's LHSK blob for i = M — in pr's snapshot:
-// past the 14-byte envelope, the body's m u32, absorbed u64 and group
-// counts, and i earlier length-prefixed LDSK blobs and blob i's own length.
-// A blob's first cell sits 29 bytes in (LDSK: 21-byte header and n u64), a
-// confirmation blob's first row count 13 bytes in.
-func snapBlobOffset(pr *Protocol, i int) int {
-	return 14 + 4 + 8 + 8*pr.p.M + 4 + i*(4+pr.direct[0].SnapshotLen())
+// or the confirmation oracle's LHSK blob for i = M — in v1, an M-coordinate
+// snapshot whose blobs are rewritten to version 1: past the 14-byte
+// envelope, the body's m u32, absorbed u64 and group counts, and i earlier
+// length-prefixed LDSK blobs, all as long as the first, and blob i's own
+// length. A version 1 blob's first cell sits 29 bytes in (LDSK: 21-byte
+// header and n u64), a confirmation blob's first row count 13 bytes in.
+func snapBlobOffset(v1 []byte, m, i int) int {
+	first := 14 + 4 + 8 + 8*m
+	return first + 4 + i*(4+int(binary.BigEndian.Uint32(v1[first:])))
+}
+
+// withBlob returns a copy of the snapshot snap of pr with blob i (numbered
+// as in snapBlobOffset) replaced by f's rewrite of a copy of it, and its
+// length prefix set to the rewrite's length.
+func withBlob(pr *Protocol, snap []byte, i int, f func(blob []byte) []byte) []byte {
+	off := 14 + 4 + 8 + 8*pr.p.M
+	for j := 0; j < i; j++ {
+		off += 4 + int(binary.BigEndian.Uint32(snap[off:]))
+	}
+	n := int(binary.BigEndian.Uint32(snap[off:]))
+	blob := f(append([]byte(nil), snap[off+4:off+4+n]...))
+	out := append([]byte(nil), snap[:off]...)
+	out = binary.BigEndian.AppendUint32(out, uint32(len(blob)))
+	out = append(out, blob...)
+	return append(out, snap[off+4+n:]...)
 }
 
 func identifyAll(t testing.TB, pr *Protocol) []Estimate {
@@ -193,10 +213,11 @@ func checkMergeWorkers(t *testing.T, params Params, reports []Report) int {
 	half := len(reports) / 2
 	leafSnap := snapshot(absorbed(0, reports[half:]))
 
-	// Coordinates 1 and M-1 each get a cell above their report count.
-	corrupt := append([]byte(nil), wantSnap...)
+	// Coordinates 1 and M-1 each get a cell above their report count, in
+	// the snapshot's version 1 rewrite.
+	corrupt := blobv1.Snapshot(wantSnap)
 	for _, c := range []int{1, seq.p.M - 1} {
-		binary.BigEndian.PutUint64(corrupt[snapBlobOffset(seq, c)+29:], math.Float64bits(1<<40))
+		binary.BigEndian.PutUint64(corrupt[snapBlobOffset(corrupt, seq.p.M, c)+29:], math.Float64bits(1<<40))
 	}
 
 	matches := func(workers int, pr *Protocol, how string) {
@@ -238,8 +259,9 @@ func checkMergeWorkers(t *testing.T, params Params, reports []Report) int {
 
 // TestMergeSnapshotAddsFromSnapshotBytes pins the fan-in's memory cost:
 // MergeSnapshot validates and adds the counters straight from the
-// snapshot bytes, so one merge allocates a small fraction of the snapshot
-// it reads, where a decoded copy would allocate all of it again.
+// snapshot bytes, so one merge allocates only its own bookkeeping, under
+// 4 KiB, where a decoded copy of the state would allocate all of its
+// counters again (about 4.25 MB here).
 func TestMergeSnapshotAddsFromSnapshotBytes(t *testing.T) {
 	params := snapTestParams(41)
 	leaf, err := New(params)
@@ -265,7 +287,7 @@ func TestMergeSnapshotAddsFromSnapshotBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
-	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(len(snap)/16); got >= limit {
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(4<<10); got >= limit {
 		t.Fatalf("MergeSnapshot of a %d-byte snapshot allocated %d bytes, want under %d", len(snap), got, limit)
 	}
 }
@@ -490,13 +512,38 @@ func TestProtocolSnapshotValidation(t *testing.T) {
 			t.Errorf("snapshot rejected across worker counts: %v", err)
 		}
 	})
-	// Offsets: the 14-byte envelope ("LSNP" | version | protocol ID |
-	// fingerprint), then the body's m u32 at 14, absorbed u64 at 18, the
-	// group counts from 26, and the blobs (see snapBlobOffset).
+	// The rows corrupt the snapshot with every blob rewritten to version 1,
+	// whose offsets are fixed: the 14-byte envelope ("LSNP" | version |
+	// protocol ID | fingerprint), then the body's m u32 at 14, absorbed u64
+	// at 18, the group counts from 26, and the blobs (see snapBlobOffset).
+	// The v2 rows rewrite coordinate 0's version 2 blob in the snapshot as
+	// written, whose cells start 29 bytes in with the first pair.
 	m := pr.p.M
+	v1 := blobv1.Snapshot(snap)
 	setCell := func(b []byte, coord int, v float64) []byte {
-		binary.BigEndian.PutUint64(b[snapBlobOffset(pr, coord)+29:], math.Float64bits(v))
+		binary.BigEndian.PutUint64(b[snapBlobOffset(b, m, coord)+29:], math.Float64bits(v))
 		return b
+	}
+	// firstPair splits coordinate 0's blob b around its first pair: the
+	// run's and the value's varint lengths.
+	firstPair := func(b []byte) (run, value int) {
+		_, run = binary.Uvarint(b[29:])
+		_, value = binary.Uvarint(b[29+run:])
+		return run, value
+	}
+	// nonMinimal re-encodes the varint of n bytes at b[off:] with a
+	// trailing zero group.
+	nonMinimal := func(b []byte, off, n int) []byte {
+		x, _ := binary.Uvarint(b[off:])
+		enc := binary.AppendUvarint(nil, x)
+		enc[len(enc)-1] |= 0x80
+		return append(append(append(b[:off:off], enc...), 0), b[off+n:]...)
+	}
+	// setValue replaces the first pair's value with the varint of zz.
+	setValue := func(b []byte, zz uint64) []byte {
+		run, value := firstPair(b)
+		off := 29 + run
+		return append(binary.AppendUvarint(b[:off:off], zz), b[off+value:]...)
 	}
 	corruptions := []struct {
 		name   string
@@ -522,33 +569,68 @@ func TestProtocolSnapshotValidation(t *testing.T) {
 		{"cell above its coordinate's report count", func(b []byte) []byte {
 			return setCell(b, 0, float64(binary.BigEndian.Uint64(b[26:])+1))
 		}},
-		{"corrupt confirmation row count", func(b []byte) []byte { b[snapBlobOffset(pr, m)+13+7] ^= 1; return b }},
+		{"corrupt confirmation row count", func(b []byte) []byte { b[snapBlobOffset(b, m, m)+13+7] ^= 1; return b }},
 	}
-	for _, tc := range corruptions {
-		t.Run(tc.name, func(t *testing.T) {
-			// Atomicity: a failed load leaves a protocol that already holds
-			// reports exactly as it was, so no counter was half committed.
-			p := fresh()
-			for _, rep := range reports[:200] {
-				if err := p.Absorb(rep); err != nil {
-					t.Fatal(err)
-				}
-			}
-			before, err := p.Snapshot()
-			if err != nil {
+	v2Corruptions := []struct {
+		name string
+		blob func([]byte) []byte // rewrites coordinate 0's blob
+		want string              // the refusal the rewrite must meet
+	}{
+		{"v2 non-minimal run", func(b []byte) []byte {
+			run, _ := firstPair(b)
+			return nonMinimal(b, 29, run)
+		}, "zero run at cell byte 0 is not a minimal 64-bit uvarint"},
+		{"v2 non-minimal value", func(b []byte) []byte {
+			run, value := firstPair(b)
+			return nonMinimal(b, 29+run, value)
+		}, "is not a minimal 64-bit uvarint"},
+		{"v2 zero value", func(b []byte) []byte { return setValue(b, 0) }, "is a zero-valued entry"},
+		{"v2 value above its coordinate's report count", func(b []byte) []byte {
+			return setValue(b, 2*binary.BigEndian.Uint64(b[21:])+2)
+		}, "which exceeds its report count"},
+		{"v2 run past the table's end", func(b []byte) []byte {
+			run, _ := firstPair(b)
+			return append(binary.AppendUvarint(b[:29:29], 1<<40), b[29+run:]...)
+		}, "passes the table's end"},
+		{"v2 cut before the final run", func(b []byte) []byte {
+			run, value := firstPair(b)
+			return b[:29+run+value]
+		}, "before its final zero run"},
+		{"v2 byte after the final run", func(b []byte) []byte { return append(b, 0) }, "1 bytes after its final zero run"},
+		{"v2 version byte 3", func(b []byte) []byte { b[4] = 3; return b }, "does not match"},
+	}
+	refused := func(t *testing.T, name string, buf []byte, want string) {
+		// Atomicity: a failed load leaves a protocol that already holds
+		// reports exactly as it was, so no counter was half committed.
+		p := fresh()
+		for _, rep := range reports[:200] {
+			if err := p.Absorb(rep); err != nil {
 				t.Fatal(err)
 			}
-			buf := tc.mutate(append([]byte(nil), snap...))
-			if err := p.Restore(buf); err == nil {
-				t.Fatalf("%s accepted", tc.name)
-			}
-			if err := p.MergeSnapshot(buf); err == nil {
-				t.Fatalf("%s accepted by MergeSnapshot", tc.name)
-			}
-			if after, err := p.Snapshot(); err != nil || !bytes.Equal(after, before) {
-				t.Errorf("%s mutated protocol state on failure (Snapshot err %v)", tc.name, err)
-			}
-		})
+		}
+		before, err := p.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		restoreErr, mergeErr := p.Restore(buf), p.MergeSnapshot(buf)
+		if restoreErr == nil {
+			t.Fatalf("%s accepted", name)
+		}
+		if mergeErr == nil {
+			t.Fatalf("%s accepted by MergeSnapshot", name)
+		}
+		if !strings.Contains(restoreErr.Error(), want) || !strings.Contains(mergeErr.Error(), want) {
+			t.Fatalf("%s: errors %q / %q, want %q", name, restoreErr, mergeErr, want)
+		}
+		if after, err := p.Snapshot(); err != nil || !bytes.Equal(after, before) {
+			t.Errorf("%s mutated protocol state on failure (Snapshot err %v)", name, err)
+		}
+	}
+	for _, tc := range corruptions {
+		t.Run(tc.name, func(t *testing.T) { refused(t, tc.name, tc.mutate(append([]byte(nil), v1...)), "") })
+	}
+	for _, tc := range v2Corruptions {
+		t.Run(tc.name, func(t *testing.T) { refused(t, tc.name, withBlob(pr, snap, 0, tc.blob), tc.want) })
 	}
 	t.Run("after identify", func(t *testing.T) {
 		p := fresh()

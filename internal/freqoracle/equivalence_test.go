@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand/v2"
 	"testing"
+
+	"ldphh/internal/blobv1"
 )
 
 // The split-ingest-snapshot-merge equivalence property, oracle layer: for a
@@ -324,6 +326,8 @@ func TestDirectHistogramSnapshotRestoreResume(t *testing.T) {
 	}
 }
 
+// TestDirectSnapshotValidation corrupts the version 1 rewrite of an empty
+// histogram's blob, whose fixed offsets these mutations address.
 func TestDirectSnapshotValidation(t *testing.T) {
 	d, err := NewDirectHistogram(1, 8)
 	if err != nil {
@@ -333,6 +337,7 @@ func TestDirectSnapshotValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	snap = blobv1.Blob(snap)
 	cases := []struct {
 		name   string
 		mutate func([]byte) []byte
@@ -389,6 +394,8 @@ func TestDirectSnapshotValidation(t *testing.T) {
 	}
 }
 
+// TestHashtogramRestoreRejectsCorruptCounters corrupts version 1 rewrites
+// of the sketches' blobs, whose fixed offsets these mutations address.
 func TestHashtogramRestoreRejectsCorruptCounters(t *testing.T) {
 	params := HashtogramParams{Eps: 1, N: 100, Rows: 2, T: 4, Seed: 1}
 	h, err := NewHashtogram(params)
@@ -399,6 +406,7 @@ func TestHashtogramRestoreRejectsCorruptCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	snap = blobv1.Blob(snap)
 	fresh := func() *Hashtogram {
 		g, err := NewHashtogram(params)
 		if err != nil {
@@ -438,7 +446,7 @@ func TestHashtogramRestoreRejectsCorruptCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tail := append([]byte(nil), before...)
+	tail := append([]byte(nil), blobv1.Blob(before)...)
 	copy(tail[len(tail)-8:], []byte{0x7f, 0xf8, 0, 0, 0, 0, 0, 1})
 	if err := target.Restore(tail); err == nil {
 		t.Fatal("NaN tail accepted")

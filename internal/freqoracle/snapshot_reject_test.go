@@ -8,12 +8,17 @@ package freqoracle
 // testdata/fuzz/FuzzRestoreSnapshot/. Each report moves one cell by ±1, so
 // cells whose absolute values sum beyond their oracle's (or their row's)
 // report count are rejected too, even when each cell alone is in bound.
+// The mutations address the fixed offsets of version 1, so each test
+// corrupts the version 1 rewrite of its oracle's blob.
 
 import (
 	"encoding/binary"
 	"math"
+	"math/rand/v2"
 	"strings"
 	"testing"
+
+	"ldphh/internal/blobv1"
 )
 
 func TestHashtogramRestoreRejectsOversizedCounters(t *testing.T) {
@@ -28,6 +33,7 @@ func TestHashtogramRestoreRejectsOversizedCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	base = blobv1.Blob(base)
 	cases := []struct {
 		name string
 		off  int
@@ -84,6 +90,7 @@ func TestDirectRestoreRejectsOversizedCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	base = blobv1.Blob(base)
 	cases := []struct {
 		name string
 		off  int
@@ -116,4 +123,50 @@ func TestDirectRestoreRejectsOversizedCounters(t *testing.T) {
 			t.Fatalf("Restore = %v, want error containing %q", err, "exceeds its report count 1")
 		}
 	})
+}
+
+// TestCheckSnapshotV2AllocFree pins that checking a version 2 blob — every
+// varint, run, value and row sum — allocates nothing, in both oracles.
+func TestCheckSnapshotV2AllocFree(t *testing.T) {
+	h, err := NewHashtogram(HashtogramParams{Eps: 1, N: 2000, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := NewDirectHistogram(1, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewPCG(3, 4))
+	for i := 0; i < 2000; i++ {
+		if err := h.Absorb(h.Report(key(uint64(i%37)), i, rng)); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := d.Report(uint64(i%64), rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Absorb(rep); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, o := range map[string]interface {
+		Snapshot() ([]byte, error)
+		CheckSnapshot([]byte) (int, error)
+	}{"hashtogram": h, "direct": d} {
+		snap, err := o.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if snap[4] != blobV2 {
+			t.Fatalf("%s wrote a version %d blob, want 2", name, snap[4])
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			if n, err := o.CheckSnapshot(snap); err != nil || n != 2000 {
+				t.Fatalf("%s: CheckSnapshot = %d, %v", name, n, err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: CheckSnapshot of a %d-byte version 2 blob made %.1f allocations, want 0", name, len(snap), allocs)
+		}
+	}
 }

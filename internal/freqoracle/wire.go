@@ -155,7 +155,7 @@ func NewHashtogramWire(params HashtogramParams, candidates [][]byte) (*Hashtogra
 	if err != nil {
 		return nil, err
 	}
-	k := &hashtogramKernel{oracleBody: oracleBody{&h.table}, h: h, candidates: candidates}
+	k := &hashtogramKernel{oracleBody: oracleBody{table: &h.table}, h: h, candidates: candidates}
 	return &HashtogramWire{StateAdapter: proto.NewStateAdapter[[]byte](proto.IDHashtogram, k, nil), h: h}, nil
 }
 
@@ -164,24 +164,32 @@ func NewHashtogramWire(params HashtogramParams, candidates [][]byte) (*Hashtogra
 // smalldomain): the decoded state is the blob itself, checked in place by
 // CheckSnapshot and added straight from the snapshot bytes. The kernels
 // also take TotalReports from its table.
-type oracleBody struct{ *table }
+type oracleBody struct {
+	*table
+	blob []byte // the blob BodyLen wrote for AppendBody, its buffer reused
+}
 
-func (b oracleBody) BodyLen() int { return b.SnapshotLen() }
+// BodyLen writes the blob, so a snapshot reads the table's cells once;
+// AppendBody then copies it out.
+func (b *oracleBody) BodyLen() int {
+	b.blob = b.AppendSnapshot(b.blob[:0])
+	return len(b.blob)
+}
 
-func (b oracleBody) AppendBody(dst []byte) []byte { return b.AppendSnapshot(dst) }
+func (b *oracleBody) AppendBody(dst []byte) []byte { return append(dst, b.blob...) }
 
-func (b oracleBody) DecodeBody(blob []byte) ([]byte, error) {
+func (b *oracleBody) DecodeBody(blob []byte) ([]byte, error) {
 	_, err := b.CheckSnapshot(blob)
 	return blob, err
 }
 
-func (b oracleBody) Replace(blob []byte) error {
+func (b *oracleBody) Replace(blob []byte) error {
 	b.Reset()
 	b.AddSnapshot(blob)
 	return nil
 }
 
-func (b oracleBody) Merge(blob []byte) error {
+func (b *oracleBody) Merge(blob []byte) error {
 	b.AddSnapshot(blob)
 	return nil
 }
@@ -279,7 +287,7 @@ func NewDirectHistogramWireAs(id, version byte, eps float64, itemBytes, domain, 
 	if err != nil {
 		return nil, err
 	}
-	k := &directKernel{oracleBody: oracleBody{&d.table}, d: d, id: id, itemBytes: itemBytes}
+	k := &directKernel{oracleBody: oracleBody{table: &d.table}, d: d, id: id, itemBytes: itemBytes}
 	return &DirectHistogramWire{
 		StateAdapter: proto.NewStateAdapter[[]byte](id, k, nil),
 		d:            d, version: version, itemBytes: itemBytes, n: n,

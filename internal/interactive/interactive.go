@@ -122,6 +122,8 @@ type Engine struct {
 
 	done      bool
 	estimates []proto.Estimate
+
+	blob []byte // the round oracle's blob a snapshot's BodyLen wrote for its AppendBody
 }
 
 // NewEngine validates Params, derives the round schedule and opens round 0

@@ -52,11 +52,14 @@ type roundSnapshot struct {
 // the adapter lock; DecodeBody runs without it and reads only the
 // parameters.
 
+// BodyLen writes the open round's blob into the engine's snapshot
+// buffer, for AppendBody to copy out.
 func (k roundKernel) BodyLen() int {
-	n := 4 + 1 + 8 + 8 + 4 + 4 + 4
+	k.blob = k.blob[:0]
 	if !k.done {
-		n += k.hist.SnapshotLen()
+		k.blob = k.hist.AppendSnapshot(k.blob)
 	}
+	n := 4 + 1 + 8 + 8 + 4 + 4 + 4 + len(k.blob)
 	for _, c := range k.cands {
 		n += 2 + len(c)
 	}
@@ -81,12 +84,8 @@ func (k roundKernel) AppendBody(buf []byte) []byte {
 		buf = binary.BigEndian.AppendUint16(buf, uint16(len(c)))
 		buf = append(buf, c...)
 	}
-	if e.done {
-		buf = binary.BigEndian.AppendUint32(buf, 0)
-	} else {
-		buf = binary.BigEndian.AppendUint32(buf, uint32(e.hist.SnapshotLen()))
-		buf = e.hist.AppendSnapshot(buf)
-	}
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(e.blob)))
+	buf = append(buf, e.blob...)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(e.estimates)))
 	for _, est := range e.estimates {
 		buf = binary.BigEndian.AppendUint16(buf, uint16(len(est.Item)))

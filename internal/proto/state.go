@@ -36,7 +36,9 @@ type StateCodec[S any] interface {
 	// BodyLen returns the exact length of the body AppendBody writes. Lock
 	// held.
 	BodyLen() int
-	// AppendBody appends the body to dst. Lock held.
+	// AppendBody appends the body to dst. Lock held: the adapter calls it
+	// right after BodyLen, in the same hold of the lock, so a codec may
+	// encode its body in BodyLen and only copy it out here.
 	AppendBody(dst []byte) []byte
 	// DecodeBody parses and fully validates a body. It runs without the
 	// lock, so it reads only construction-time state.

@@ -317,8 +317,8 @@ func readBlob(br *bufio.Reader, op string) ([]byte, error) {
 	if n > maxSnapshotBytes {
 		return nil, fmt.Errorf("protocol: implausible %s reply length %d", op, n)
 	}
-	blob := make([]byte, n)
-	if _, err := io.ReadFull(br, blob); err != nil {
+	blob, err := readSized(br, int(n))
+	if err != nil {
 		return nil, fmt.Errorf("protocol: reading %s body: %w", op, err)
 	}
 	return blob, nil

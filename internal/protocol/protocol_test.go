@@ -206,3 +206,50 @@ func TestEstimateReplySizedByBytes(t *testing.T) {
 		t.Errorf("refusing a 4-byte reply allocated %d bytes, want under 1 MiB", got)
 	}
 }
+
+// TestBlobReplySizedByBytes pins that a client sizes a snapshot or
+// round-state reply by the bytes that arrive, not by its length prefix: a
+// 4-byte reply claiming 64 MiB, then EOF, is refused without allocating
+// for the claim.
+func TestBlobReplySizedByBytes(t *testing.T) {
+	br := bufio.NewReader(bytes.NewReader(binary.BigEndian.AppendUint32(nil, 64<<20)))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := readBlob(br, "snapshot")
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.EOF) || !strings.Contains(err.Error(), "reading snapshot body") {
+		t.Fatalf("truncated reply: err = %v, want EOF reading the body", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("refusing a 4-byte reply allocated %d bytes, want under 1 MiB", got)
+	}
+}
+
+// TestMergeSnapshotCommandSizedByBytes pins that a server sizes a merge
+// command's snapshot by the bytes that arrive, not by its length prefix:
+// a 6-byte command (protocol ID, merge command, u32 length claiming
+// 64 MiB) whose peer then closes is refused without allocating for the
+// claim.
+func TestMergeSnapshotCommandSizedByBytes(t *testing.T) {
+	srv := pesServer(t, core.Params{Eps: 4, N: 1000, ItemBytes: 2, Y: 16, Seed: 5})
+	client, conn := net.Pipe()
+	defer conn.Close()
+	cmd := binary.BigEndian.AppendUint32([]byte{proto.IDPrivateExpanderSketch, cmdMergeSnapshot}, 64<<20)
+	go func() {
+		client.Write(cmd) //nolint:errcheck // the handler reads it or fails the test
+		client.Close()
+	}()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := srv.handle(conn)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.EOF) || !strings.Contains(err.Error(), "reading snapshot body") {
+		t.Fatalf("truncated merge: err = %v, want EOF reading the body", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("refusing a 6-byte merge command allocated %d bytes, want under 1 MiB", got)
+	}
+	if n := srv.agg.TotalReports(); n != 0 {
+		t.Fatalf("refused merge left %d reports", n)
+	}
+}

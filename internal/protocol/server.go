@@ -36,6 +36,27 @@ const (
 // four bytes read as ~1.16e9, above this cap).
 const maxSnapshotBytes = 1 << 30
 
+// readSized reads the n-byte body of a length-prefixed transfer from r
+// into a buffer sized by the bytes that arrive, not by the prefix: it
+// starts at min(n, 512 KiB) and doubles as each fills, never past n, so a
+// peer that claims a large body and sends none costs at most 512 KiB,
+// and a body of a few MiB a copy or two. Its errors are io.ReadFull's
+// over the whole body.
+func readSized(r io.Reader, n int) ([]byte, error) {
+	buf := make([]byte, 0, min(n, 512<<10))
+	for {
+		m, err := io.ReadFull(r, buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+m]
+		if err == io.EOF && len(buf) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil || len(buf) == n {
+			return buf, err
+		}
+		buf = append(make([]byte, 0, min(2*cap(buf), n)), buf...)
+	}
+}
+
 // Server aggregates LDP reports over TCP into any proto.Aggregator. One
 // Server serves one collection round for one protocol; the protocol ID is
 // negotiated (verified) at connection time and revalidated on every
@@ -883,8 +904,8 @@ func (s *Server) handleMergeSnapshot(conn net.Conn, br *bufio.Reader) error {
 	if n > maxSnapshotBytes {
 		return fmt.Errorf("protocol: snapshot length %d exceeds transfer cap", n)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(br, buf); err != nil {
+	buf, err := readSized(br, int(n))
+	if err != nil {
 		return fmt.Errorf("protocol: reading snapshot body: %w", err)
 	}
 	if err := m.MergeSnapshot(buf); err != nil {

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"ldphh"
+	"ldphh/internal/blobv1"
 	"ldphh/internal/checkpoint"
 )
 
@@ -95,19 +96,25 @@ var v1Snapshots = map[ldphh.Kind]string{
 }
 
 // v1Snapshot rebuilds a kind's pre-envelope snapshot from an envelope
-// snapshot: the kind's v1 header followed by the identical body.
+// snapshot: the kind's v1 header followed by the body, with every nested
+// oracle blob rewritten to version 1, the only one they wrote then.
 func v1Snapshot(kind ldphh.Kind, snap []byte, fp uint64) []byte {
-	body := snap[14:] // after the "LSNP" | version | ID | fingerprint envelope
-	var hdr []byte
+	body := blobv1.Snapshot(snap)[14:] // after the "LSNP" | version | ID | fingerprint envelope
+	return append(preEnvelopeHeader(kind, fp), body...)
+}
+
+// preEnvelopeHeader is the header a kind's pre-envelope snapshot carries
+// before its body; the oracle kinds' bodies carry their own.
+func preEnvelopeHeader(kind ldphh.Kind, fp uint64) []byte {
 	switch kind {
 	case ldphh.PrivateExpanderSketch:
-		hdr = binary.BigEndian.AppendUint64([]byte("LPSK\x01"), fp)
+		return binary.BigEndian.AppendUint64([]byte("LPSK\x01"), fp)
 	case ldphh.KindStreamHG:
-		hdr = []byte("LSGK\x01")
+		return []byte("LSGK\x01")
 	case ldphh.KindPEM, ldphh.KindFedTrie:
-		hdr = binary.BigEndian.AppendUint64([]byte("LIRK\x01"), fp)
+		return binary.BigEndian.AppendUint64([]byte("LIRK\x01"), fp)
 	}
-	return append(hdr, body...)
+	return nil
 }
 
 // TestRecoveryReadsPreEnvelopeCheckpoints proves checkpoints written
@@ -212,10 +219,12 @@ func fuzzOptions(kind ldphh.Kind) []ldphh.Option {
 
 // FuzzSnapshotEnvelope drives arbitrary bytes through Restore on one
 // aggregator of each of the seven Mergeable kinds. Invariants: no panic;
-// a failed Restore leaves TotalReports unchanged; an accepted input
-// re-serializes byte-identically (a pre-envelope input, as the envelope
-// over the identical body). Restore is atomic, which is what makes reusing
-// the aggregators across executions sound.
+// a failed Restore leaves TotalReports unchanged; an accepted input is
+// written again by Snapshot: an envelope over version 2 blobs byte for
+// byte, and any other input (pre-envelope, or nesting version 1 blobs)
+// once it carries the envelope and both have every blob rewritten to
+// version 1. Restore is atomic, which is what makes reusing the
+// aggregators across executions sound.
 func FuzzSnapshotEnvelope(f *testing.F) {
 	type target struct {
 		kind ldphh.Kind
@@ -260,6 +269,7 @@ func FuzzSnapshotEnvelope(f *testing.F) {
 			f.Fatalf("%v snapshot of %d bytes was built in a buffer of %d", kind, len(snap), cap(snap))
 		}
 		f.Add(snap)
+		f.Add(blobv1.Snapshot(snap))
 		f.Add(snap[:13])
 		for _, off := range []int{0, 4, 5, 6, 13, 14, 15, 17, 18, 22, 26, 30} {
 			if off < len(snap) {
@@ -282,7 +292,7 @@ func FuzzSnapshotEnvelope(f *testing.F) {
 			if err != nil {
 				t.Fatalf("%v: accepted snapshot failed to re-serialize: %v", tg.kind, err)
 			}
-			if !bytes.Equal(out, data) && !bytes.Equal(v1Snapshot(tg.kind, out, tg.m.Fingerprint()), data) {
+			if !blobv1.Reserialized(data, out, len(preEnvelopeHeader(tg.kind, tg.m.Fingerprint()))) {
 				t.Fatalf("%v: snapshot not canonical: %d bytes in, %d bytes out", tg.kind, len(data), len(out))
 			}
 		}
@@ -336,6 +346,42 @@ func TestOracleSnapshotsLoadFromSnapshotBytes(t *testing.T) {
 			}
 			if got, want := root.TotalReports(), leaf.TotalReports(); got != want {
 				t.Fatalf("root holds %d reports after the restore, want %d", got, want)
+			}
+		})
+	}
+}
+
+// TestSnapshotSizeFollowsReports pins the size of the kinds whose
+// snapshots nest oracle blobs: the blobs write only their nonzero cells,
+// and each report moves a cell or two, so an empty aggregator's snapshot
+// is under 1 KiB and absorbing compatReports grows it by at most 16 bytes
+// per report.
+func TestSnapshotSizeFollowsReports(t *testing.T) {
+	for _, kind := range []ldphh.Kind{
+		ldphh.PrivateExpanderSketch, ldphh.KindHashtogram, ldphh.KindDirectHistogram,
+		ldphh.KindSmallDomain, ldphh.KindPEM, ldphh.KindFedTrie,
+	} {
+		t.Run(kind.String(), func(t *testing.T) {
+			size := func(h ldphh.Protocol) int {
+				m, _ := ldphh.AsMergeable(h)
+				snap, err := m.Snapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return len(snap)
+			}
+			empty, err := ldphh.New(kind, pinnedOptions(kind)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			full := compatFixture(t, kind)
+			before, after, reports := size(empty), size(full), full.TotalReports()
+			t.Logf("%d bytes empty, %d after %d reports", before, after, reports)
+			if before >= 1<<10 {
+				t.Errorf("empty snapshot is %d bytes, want under 1 KiB", before)
+			}
+			if after-before > 16*reports {
+				t.Errorf("%d reports grew the snapshot from %d to %d bytes, more than 16 per report", reports, before, after)
 			}
 		})
 	}
