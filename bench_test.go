@@ -302,6 +302,10 @@ func BenchmarkMerge(b *testing.B) {
 // BenchmarkSnapshotRoundTrip measures the leaf side: serializing the full
 // accumulated protocol state and rehydrating it into a fresh instance —
 // the checkpoint/restore path and the per-leaf cost of every fan-in round.
+// cells/op counts the M+1 tables' cells a round trip covers and reports/s
+// the absorbed reports it carries per second; a snapshot's size follows
+// its nonzero cells, so a rate over its bytes would not compare across
+// encodings.
 func BenchmarkSnapshotRoundTrip(b *testing.B) {
 	const total = 1 << 18
 	reports := ingestReports(b, total)
@@ -326,8 +330,10 @@ func BenchmarkSnapshotRoundTrip(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	pp, conf := p.Params(), p.ConfOracleParams()
+	b.ReportMetric(float64(pp.M*pp.CellsPerCoordinate(p.Code().ZBits())+conf.Rows*conf.T), "cells/op")
+	b.ReportMetric(float64(p.TotalReports())*float64(b.N)/b.Elapsed().Seconds(), "reports/s")
 	b.ReportMetric(float64(snapBytes), "snapshot_bytes")
-	b.ReportMetric(float64(snapBytes)*float64(b.N)/b.Elapsed().Seconds()/1e6, "MB_per_s")
 }
 
 // --- User time and user memory (Table 1 rows 2 and 4) ---

@@ -17,11 +17,11 @@ import (
 
 // benchProtocol returns a protocol that has absorbed 30000 reports of 512
 // distinct items.
-func benchProtocol(b *testing.B) *Protocol {
-	b.Helper()
+func benchProtocol(tb testing.TB) *Protocol {
+	tb.Helper()
 	pr, err := New(Params{Eps: 4, N: 30000, ItemBytes: 4, Y: 64, Seed: 42})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	rng := rand.New(rand.NewPCG(5, 6))
 	var item [4]byte
@@ -29,10 +29,10 @@ func benchProtocol(b *testing.B) *Protocol {
 		binary.BigEndian.PutUint32(item[:], uint32(i%512))
 		rep, err := pr.Report(item[:], i, rng)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		if err := pr.Absorb(rep); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	return pr
@@ -57,7 +57,7 @@ func BenchmarkPESArgmaxScan(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for m := 0; m < pr.p.M; m++ {
-			pr.scanLists(m, lists)
+			pr.scanLists(m, pr.direct[m].HistogramView(), lists)
 		}
 	}
 	b.ReportMetric(float64(pr.p.M*cells), "cells/op")

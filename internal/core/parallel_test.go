@@ -124,3 +124,48 @@ func TestWorkersValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestIdentifyReusesSlabs pins the memory of Identify's reconstruction:
+// each coordinate is finalized and scanned in one task on one of
+// min(Workers, M) reused T-cell histogram slabs, so one Identify
+// allocates less than one slab more than those, where keeping a fresh
+// view per coordinate allocates M of them. SketchBytes counts the slabs
+// once Identify has allocated them, so before it the figure does not
+// depend on the worker count.
+func TestIdentifyReusesSlabs(t *testing.T) {
+	leaf := benchProtocol(t)
+	snap, err := leaf.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	counters := leaf.SketchBytes()
+	for _, workers := range []int{1, 2, runtime.GOMAXPROCS(0)} {
+		p := leaf.Params()
+		p.Workers = workers
+		pr, err := New(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := pr.MergeSnapshot(snap); err != nil {
+			t.Fatal(err)
+		}
+		if got := pr.SketchBytes(); got != counters {
+			t.Errorf("workers=%d: SketchBytes before Identify = %d, want %d", workers, got, counters)
+		}
+		slab := 8 * uint64(pr.direct[0].T())
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := pr.Identify(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		got, bound := after.TotalAlloc-before.TotalAlloc, uint64(min(workers, p.M)+1)*slab
+		t.Logf("workers=%d: Identify allocated %d bytes, %.2f slabs of %d", workers, got, float64(got)/float64(slab), slab)
+		if got >= bound {
+			t.Errorf("workers=%d: Identify allocated %d bytes, want < %d: (min(Workers, M)+1) slabs of %d", workers, got, bound, slab)
+		}
+		if got, want := pr.SketchBytes()-pr.conf.SketchBytes(), counters-leaf.conf.SketchBytes()+min(workers, p.M)*int(slab); got != want {
+			t.Errorf("workers=%d: SketchBytes after Identify, less the confirmation oracle, = %d, want %d", workers, got, want)
+		}
+	}
+}

@@ -54,10 +54,12 @@ type Params struct {
 	// per-coordinate noise over all B·Y·Z cells (the role of C_f in step 3b)
 
 	// Workers bounds the goroutine pool Identify uses for the per-coordinate
-	// finalize and argmax scan, the per-bucket decode and the confirmation
-	// finalize and estimates, and the pool Restore and MergeSnapshot
-	// use to validate a snapshot's oracle blobs and add them, straight from
-	// the snapshot bytes, into the counters. 0 derives runtime.GOMAXPROCS(0);
+	// finalize and argmax scan (one task per coordinate, on one of
+	// min(Workers, M) reused T-cell histogram slabs), the per-bucket decode
+	// and the confirmation finalize and estimates, and the pool Restore and
+	// MergeSnapshot use to validate a snapshot's oracle blobs and add them,
+	// straight from the snapshot bytes, into the counters. It thereby also
+	// bounds Identify's reconstruction memory. 0 derives runtime.GOMAXPROCS(0);
 	// 1 forces the serial path. Workers is a pure throughput knob: Identify
 	// output, snapshot bytes and load errors are bit-identical at every
 	// worker count (see the package determinism contract in doc.go), and the

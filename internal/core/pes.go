@@ -60,6 +60,7 @@ type Protocol struct {
 	groupN   []int
 	absorbed int
 	blobs    [][]byte // the M+1 oracle blobs a snapshot's BodyLen wrote for its AppendBody
+	slabHeap int      // bytes of the histogram slabs the last Identify reconstructed into
 }
 
 // New constructs the protocol and draws all public randomness from
@@ -211,17 +212,28 @@ func (pr *Protocol) identify() ([]Estimate, error) {
 	if workers < 1 {
 		workers = 1
 	}
-	par.Range(pr.p.M, workers, func(m int) { pr.direct[m].Finalize() })
-
-	// Steps 2-3: per (m, b, y) arg-max over z, threshold, top-cap lists.
-	// Coordinates are independent — worker m reads only its own oracle and
-	// writes only the lists[b][m] slots — so the scan parallelizes over m
-	// with no synchronization beyond the pool barrier.
+	// Steps 2-3, one task per coordinate: reconstruct the coordinate's
+	// histogram into a slab, then run the per (b, y) arg-max over z,
+	// threshold and top-cap. Coordinates are independent — task m reads
+	// only its own oracle and writes only the lists[b][m] slots — so they
+	// parallelize over m with no synchronization beyond the pool barrier.
+	// The scan copies out symbols only, so a task hands its slab back the
+	// moment it ends: at most min(workers, M) tasks run at once, and as
+	// many slabs serve all M coordinates.
 	lists := make([][][]listrec.Symbol, pr.p.B) // [b][m] -> list
 	for b := range lists {
 		lists[b] = make([][]listrec.Symbol, pr.p.M)
 	}
-	par.Range(pr.p.M, workers, func(m int) { pr.scanLists(m, lists) })
+	slabs := make(chan []float64, min(workers, pr.p.M))
+	for range cap(slabs) {
+		slabs <- make([]float64, pr.direct[0].T())
+	}
+	pr.slabHeap = 8 * cap(slabs) * pr.direct[0].T()
+	par.Range(pr.p.M, workers, func(m int) {
+		slab := <-slabs
+		pr.scanLists(m, pr.direct[m].HistogramInto(slab), lists)
+		slabs <- slab
+	})
 
 	// Step 4: decode each super-bucket concurrently. Bucket b's decoder
 	// randomness is the (Seed, b) sub-stream, so the items it returns do not
@@ -306,10 +318,11 @@ func HeavyHitters(est []Estimate, n int, delta float64) ([]Estimate, error) {
 	return out, nil
 }
 
-// scanLists runs the steps 2-3 admission scan for coordinate m: per (b, y)
-// arg-max over z, threshold, top-cap. It reads only coordinate m's finalized
-// oracle and writes only the lists[b][m] slots, which is what lets Identify
-// parallelize the scan over coordinates with no synchronization.
+// scanLists runs the steps 2-3 admission scan for coordinate m over hist,
+// the coordinate's reconstructed histogram: per (b, y) arg-max over z,
+// threshold, top-cap. It writes only the lists[b][m] slots, which is what
+// lets Identify parallelize the scan over coordinates with no
+// synchronization, and keeps nothing of hist, whose slab Identify reuses.
 //
 // The inner arg-max is the profiled Identify scan kernel, so it is written
 // for bounds-check elimination: each (b, y) re-slices the histogram to its
@@ -318,10 +331,9 @@ func HeavyHitters(est []Estimate, n int, delta float64) ([]Estimate, error) {
 // iteration's compare-against-sentinel was pure overhead). len(row) pins
 // the loop bound to the slice the compiler just checked, eliding the
 // per-iteration bounds check.
-func (pr *Protocol) scanLists(m int, lists [][][]listrec.Symbol) {
+func (pr *Protocol) scanLists(m int, hist []float64, lists [][][]listrec.Symbol) {
 	tau := pr.threshold(m)
 	listCap := pr.p.listCap()
-	hist := pr.direct[m].HistogramView()
 	zSize := int(uint64(1) << uint(pr.zbits))
 	for b := 0; b < pr.p.B; b++ {
 		var entries []listEntry
@@ -381,12 +393,15 @@ func (pr *Protocol) EstimateFrequency(x []byte) float64 {
 // TotalReports returns the number of absorbed reports.
 func (pr *Protocol) TotalReports() int { return pr.w.TotalReports() }
 
-// SketchBytes returns the resident server memory across both phases.
+// SketchBytes returns the resident server memory across both phases: the
+// counters, the confirmation oracle's view once built, and, once Identify
+// has run, the min(Workers, M) histogram slabs it reconstructed the
+// coordinates into.
 func (pr *Protocol) SketchBytes() int { return pr.w.SketchBytes() }
 
 // sketchBytes is SketchBytes' body; the caller holds the adapter lock.
 func (pr *Protocol) sketchBytes() int {
-	total := pr.conf.SketchBytes()
+	total := pr.conf.SketchBytes() + pr.slabHeap
 	for _, d := range pr.direct {
 		total += d.SketchBytes()
 	}

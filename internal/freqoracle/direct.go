@@ -86,7 +86,17 @@ func (d *DirectHistogram) Absorb(rep DirectReport) error {
 // Finalize rebuilds the estimated histogram from the counters as they
 // stand, into a fresh view that the read methods answer from until the
 // next Finalize. It must not run concurrently with them.
-func (d *DirectHistogram) Finalize() { d.hist = d.transform(d.rand.CEps(), 1) }
+func (d *DirectHistogram) Finalize() { d.hist = d.HistogramInto(make([]float64, d.t)) }
+
+// HistogramInto writes the estimated histogram of the counters as they
+// stand into slab, which must hold T cells, and returns its [0, Domain)
+// view. The oracle keeps neither, so a caller that reconstructs many
+// oracles in turn can reuse one slab; Finalize is HistogramInto on a
+// fresh slab.
+func (d *DirectHistogram) HistogramInto(slab []float64) []float64 {
+	d.transform(slab[:d.t], d.rand.CEps(), 1)
+	return slab[:d.domain]
+}
 
 // Estimate returns the estimated multiplicity of x as of the last
 // Finalize. Must be called after Finalize.

@@ -183,7 +183,8 @@ func (h *Hashtogram) Finalize() { h.FinalizeWorkers(h.p.Rows) }
 // which is how core.Protocol.Identify keeps its Params.Workers contract
 // over the confirmation oracle.
 func (h *Hashtogram) FinalizeWorkers(workers int) {
-	est := h.transform(h.rand.CEps(), workers)
+	est := make([]float64, len(h.cells))
+	h.transform(est, h.rand.CEps(), workers)
 	// The per-row n/rowCounts rescale is fixed for the view's lifetime, so
 	// it folds into one precomputed factor per row. n >= c, so a row's
 	// factor is 0 exactly when the row is empty.

@@ -10,6 +10,8 @@ import (
 	"encoding/binary"
 	"math/rand/v2"
 	"testing"
+
+	"ldphh/internal/blobv1"
 )
 
 const (
@@ -198,5 +200,49 @@ func BenchmarkDirectFinalize(b *testing.B) {
 		}
 		b.StartTimer()
 		fresh.Finalize()
+	}
+}
+
+// BenchmarkHashtogramRestoreDense restores one table of the
+// hashtogram_durable shape (46 rows × 4096 cells over 8×10^6 reports,
+// nearly every cell nonzero) per op, from its version 2 blob and from the
+// version 1 rewrite of it: the checkpoint recovery path.
+func BenchmarkHashtogramRestoreDense(b *testing.B) {
+	const reports = 8_000_000
+	p := HashtogramParams{Eps: 4, N: reports, Seed: 11}
+	h, err := NewHashtogram(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewPCG(8, 9))
+	for i := 0; i < reports; i++ {
+		rep := HashtogramReport{Row: rng.IntN(h.p.Rows), Col: uint32(rng.IntN(h.p.T)), Bit: int8(2*rng.IntN(2) - 1)}
+		if err := h.Absorb(rep); err != nil {
+			b.Fatal(err)
+		}
+	}
+	v2, err := h.Snapshot()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		blob []byte
+	}{{"v2", v2}, {"v1", blobv1.Blob(v2)}} {
+		b.Run(c.name, func(b *testing.B) {
+			into, err := NewHashtogram(p)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := into.Restore(c.blob); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(h.cells)), "cells/op")
+			b.ReportMetric(float64(len(c.blob)), "blob-bytes")
+		})
 	}
 }

@@ -267,8 +267,12 @@ func (s *blobShape) checkPairs(p, counts []byte) error {
 	pos, off, rowEnd := 0, 0, 0
 	var sum, reports uint64
 	for {
-		run, n := uvarint(p[off:])
-		if n <= 0 {
+		// A run or value below 0x80 is one byte, read inline: uvarint is
+		// too large to inline, and a dense table is almost all such pairs.
+		run, n := uint64(0), 1
+		if off < len(p) && p[off] < 0x80 {
+			run = uint64(p[off])
+		} else if run, n = uvarint(p[off:]); n <= 0 {
 			return pairErr(n, off, "zero run")
 		}
 		off += n
@@ -281,8 +285,10 @@ func (s *blobShape) checkPairs(p, counts []byte) error {
 			}
 			return nil
 		}
-		zz, n := uvarint(p[off:])
-		if n <= 0 {
+		zz, n := uint64(0), 1
+		if off < len(p) && p[off] < 0x80 {
+			zz = uint64(p[off])
+		} else if zz, n = uvarint(p[off:]); n <= 0 {
 			return pairErr(n, off, "value")
 		}
 		off += n
@@ -314,11 +320,9 @@ func pairErr(n, off int, what string) error {
 // uvarint reads a minimal encoding/binary uvarint from the front of p and
 // its length n: n == 0 if p ends first, n < 0 if the encoding overflows
 // 64 bits or is not minimal (binary.Uvarint accepts the trailing zero
-// group of 80 00, which would give a value a second encoding).
+// group of 80 00, which would give a value a second encoding). Its callers
+// read a one-byte uvarint inline and call it for the rest.
 func uvarint(p []byte) (uint64, int) {
-	if len(p) > 0 && p[0] < 0x80 {
-		return uint64(p[0]), 1
-	}
 	x, n := binary.Uvarint(p)
 	if n > 1 && p[n-1] == 0 {
 		return 0, -n
@@ -402,16 +406,23 @@ func addCells(acc []int64, cells []byte) {
 
 // addPairs adds the checked version 2 cells p into acc: it jumps each
 // zero run and adds each unzigzagged value, so its cost follows the
-// nonzero cells, not the table.
+// nonzero cells, not the table. Like checkPairs, it reads one-byte runs
+// and values inline.
 func addPairs(acc []int64, p []byte) {
 	pos := 0
 	for {
-		run, n := uvarint(p)
+		run, n := uint64(p[0]), 1
+		if run >= 0x80 {
+			run, n = uvarint(p)
+		}
 		p = p[n:]
 		if pos += int(run); pos == len(acc) {
 			return
 		}
-		zz, n := uvarint(p)
+		zz, n := uint64(p[0]), 1
+		if zz >= 0x80 {
+			zz, n = uvarint(p)
+		}
 		p = p[n:]
 		acc[pos] += int64(zz>>1) ^ -int64(zz&1)
 		pos++

@@ -72,24 +72,16 @@ func (tb *table) Reset() {
 	tb.total = 0
 }
 
-// transform reconstructs every row from the counters as they stand into
-// one fresh rows × t slab: a row's tallies convert exactly to float64,
-// go through one fast Walsh-Hadamard transform and are scaled by ceps.
+// transform writes every row's reconstruction from the counters as they
+// stand into dst, which holds rows × t cells: hadamard.TransformCounts
+// reads the row's tallies and writes ceps · H · tallies, bit-identical to
+// converting them, running a radix-2 butterfly loop and scaling each cell.
 // Rows are independent, so they run on at most workers goroutines
-// (workers <= 1 runs serially with no goroutine at all) and the slab is
-// bit-identical at every bound. One slab for all rows keeps the view
-// cache-contiguous and finalization from fragmenting the heap.
-func (tb *table) transform(ceps float64, workers int) []float64 {
-	slab := make([]float64, len(tb.cells))
+// (workers <= 1 runs serially with no goroutine at all) and dst is
+// bit-identical at every bound.
+func (tb *table) transform(dst []float64, ceps float64, workers int) {
 	par.Range(tb.rows, workers, func(r int) {
-		v := slab[r*tb.t : (r+1)*tb.t : (r+1)*tb.t]
-		for j, a := range tb.cells[r*tb.t : (r+1)*tb.t] {
-			v[j] = float64(a)
-		}
-		hadamard.Transform(v)
-		for j := range v {
-			v[j] *= ceps
-		}
+		lo, hi := r*tb.t, (r+1)*tb.t
+		hadamard.TransformCounts(dst[lo:hi], tb.cells[lo:hi], ceps)
 	})
-	return slab
 }
