@@ -67,15 +67,14 @@
 // same Params.Seed produce the bit-identical heavy-hitter list — same
 // items, same order, same float64 counts — at every worker count. This
 // holds because each parallel unit is a pure function of the frozen
-// counters and the seed, writing only its own output slot; in particular
-// the step-4 decoder draws its cluster-refinement randomness from a PCG
-// sub-stream labelled (Seed, bucket) rather than from any shared
-// generator, and the output order is a strict total order (count
-// descending, item bytes ascending) over deduplicated items. Workers is
-// therefore a pure throughput knob — it never feeds public randomness, so
-// clients and servers may disagree on it freely. The contract is enforced
-// under the race detector by core.TestIdentifyWorkerDeterminism and the
-// ingestion-side equivalence tests in internal/protocol.
+// counters and the seed, writing only its own output slot (the step-4
+// decoder draws no randomness at all), and the output order is a strict
+// total order (count descending, item bytes ascending) over deduplicated
+// items. Workers is therefore a pure throughput knob — it never feeds
+// public randomness, so clients and servers may disagree on it freely. The
+// contract is enforced under the race detector by
+// core.TestIdentifyWorkerDeterminism and the ingestion-side equivalence
+// tests in internal/protocol.
 //
 // # Mergeable snapshots and the merge determinism contract
 //

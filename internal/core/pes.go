@@ -7,7 +7,6 @@ import (
 	"math/rand/v2"
 	"sort"
 
-	"ldphh/internal/dist"
 	"ldphh/internal/freqoracle"
 	"ldphh/internal/hashing"
 	"ldphh/internal/listrec"
@@ -186,10 +185,6 @@ type listEntry struct {
 	est float64
 }
 
-// decodeStreamLabel salts the per-bucket decode sub-streams so they cannot
-// collide with any other consumer of dist.Mix(Seed, ...).
-const decodeStreamLabel = 0x6465636f64657221 // "decoder!"
-
 // Identify runs the server-side reconstruction (steps 2-6 of Algorithm 1)
 // and returns the estimates sorted by decreasing count. Its first success
 // closes the round: further Absorb, Identify and snapshot calls fail with
@@ -198,10 +193,9 @@ const decodeStreamLabel = 0x6465636f64657221 // "decoder!"
 // Every stage fans out over at most Params.Workers goroutines, and the
 // output is bit-identical at any worker count: each coordinate's scan and
 // each bucket's decode is a pure function of the absorbed counters and
-// Params.Seed writing only its own output slot, the per-bucket decoder
-// randomness is a dist.SubStream labelled by (Seed, bucket) rather than a
-// shared generator, and the final order is a strict total order (count
-// descending, item ascending) over deduplicated items.
+// Params.Seed writing only its own output slot, and the final order is a
+// strict total order (count descending, item ascending) over deduplicated
+// items.
 func (pr *Protocol) Identify() ([]Estimate, error) {
 	return pr.w.Identify(context.Background())
 }
@@ -235,14 +229,14 @@ func (pr *Protocol) identify() ([]Estimate, error) {
 		slabs <- slab
 	})
 
-	// Step 4: decode each super-bucket concurrently. Bucket b's decoder
-	// randomness is the (Seed, b) sub-stream, so the items it returns do not
-	// depend on which worker ran it or in what order; the dedup below then
-	// walks buckets in index order, keeping the candidate list canonical.
+	// Step 4: decode each super-bucket concurrently. Decode draws no
+	// randomness, so the items bucket b returns do not depend on which
+	// worker ran it or in what order; the dedup below then walks buckets in
+	// index order, keeping the candidate list canonical.
 	decoded := make([][][]byte, pr.p.B)
 	decodeErrs := make([]error, pr.p.B)
 	par.Range(pr.p.B, workers, func(b int) {
-		items, err := pr.code.Decode(lists[b], dist.Mix(pr.p.Seed, decodeStreamLabel, uint64(b)))
+		items, err := pr.code.Decode(lists[b])
 		if err != nil {
 			decodeErrs[b] = fmt.Errorf("core: decoding bucket %d: %w", b, err)
 			return

@@ -325,9 +325,7 @@ func Mix(words ...uint64) uint64 {
 // SubStream returns a deterministic PCG generator for the (seed, stream)
 // pair. Distinct streams of the same seed are decorrelated even for
 // adjacent stream indices, and the construction is pure: the same pair
-// always yields a generator producing the same sequence. Parallel decoders
-// (core.Protocol.Identify step 4) draw one SubStream per super-bucket so
-// concurrent decoding stays reproducible at any worker count.
+// always yields a generator producing the same sequence.
 func SubStream(seed, stream uint64) *rand.Rand {
 	return rand.New(rand.NewPCG(Mix(seed, stream), Mix(stream, 0x5375625374726561, seed)))
 }

@@ -13,8 +13,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
-
-	"ldphh/internal/graph"
 )
 
 // Expander is a d-regular graph on M vertices with a certified bound on the
@@ -103,19 +101,6 @@ func (e *Expander) Neighbors(u int) []int { return e.nbrs[u] }
 
 // Neighbor returns the k-th neighbor Γ(u)_k.
 func (e *Expander) Neighbor(u, k int) int { return e.nbrs[u][k] }
-
-// Graph materializes the expander as a graph.Graph.
-func (e *Expander) Graph() *graph.Graph {
-	g := graph.New(e.m)
-	for u, ns := range e.nbrs {
-		for _, v := range ns {
-			if u < v {
-				g.AddEdge(u, v)
-			}
-		}
-	}
-	return g
-}
 
 // SecondEigenvalue estimates (from above, with iteration slack) the second
 // largest adjacency eigenvalue magnitude of a d-regular graph given by

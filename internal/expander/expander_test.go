@@ -62,9 +62,21 @@ func TestRandomRegularProperties(t *testing.T) {
 			}
 		}
 		// Connectivity (union of Hamiltonian cycles is connected by design,
-		// but verify via the Graph view).
-		if comps := e.Graph().Components(nil); len(comps) != 1 {
-			t.Fatalf("m=%d d=%d: %d components", cfg.m, cfg.d, len(comps))
+		// but verify by walking Neighbors from vertex 0).
+		reached := map[int]bool{0: true}
+		stack := []int{0}
+		for len(stack) > 0 {
+			u := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, v := range e.Neighbors(u) {
+				if !reached[v] {
+					reached[v] = true
+					stack = append(stack, v)
+				}
+			}
+		}
+		if len(reached) != cfg.m {
+			t.Fatalf("m=%d d=%d: %d of %d vertices reachable", cfg.m, cfg.d, len(reached), cfg.m)
 		}
 	}
 }

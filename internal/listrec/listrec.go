@@ -15,11 +15,15 @@
 // verbatim; see DESIGN.md substitution S4).
 //
 // Decoding builds the layered graph on [M]x[Y] whose edges are the
-// *mutually* suggested expander edges, finds spectral clusters (the whp
-// isolated corrupted copies of Γ — Appendix B), prunes low-degree vertices,
-// reads one chunk per coordinate (erasing ambiguous coordinates), and runs
-// errors-and-erasures RS decoding. Candidates are verified by re-encoding,
-// which enforces the (1-α)-agreement condition of Definition 3.5.
+// *mutually* suggested expander edges. Appendix B finds each item's
+// corrupted copy of Γ there by spectral clustering; this package finds it
+// by local search instead (DESIGN.md substitution S2): it grows an
+// assignment from every vertex along linked edges, and when growth finds
+// nothing new it walks every linked choice over six half-size coordinate
+// sets under a fixed budget. Each assignment is RS-decoded with its
+// unassigned coordinates erased, and candidates are verified by
+// re-encoding, which enforces the (1-α)-agreement condition of Definition
+// 3.5. Decoding draws no randomness.
 package listrec
 
 import (
@@ -210,9 +214,9 @@ func (c *Code) Hash(m int, item []byte) int {
 // fingerprint compresses the hash value y into [F], keyed by the edge slot
 // (m, k). Keying by slot is essential: a fingerprint that depends on y alone
 // makes two colliding items agree at a whole *coordinate*, so every expander
-// edge touching that coordinate cross-links their clusters simultaneously
-// and the decoder's clusters fuse along structured cuts. With per-slot
-// keying, spurious edges are independent events of probability 1/F² each.
+// edge touching that coordinate cross-links their copies at once and the
+// decoder meets a tie on each of them. With per-slot keying, spurious edges
+// are independent events of probability 1/F² each.
 // When F = Y the fingerprint is the identity and the construction is exactly
 // the paper's (DESIGN.md S4).
 func (c *Code) fingerprint(m, k, y int) uint64 {

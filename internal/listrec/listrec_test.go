@@ -5,6 +5,7 @@ import (
 	"math/rand/v2"
 	"sort"
 	"testing"
+	"time"
 )
 
 func testParams() Params {
@@ -132,7 +133,7 @@ func TestDecodeSingleItemClean(t *testing.T) {
 	rng := rand.New(rand.NewPCG(4, 4))
 	item := randItem(rng, 8)
 	lists := buildLists(c, [][]byte{item})
-	got, err := c.Decode(lists, 1)
+	got, err := c.Decode(lists)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +150,7 @@ func TestDecodeManyItems(t *testing.T) {
 		items = append(items, randItem(rng, 8))
 	}
 	lists := buildLists(c, items)
-	got, err := c.Decode(lists, 1)
+	got, err := c.Decode(lists)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +176,7 @@ func TestDecodeWithDroppedCoordinates(t *testing.T) {
 		for _, m := range perm[:drop] {
 			lists[m] = nil
 		}
-		got, err := c.Decode(lists, 1)
+		got, err := c.Decode(lists)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,7 +200,7 @@ func TestDecodeWithCorruptedCoordinates(t *testing.T) {
 			z := lists[m][0].Z ^ 0x3f5 // flips chunk and fingerprint bits
 			lists[m][0] = Symbol{Y: lists[m][0].Y, Z: z & (1<<uint(c.ZBits()) - 1)}
 		}
-		got, err := c.Decode(lists, 1)
+		got, err := c.Decode(lists)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -233,7 +234,7 @@ func TestDecodeWithNoiseSymbols(t *testing.T) {
 			lists[m] = append(lists[m], Symbol{Y: y, Z: rng.Uint64() & (1<<uint(c.ZBits()) - 1)})
 		}
 	}
-	got, err := c.Decode(lists, 1)
+	got, err := c.Decode(lists)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,26 +254,82 @@ func TestDecodeRejectsDuplicateY(t *testing.T) {
 	c := mustCode(t, testParams(), 17)
 	lists := make([][]Symbol, c.M())
 	lists[0] = []Symbol{{Y: 3, Z: 1}, {Y: 3, Z: 2}}
-	if _, err := c.Decode(lists, 1); err == nil {
+	if _, err := c.Decode(lists); err == nil {
 		t.Fatal("duplicate Y accepted")
 	}
 	lists[0] = []Symbol{{Y: c.Params().Y, Z: 1}}
-	if _, err := c.Decode(lists, 1); err == nil {
+	if _, err := c.Decode(lists); err == nil {
 		t.Fatal("out-of-range Y accepted")
 	}
-	if _, err := c.Decode(make([][]Symbol, 3), 1); err == nil {
+	if _, err := c.Decode(make([][]Symbol, 3)); err == nil {
 		t.Fatal("wrong list count accepted")
 	}
 }
 
 func TestDecodeEmptyLists(t *testing.T) {
 	c := mustCode(t, testParams(), 18)
-	got, err := c.Decode(make([][]Symbol, c.M()), 1)
+	got, err := c.Decode(make([][]Symbol, c.M()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 0 {
 		t.Fatalf("decoded %d items from empty lists", len(got))
+	}
+}
+
+// TestDecodeBudgetBoundsFloodedLists pins the exact pass's budget. Every
+// payload fingerprint is 0 and each list holds the first 32 Y whose
+// fingerprint is 0 on all the slots that read it, so all symbols are linked
+// on every expander edge and each set of the exact pass admits every
+// choice: 32^4 complete choices per set at M 8 and 32^8 at M 16. Without
+// the budget the M 8 decode takes seconds and the M 16 one never ends.
+// Decode must return promptly, with only verified items. The code seeds
+// are ones whose φ leaves at least 32 such Y in every list.
+func TestDecodeBudgetBoundsFloodedLists(t *testing.T) {
+	const flood = 32
+	for _, tc := range []struct {
+		p    Params
+		seed uint64
+	}{
+		{Params{ItemBytes: 4, M: 8, Y: 512, F: 2, D: 4}, 8},
+		{Params{ItemBytes: 8, M: 16, Y: 512, F: 2, D: 4}, 28},
+	} {
+		c := mustCode(t, tc.p, tc.seed)
+		rng := rand.New(rand.NewPCG(14, 14))
+		zeros := make([]uint64, c.Expander().D())
+		lists := make([][]Symbol, c.M())
+		for m := range lists {
+			for y := 0; y < tc.p.Y && len(lists[m]) < flood; y++ {
+				linked := true
+				for k, m2 := range c.Expander().Neighbors(m) {
+					if c.fingerprint(m2, c.slotOf[m][k], y) != 0 {
+						linked = false
+					}
+				}
+				if linked {
+					chunk := randItem(rng, c.Params().ChunkBytes)
+					lists[m] = append(lists[m], Symbol{Y: y, Z: c.PackZ(chunk, zeros)})
+				}
+			}
+			if len(lists[m]) < flood {
+				t.Fatalf("M %d: list %d holds only %d linked symbols", tc.p.M, m, len(lists[m]))
+			}
+		}
+		start := time.Now()
+		got, err := c.Decode(lists)
+		if err != nil {
+			t.Fatal(err)
+		}
+		elapsed := time.Since(start)
+		for _, it := range got {
+			if !c.verify(it, lists) {
+				t.Errorf("M %d: unverified output %x", tc.p.M, it)
+			}
+		}
+		t.Logf("M %d: %d items in %v", tc.p.M, len(got), elapsed)
+		if elapsed > 10*time.Second {
+			t.Errorf("M %d: Decode of flooded lists took %v", tc.p.M, elapsed)
+		}
 	}
 }
 
@@ -289,7 +346,7 @@ func TestPaperExactConstructionFEqualsY(t *testing.T) {
 		items = append(items, randItem(rng, 4))
 	}
 	lists := buildLists(c, items)
-	got, err := c.Decode(lists, 1)
+	got, err := c.Decode(lists)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +366,7 @@ func TestTinyMCompleteGraphFallback(t *testing.T) {
 	rng := rand.New(rand.NewPCG(12, 12))
 	item := randItem(rng, 2)
 	lists := buildLists(c, [][]byte{item})
-	got, err := c.Decode(lists, 1)
+	got, err := c.Decode(lists)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,8 +397,8 @@ func TestSlotPairingIsInvolution(t *testing.T) {
 }
 
 func TestDecodeManyItemsSortedStable(t *testing.T) {
-	// Decoding twice over the same lists with the same seed yields the same
-	// item set: Decode derives all its randomness from the seed argument.
+	// Decoding twice over the same lists yields the same item set: Decode
+	// is a pure function of its lists.
 	c := mustCode(t, testParams(), 22)
 	rng := rand.New(rand.NewPCG(13, 13))
 	var items [][]byte
@@ -349,11 +406,11 @@ func TestDecodeManyItemsSortedStable(t *testing.T) {
 		items = append(items, randItem(rng, 8))
 	}
 	lists := buildLists(c, items)
-	a, err := c.Decode(lists, 1)
+	a, err := c.Decode(lists)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := c.Decode(lists, 1)
+	b, err := c.Decode(lists)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,7 +460,7 @@ func BenchmarkDecode20Items(b *testing.B) {
 	lists := buildLists(c, items)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Decode(lists, 1); err != nil {
+		if _, err := c.Decode(lists); err != nil {
 			b.Fatal(err)
 		}
 	}
